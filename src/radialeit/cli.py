@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,6 +114,8 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
     if ells != list(range(1, len(rows) + 1)):
         raise ConfigError(f"spectrum degrees must be exactly 1..L, got {ells}")
     values = np.array([v for _, v in rows])
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"spectrum values in {path} must be finite")
     # the generating profile (and hence its norm) is unknown for external data
     return operator.Spectrum(d=d, eigenvalues=values, source="external", eta_norm=0.0)
 
@@ -178,24 +181,21 @@ def _emit(args, meta: dict, records: list[dict], summary: dict) -> None:
 
 def _cmd_eigvals(args) -> int:
     profile, d = _resolve_profile(args)
-    if args.L < 1:
-        raise ConfigError(f"--L must be >= 1, got {args.L}")
     report = operator.dual_route(
         profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual
     )
     decay = operator.verify_decay_bound(report.moment)
-    records = []
-    for i in range(args.L):
-        records.append(
-            {
-                "ell": i + 1,
-                "lambda_series": report.series.eigenvalues[i],
-                "lambda_moment": report.moment.eigenvalues[i],
-                "scaled_diff": report.scaled_diffs[i],
-                "decay_bound": decay.bounds[i],
-                "margin": decay.margins[i],
-            }
-        )
+    records = [
+        {
+            "ell": i + 1,
+            "lambda_series": report.series.eigenvalues[i],
+            "lambda_moment": report.moment.eigenvalues[i],
+            "scaled_diff": report.scaled_diffs[i],
+            "decay_bound": decay.bounds[i],
+            "margin": decay.margins[i],
+        }
+        for i in range(args.L)
+    ]
     summary = {
         "max_scaled_diff": report.max_scaled_diff,
         "dual_ok": report.ok,
@@ -220,10 +220,6 @@ def _cmd_eigvals(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    if args.dim is None:
-        raise ConfigError("--dim is required")
-    if args.K < 0:
-        raise ConfigError(f"--K must be >= 0, got {args.K}")
     d, kmax = args.dim, args.K
     family = jacobi.build_family(d, kmax)
     rule = gauss_legendre(kmax + d)  # covers degree 2*kmax + d - 1
@@ -268,8 +264,6 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_UNSUPPORTED
-    if args.L < 1:
-        raise ConfigError(f"--L must be >= 1, got {args.L}")
     report = cross_validate(profile, d, args.L)
     records = []
     n = len(report.labels)
@@ -290,12 +284,8 @@ def _cmd_verify(args) -> int:
                     "pass": err <= tol,
                 }
             )
-    identity_defect = max(
-        gradient_identity(h1, h2).defect
-        for hs in [harmonics_up_to(d, args.L)]
-        for h1 in hs
-        for h2 in hs
-    )
+    hs = harmonics_up_to(d, args.L)
+    identity_defect = max(gradient_identity(h1, h2).defect for h1 in hs for h2 in hs)
     summary = {
         "max_offdiag": report.max_offdiag,
         "max_diag_scaled": report.max_diag_scaled,
@@ -317,25 +307,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_truncate(args) -> int:
     profile, d = _resolve_profile(args)
-    if args.L < 1:
-        raise ConfigError(f"--L must be >= 1, got {args.L}")
     if not 0 <= args.N <= args.L:
         raise ConfigError(f"--N must lie in 0..L={args.L}, got {args.N}")
     spectrum = operator.spectrum_moment(profile, d, args.L)
-    records = []
-    tails = []
-    for cutoff in range(args.N + 1):
-        rep = operator.truncation_error(operator.truncate(spectrum, cutoff))
-        tails.append(rep.tail_norm)
-        records.append(
-            {
-                "cutoff": cutoff,
-                "tail_norm": rep.tail_norm,
-                "apriori_bound": rep.apriori_bound,
-                "pass": rep.ok,
-            }
-        )
-    monotone = all(tails[i + 1] <= tails[i] for i in range(len(tails) - 1))
+    reports = [
+        operator.truncation_error(operator.truncate(spectrum, cutoff))
+        for cutoff in range(args.N + 1)
+    ]
+    records = [
+        {
+            "cutoff": rep.cutoff,
+            "tail_norm": rep.tail_norm,
+            "apriori_bound": rep.apriori_bound,
+            "pass": rep.ok,
+        }
+        for rep in reports
+    ]
+    monotone = all(b.tail_norm <= a.tail_norm for a, b in zip(reports, reports[1:]))
     summary = {
         "monotone": monotone,
         "all_bounded": all(r["pass"] for r in records),
@@ -362,17 +350,13 @@ def _cmd_invert(args) -> int:
         spectrum = _load_spectrum(args.spectrum, args.dim)
     else:
         profile, d = _resolve_profile(args)
-        if args.L < 1:
-            raise ConfigError(f"--L must be >= 1, got {args.L}")
         spectrum = operator.spectrum_moment(profile, d, args.L)
     try:
         settings = operator.InversionSettings(rel_cutoff=args.tau, ridge=args.alpha)
         result = operator.invert(spectrum, args.K, settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    records = [
-        {"k": k, "coefficient": c} for k, c in enumerate(result.expansion.coeffs)
-    ]
+    records = [{"k": k, "coefficient": c} for k, c in enumerate(result.expansion.coeffs)]
     summary = {
         "singular_values": list(result.singular_values),
         "effective_rank": result.effective_rank,
@@ -396,13 +380,26 @@ def _cmd_invert(args) -> int:
 # parser
 
 
+def _at_least(low: float, cast=int):
+    """argparse type: a finite ``cast(text)`` >= low (out of range exits 2)."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_io_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="write output here instead of stdout")
 
 
 def _add_profile_flags(sub) -> None:
-    sub.add_argument("--dim", type=int, help="ambient dimension (>= 2)")
+    sub.add_argument("--dim", type=_at_least(2), help="ambient dimension (>= 2)")
     sub.add_argument(
         "--preset",
         help="stock profile, e.g. constant:1, ramp:0.5, annulus:0.3,0.8,1, "
@@ -421,37 +418,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eigvals", help="eigenvalues by both routes, with decay margins")
     _add_profile_flags(p)
-    p.add_argument("--L", type=int, default=20, help="largest harmonic degree")
+    p.add_argument("--L", type=_at_least(1), default=20, help="largest harmonic degree")
     p.add_argument(
-        "--K", type=int, default=None, help="expansion degree for the series route"
+        "--K", type=_at_least(0), default=None, help="expansion degree for the series route"
     )
-    p.add_argument("--tol-dual", type=float, default=1e-8, dest="tol_dual")
+    p.add_argument("--tol-dual", type=_at_least(0.0, float), default=1e-8, dest="tol_dual")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_eigvals)
 
     p = subs.add_parser("basis", help="orthonormality / reconstruction self-checks")
-    p.add_argument("--dim", type=int, help="ambient dimension (>= 2)")
-    p.add_argument("--K", type=int, default=40, help="largest basis degree checked")
-    p.add_argument("--tol-basis", type=float, default=1e-10, dest="tol_basis")
+    p.add_argument("--dim", type=_at_least(2), required=True, help="ambient dimension (>= 2)")
+    p.add_argument("--K", type=_at_least(0), default=40, help="largest basis degree checked")
+    p.add_argument("--tol-basis", type=_at_least(0.0, float), default=1e-10, dest="tol_basis")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_basis)
 
     p = subs.add_parser("verify", help="brute-force cross-validation (d = 2, 3)")
     _add_profile_flags(p)
-    p.add_argument("--L", type=int, default=5, help="largest harmonic degree")
+    p.add_argument("--L", type=_at_least(1), default=5, help="largest harmonic degree")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("truncate", help="finite-rank truncation error report")
     _add_profile_flags(p)
-    p.add_argument("--L", type=int, default=50, help="spectrum length")
+    p.add_argument("--L", type=_at_least(1), default=50, help="spectrum length")
     p.add_argument("--N", type=int, default=10, help="largest cutoff to report")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_truncate)
 
     p = subs.add_parser("invert", help="recover coefficients from a spectrum")
     _add_profile_flags(p)
-    p.add_argument("--L", type=int, default=10, help="spectrum length (profile input)")
+    p.add_argument("--L", type=_at_least(1), default=10, help="spectrum length (profile input)")
     p.add_argument("--K", type=int, default=5, help="number of coefficients to recover")
     p.add_argument("--spectrum", help="two-column (ell,lambda) CSV file")
     p.add_argument("--tau", type=float, default=1e-10, help="relative SVD cutoff")

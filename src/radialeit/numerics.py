@@ -72,7 +72,7 @@ def log_gamma(z: float) -> float:
     return math.lgamma(z)
 
 
-def log_factorial_ratio(ell: int, k: int, d: int) -> float:
+def log_factorial_ratio(ell, k, d: int) -> float | np.ndarray:
     """Log of (2l-2+d)! (2l-2)! / ((2l-2+d+k)! (2l-2-k)!).
 
     This ratio multiplies the k-th basis coefficient in the eigenvalue series
@@ -81,14 +81,22 @@ def log_factorial_ratio(ell: int, k: int, d: int) -> float:
     pair arguments that coincide at k = 0, which keeps the result exactly 0.0
     there and keeps the sign of the log reliable near 0 (a naive four-term sum
     can come out at +2e-13 for large ell).
+
+    ``ell`` and ``k`` may be integer arrays that broadcast; lgamma then runs
+    once per integer argument, so each entry equals the scalar call exactly.
     """
+    ell_arr, k_arr = np.broadcast_arrays(ell, k)
+    if not all(np.asarray(x).dtype.kind in "iu" for x in (ell_arr, k_arr, d)):
+        raise ValueError(f"ell, k and d must be integers, got {ell!r}, {k!r}, {d!r}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if ell < 1:
-        raise ValueError(f"eigenvalue index must be >= 1, got {ell}")
-    if not 0 <= k <= 2 * ell - 2:
-        raise ValueError(f"need 0 <= k <= 2*ell - 2, got k={k}, ell={ell}")
-    n = 2 * ell - 2
-    return (math.lgamma(n + d + 1) - math.lgamma(n + d + k + 1)) + (
-        math.lgamma(n + 1) - math.lgamma(n - k + 1)
-    )
+    if np.any(ell_arr < 1):
+        raise ValueError(f"eigenvalue index must be >= 1, got {ell_arr[ell_arr < 1][0]}")
+    n = 2 * ell_arr - 2
+    bad = (k_arr < 0) | (k_arr > n)
+    if np.any(bad):
+        raise ValueError(f"need 0 <= k <= 2*ell - 2, got k={k_arr[bad][0]}, ell={ell_arr[bad][0]}")
+    top = int((n + d + k_arr).max(initial=0))
+    log_fact = np.array([math.lgamma(j + 1) for j in range(top + 1)])  # log j!
+    out = (log_fact[n + d] - log_fact[n + d + k_arr]) + (log_fact[n] - log_fact[n - k_arr])
+    return float(out) if out.ndim == 0 else out

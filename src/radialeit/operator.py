@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jacobi import _check_dimension
 from .numerics import log_factorial_ratio, log_gamma
 from .profiles import (
     JacobiExpansion,
@@ -59,15 +60,12 @@ __all__ = [
 
 def harmonic_space_dim(ell: int, d: int) -> int:
     """Dimension of the space of degree-ell spherical harmonics on S^(d-1)."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    d = _check_dimension(d)
     if not isinstance(ell, (int, np.integer)) or ell < 0:
         raise ValueError(f"degree must be an integer >= 0, got {ell!r}")
 
-    def _c(n: int, k: int) -> int:
-        return math.comb(n, k) if n >= 0 else 0
-
-    return _c(ell + d - 1, d - 1) - _c(ell + d - 3, d - 1)
+    below = math.comb(ell + d - 3, d - 1) if ell + d >= 3 else 0
+    return math.comb(ell + d - 1, d - 1) - below
 
 
 # --------------------------------------------------------------------------
@@ -110,12 +108,10 @@ class Spectrum:
         return float(self.eigenvalues[ell - 1])
 
 
-def _series_weights(d: int, ell: int, kmax: int) -> np.ndarray:
-    # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio
-    k = np.arange(kmax + 1)
-    logs = np.array([log_factorial_ratio(ell, int(kk), d) for kk in k])
-    signs = np.where(k % 2 == 0, -1.0, 1.0)
-    return signs * np.sqrt(2.0 * k + d) / ell * np.exp(logs)
+def _band(max_index: int, num_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
+    # (ell, k) of every weight that can be non-zero, row by row; int32 saves memory
+    rows, k = np.nonzero(np.arange(num_coeffs) <= 2 * np.arange(max_index)[:, None])
+    return (rows + 1).astype(np.int32), k.astype(np.int32)
 
 
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
@@ -128,28 +124,32 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     if ell < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
     kmax = min(expansion.max_degree, 2 * ell - 2)
-    w = _series_weights(expansion.d, ell, kmax)
-    return float(w @ expansion.coeffs[: kmax + 1])
+    return float(forward_matrix(expansion.d, ell, kmax + 1)[-1] @ expansion.coeffs[: kmax + 1])
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
     """Eigenvalues for degrees 1..max_index from the coefficient series."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    vals = np.array([eigenvalue_series(expansion, ell) for ell in range(1, max_index + 1)])
-    complete = expansion.max_degree >= 2 * max_index - 2
+    kmax = min(expansion.max_degree, 2 * max_index - 2)
+    weights = forward_matrix(expansion.d, max_index, kmax + 1)
+    # One dot product per degree, over its band k <= min(kmax, 2*ell - 2) only:
+    # a single dense weights @ coeffs sums in another order and moves the last bits.
+    bands = np.minimum(kmax, 2 * np.arange(max_index)) + 1
+    vals = np.array([row[:n] @ expansion.coeffs[:n] for row, n in zip(weights, bands)])
     return Spectrum(
         d=expansion.d,
         eigenvalues=vals,
-        source="series" if complete else "series-truncated",
+        source="series" if kmax == 2 * max_index - 2 else "series-truncated",
         eta_norm=norm_ball(expansion),
     )
 
 
-def eigenvalue_moment(profile: RadialProfile, d: int, ell: int) -> float:
+def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
     """Degree-ell eigenvalue as a single weighted moment of the profile:
-    -(2*ell + d - 2)/ell * integral_0^1 profile(r) r**(2*ell - 2) r**(d-1) dr."""
-    if ell < 1:
+    -(2*ell + d - 2)/ell * integral_0^1 profile(r) r**(2*ell - 2) r**(d-1) dr.
+    ``ell`` may be an integer array of degrees; all moments come from one call."""
+    if np.min(ell) < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
 
@@ -158,7 +158,7 @@ def spectrum_moment(profile: RadialProfile, d: int, max_index: int) -> Spectrum:
     """Eigenvalues for degrees 1..max_index from the moment formula."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    vals = np.array([eigenvalue_moment(profile, d, ell) for ell in range(1, max_index + 1)])
+    vals = eigenvalue_moment(profile, d, np.arange(1, max_index + 1))
     return Spectrum(
         d=d, eigenvalues=vals, source="moment", eta_norm=norm_ball_profile(profile, d)
     )
@@ -217,8 +217,7 @@ def dual_route(
 def decay_constant(d: int) -> float:
     """Constant C_d in the bound |lambda_ell| <= C_d ||eta||_{L2(ball)} ell**(-1/2):
     C_d = d * (e**2/pi)**(d/4) * sqrt(2 * Gamma(d/2))."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    d = _check_dimension(d)
     return d * (math.e**2 / math.pi) ** (d / 4.0) * math.sqrt(2.0 * math.exp(log_gamma(d / 2.0)))
 
 
@@ -287,23 +286,15 @@ def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundR
     """Sweep ell = 1..max_index, k = 0..2*ell-2, comparing in log space."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    worst = -math.inf
-    bad: list[tuple[int, int]] = []
-    checked = 0
-    for ell in range(1, max_index + 1):
-        big_l = 2 * ell - 1
-        for k in range(0, 2 * ell - 1):
-            excess = log_factorial_ratio(ell, k, d) + 2.0 * k * (k + d) / (2 * big_l + d)
-            worst = max(worst, excess)
-            if excess > 0.0:
-                bad.append((ell, k))
-            checked += 1
+    ell, k = _band(max_index, 2 * max_index - 1)
+    excess = log_factorial_ratio(ell, k, d) + 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
+    bad = excess > 0.0
     return FactorialRatioBoundReport(
         d=d,
         max_index=max_index,
-        pairs_checked=checked,
-        max_excess=worst,
-        violations=tuple(bad),
+        pairs_checked=excess.size,
+        max_excess=float(excess.max()),
+        violations=tuple(zip(ell[bad].tolist(), k[bad].tolist())),
     )
 
 
@@ -419,17 +410,20 @@ def truncation_error(op: TruncatedOperator) -> TruncationErrorReport:
 
 def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
     """Matrix taking basis coefficients a_0..a_{num_coeffs-1} to eigenvalues
-    lambda_1..lambda_max_index; entry (ell, k) vanishes for k > 2*ell - 2."""
+    lambda_1..lambda_max_index; entry (ell, k) vanishes for k > 2*ell - 2.
+    These are the series-route weights, all from one log-factorial table."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     if not 1 <= num_coeffs <= 2 * max_index - 1:
         raise ValueError(
             f"num_coeffs must lie in 1..{2 * max_index - 1} for max_index={max_index}"
         )
-    m = np.zeros((max_index, num_coeffs))
-    for ell in range(1, max_index + 1):
-        kmax = min(num_coeffs - 1, 2 * ell - 2)
-        m[ell - 1, : kmax + 1] = _series_weights(d, ell, kmax)
+    # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio
+    ell, k = _band(max_index, num_coeffs)
+    ratio = np.exp(log_factorial_ratio(ell, k, d))
+    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) / ell * ratio
+    m = np.zeros((max_index, num_coeffs))  # allocated last: keeps the peak low
+    m[ell - 1, k] = w
     return m
 
 
@@ -444,8 +438,8 @@ class InversionSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rel_cutoff < 1.0:
             raise ValueError(f"rel_cutoff must lie in [0, 1), got {self.rel_cutoff!r}")
-        if self.ridge < 0.0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge!r}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
 @dataclass(frozen=True)

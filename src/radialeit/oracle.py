@@ -224,7 +224,7 @@ def cross_validate(
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
     """
-    from .operator import eigenvalue_moment
+    from .operator import spectrum_moment
 
     hs = harmonics_up_to(d, max_degree)
     n = len(hs)
@@ -233,7 +233,7 @@ def cross_validate(
         for j in range(i, n):
             v = brute_force_entry(profile, hs[i], hs[j])
             entries[i, j] = entries[j, i] = v
-    reference = np.array([eigenvalue_moment(profile, d, h.degree) for h in hs])
+    reference = spectrum_moment(profile, d, max_degree).eigenvalues[[h.degree - 1 for h in hs]]
     return CrossValidationReport(
         d=d,
         labels=tuple(h.label for h in hs),

@@ -174,33 +174,33 @@ def profile_to_dict(profile: RadialProfile, d: int | None = None) -> dict:
 
 def surface_area(d: int) -> float:
     """Surface measure of the unit sphere in R**d (2*pi, 4*pi, 2*pi**2, ...)."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    d = jacobi._check_dimension(d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _piece_integral(coeffs: np.ndarray, lo: float, hi: float, power: int) -> float:
-    # integral_lo^hi (sum_j c_j r**j) r**power dr, from exact antiderivatives;
+def _piece_integral(coeffs: np.ndarray, lo: float, hi: float, power) -> np.ndarray:
+    # integral_lo^hi (sum_j c_j r**j) r**power dr per entry of power, from exact antiderivatives;
     # stable because 0 <= lo < hi <= 1 makes every term's magnitude <= |c_j| / p.
-    p = np.arange(coeffs.size, dtype=float) + power + 1.0
-    return float(np.sum(coeffs * (hi**p - lo**p) / p))
+    p = np.arange(coeffs.size, dtype=float) + np.expand_dims(power, -1) + 1.0
+    return np.sum(coeffs * (hi**p - lo**p) / p, axis=-1)
 
 
-def moment_integral(profile: RadialProfile, power: int) -> float:
-    """integral_0^1 profile(r) r**power dr, exactly (per-piece antiderivatives)."""
-    if not isinstance(power, (int, np.integer)) or power < 0:
+def moment_integral(profile: RadialProfile, power) -> float | np.ndarray:
+    """integral_0^1 profile(r) r**power dr, exactly (per-piece antiderivatives);
+    ``power`` may be an integer array, and the result then has its shape."""
+    powers = np.asarray(power)
+    if powers.dtype.kind not in "iu" or np.any(powers < 0):
         raise ValueError(f"power must be an integer >= 0, got {power!r}")
-    return sum(_piece_integral(c, lo, hi, int(power)) for lo, hi, c in profile.intervals())
+    total = sum(_piece_integral(c, lo, hi, powers) for lo, hi, c in profile.intervals())
+    return float(total) if total.ndim == 0 else total
 
 
 def norm_ball_profile(profile: RadialProfile, d: int) -> float:
     """L2 norm of the profile over the unit ball in R**d."""
-    area = surface_area(d)
-    total = 0.0
-    for lo, hi, c in profile.intervals():
-        total += _piece_integral(npoly.polymul(c, c), lo, hi, d - 1)
+    pieces = profile.intervals()
+    total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
     # squaring can leave a tiny negative residue for the zero profile
-    return math.sqrt(area * max(total, 0.0))
+    return math.sqrt(surface_area(d) * max(total, 0.0))
 
 
 @dataclass(frozen=True)

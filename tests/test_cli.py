@@ -239,6 +239,22 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(capsys, "eigvals", "--profile", str(bad))[0] == 2
     both = ("--preset", "constant:1", "--profile", str(bad))
     assert run_cli(capsys, "eigvals", "--dim", "2", *both)[0] == 2
+    # dimensions below 2 and a negative series degree
+    assert run_cli(capsys, "basis", "--dim", "1")[0] == 2
+    for cmd in ("eigvals", "truncate", "invert", "verify"):
+        assert run_cli(capsys, cmd, "--preset", "constant:1", "--dim", "1")[0] == 2
+    observed = tmp_path / "observed.csv"
+    observed.write_text("1,-1.0\n2,-0.5\n")
+    assert run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "1", "--K", "1")[0] == 2
+    observed.write_text("1,nan\n2,-0.5\n")  # non-finite spectrum values
+    assert run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "2", "--K", "1")[0] == 2
+    assert run_cli(capsys, "eigvals", "--dim", "2", "--preset", "constant:1", "--K", "-3")[0] == 2
+    # ridge weight and tolerances must be finite and >= 0
+    base = ("--dim", "2", "--preset", "constant:1")
+    for value in ("nan", "inf", "-1"):
+        assert run_cli(capsys, "invert", *base, "--alpha", value)[0] == 2
+        assert run_cli(capsys, "eigvals", *base, "--tol-dual", value)[0] == 2
+        assert run_cli(capsys, "basis", "--dim", "2", "--tol-basis", value)[0] == 2
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

@@ -135,6 +135,20 @@ def test_ratio_against_exact_integers(ell, d, data):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_ratio_arrays_match_scalar_calls():
+    ell, k = np.nonzero(np.arange(119) <= 2 * np.arange(60)[:, None])
+    ell += 1
+    for d in range(2, 7):
+        got = log_factorial_ratio(ell, k, d)
+        assert got.shape == ell.shape
+        assert got.tolist() == [log_factorial_ratio(int(e), int(j), d) for e, j in zip(ell, k)]
+        # a column of degrees broadcasts against a row of k
+        grid = log_factorial_ratio(np.arange(30, 61)[:, None], np.arange(59), d)
+        assert grid.shape == (31, 59)
+        assert grid[5, 17] == log_factorial_ratio(35, 17, d)
+    assert type(log_factorial_ratio(np.int64(4), 3, 2)) is float
+
+
 def test_ratio_rejects_bad_arguments():
     with pytest.raises(ValueError):
         log_factorial_ratio(0, 0, 2)
@@ -144,3 +158,9 @@ def test_ratio_rejects_bad_arguments():
         log_factorial_ratio(3, 5, 2)  # k > 2*ell - 2
     with pytest.raises(ValueError):
         log_factorial_ratio(3, 1, 1)
+    with pytest.raises(ValueError):
+        log_factorial_ratio(np.array([3, 0]), 0, 2)
+    with pytest.raises(ValueError):
+        log_factorial_ratio(np.array([3, 3]), np.array([4, 5]), 2)
+    with pytest.raises(ValueError):
+        log_factorial_ratio(np.array([3.0]), 1, 2)  # degrees must be integers

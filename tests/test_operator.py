@@ -23,7 +23,13 @@ from radialeit.operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
-from radialeit.profiles import JacobiExpansion, norm_ball_profile, preset, project
+from radialeit.profiles import (
+    JacobiExpansion,
+    moment_integral,
+    norm_ball_profile,
+    preset,
+    project,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +115,33 @@ def test_dual_route_report():
     starved = dual_route(rough, 2, 12, coeff_degree=3)
     assert starved.series.source == "series-truncated"
     assert starved.max_scaled_diff > 1e-8
+
+
+def test_series_spectrum_matches_per_degree_sums(corpus):
+    # complete (K = 2L - 2) and truncated expansions alike
+    for _, prof in corpus:
+        for d in (2, 3, 5):
+            for K in (18, 5):
+                exp = project(prof, d, K)
+                spec = spectrum_series(exp, 10)
+                for ell in range(1, 11):
+                    n = min(K, 2 * ell - 2) + 1
+                    want = forward_matrix(d, ell, n)[-1] @ exp.coeffs[:n]
+                    assert spec.eigenvalues[ell - 1] == want
+                    assert eigenvalue_series(exp, ell) == want
+
+
+def test_moment_spectrum_matches_per_degree_moments(corpus):
+    for _, prof in corpus:
+        for d in (2, 3, 5):
+            spec = spectrum_moment(prof, d, 40)
+            want = [
+                -(2.0 * ell + d - 2.0) / ell * moment_integral(prof, 2 * ell + d - 3)
+                for ell in range(1, 41)
+            ]
+            assert spec.eigenvalues.tolist() == want
+            assert [eigenvalue_moment(prof, d, ell) for ell in range(1, 41)] == want
+            assert eigenvalue_moment(prof, d, np.arange(1, 41)).tolist() == want
 
 
 def test_route_input_validation():
@@ -274,8 +307,9 @@ def test_regularization_controls():
         InversionSettings(rel_cutoff=-0.1)
     with pytest.raises(ValueError):
         InversionSettings(rel_cutoff=1.5)
-    with pytest.raises(ValueError):
-        InversionSettings(ridge=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            InversionSettings(ridge=bad)
 
 
 def test_invert_validates_coefficient_count():

@@ -131,6 +131,19 @@ def test_moment_closed_forms(power):
 def test_moment_rejects_negative_power():
     with pytest.raises(ValueError):
         moment_integral(preset("constant", [1.0]), -1)
+    with pytest.raises(ValueError):
+        moment_integral(preset("constant", [1.0]), np.array([3, -1]))
+    with pytest.raises(ValueError):
+        moment_integral(preset("constant", [1.0]), np.array([2.0]))
+
+
+def test_moment_arrays_match_scalar_calls(corpus):
+    powers = np.arange(0, 420, 7)
+    for _, prof in corpus:
+        got = moment_integral(prof, powers)
+        assert got.shape == powers.shape
+        assert got.tolist() == [moment_integral(prof, int(p)) for p in powers]
+        assert moment_integral(prof, powers.reshape(6, 10)).tolist() == got.reshape(6, 10).tolist()
 
 
 def test_norms():
