@@ -16,7 +16,6 @@ from .jacobi import (
     evaluate_table,
     monomial_coefficients,
 )
-from .kernels import BACKEND
 from .numerics import QuadratureRule, gauss_legendre, log_factorial_ratio, log_gamma
 from .operator import (
     BoundaryField,
@@ -60,7 +59,6 @@ from .profiles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BoundaryField",
     "ExplicitHarmonic",
     "InversionResult",

@@ -6,8 +6,10 @@ For each ambient dimension d >= 2 this is the family of polynomials P_k with
 
 i.e. the orthonormalised Jacobi polynomials with parameters (d-1, 0) mapped
 to the unit interval.  Degree-graded tables are produced by a three-term
-recurrence in ``r``; an exact rational evaluation of the explicit monomial
-sum is kept alongside as a low-degree oracle.
+recurrence in ``r``, run by ``radialeit.kernels``; an exact rational
+evaluation of the explicit monomial sum is kept alongside as a low-degree
+oracle.  The expansion of r**k in the basis uses exact integer ratios,
+rounded once per coefficient.
 """
 
 from __future__ import annotations
@@ -170,15 +172,19 @@ def monomial_coefficients(d: int, k: int) -> MonomialExpansion:
     """Expand r**k over basis degrees 0..k.
 
     The q-th coefficient is (-1)**q sqrt(2q + d) (k+d-1)! k! / ((k+d+q)! (k-q)!),
-    computed as an exact rational times one square root.
+    an exact rational times one square root.  The rational is carried as an
+    integer numerator and denominator, each updated by one factor per q; the
+    int / int division rounds correctly, so each coefficient is the exact ratio
+    rounded once.
     """
     d = _check_dimension(d)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"monomial degree must be an integer >= 0, got {k!r}")
     k = int(k)
     out = np.empty(k + 1)
-    num = math.factorial(k + d - 1) * math.factorial(k)
+    num, den = 1, k + d  # the ratio at q = 0 is 1 / (k + d)
     for q in range(k + 1):
-        ratio = Fraction(num, math.factorial(k + d + q) * math.factorial(k - q))
-        out[q] = (-1) ** q * math.sqrt(2 * q + d) * float(ratio)
+        out[q] = (-1) ** q * math.sqrt(2 * q + d) * (num / den)
+        num *= k - q
+        den *= k + d + q + 1
     return MonomialExpansion(d=d, degree=k, coeffs=out)

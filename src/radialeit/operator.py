@@ -114,6 +114,13 @@ def _band(max_index: int, num_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
     return (rows + 1).astype(np.int32), k.astype(np.int32)
 
 
+def _series_weights(d: int, ell, k) -> np.ndarray:
+    # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio;
+    # integer arrays ell and k broadcast
+    ratio = np.exp(log_factorial_ratio(ell, k, d))
+    return np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) / ell * ratio
+
+
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     """Degree-ell eigenvalue from the basis coefficients.
 
@@ -124,7 +131,8 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     if ell < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
     kmax = min(expansion.max_degree, 2 * ell - 2)
-    return float(forward_matrix(expansion.d, ell, kmax + 1)[-1] @ expansion.coeffs[: kmax + 1])
+    weights = _series_weights(expansion.d, ell, np.arange(kmax + 1))
+    return float(weights @ expansion.coeffs[: kmax + 1])
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
@@ -418,10 +426,8 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
         raise ValueError(
             f"num_coeffs must lie in 1..{2 * max_index - 1} for max_index={max_index}"
         )
-    # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio
     ell, k = _band(max_index, num_coeffs)
-    ratio = np.exp(log_factorial_ratio(ell, k, d))
-    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) / ell * ratio
+    w = _series_weights(d, ell, k)
     m = np.zeros((max_index, num_coeffs))  # allocated last: keeps the peak low
     m[ell - 1, k] = w
     return m

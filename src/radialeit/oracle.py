@@ -69,7 +69,7 @@ class ExplicitHarmonic:
         if self.d == 2:
             base = np.cos(self.degree * th) if self.kind == "cos" else np.sin(self.degree * th)
         else:
-            p, _ = kernels.legendre_table(np.ascontiguousarray(np.cos(th)), self.degree)
+            p, _ = kernels.legendre_table(np.cos(th), self.degree)
             base = p[self.degree]
         return self._norm_const() * base
 
@@ -82,8 +82,7 @@ class ExplicitHarmonic:
             else:
                 base = self.degree * np.cos(self.degree * th)
         else:
-            t = np.cos(th)
-            _, dp = kernels.legendre_table(np.ascontiguousarray(t), self.degree)
+            _, dp = kernels.legendre_table(np.cos(th), self.degree)
             base = dp[self.degree] * (-np.sin(th))
         return self._norm_const() * base
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ def test_monomial_coefficient_pins():
     got = monomial_coefficients(2, 2).coeffs
     assert abs(got[2] - math.sqrt(6.0) / 60.0) < 1e-16
     assert got.shape == (3,)
+
+
+def _monomial_coefficients_by_factorials(d, k):
+    # reference: every ratio as a fresh exact Fraction of factorials, rounded once
+    num = math.factorial(k + d - 1) * math.factorial(k)
+    return np.array(
+        [
+            (-1) ** q
+            * math.sqrt(2 * q + d)
+            * float(Fraction(num, math.factorial(k + d + q) * math.factorial(k - q)))
+            for q in range(k + 1)
+        ]
+    )
+
+
+def test_monomial_recurrence_matches_factorials():
+    for d in range(2, 10):
+        for k in range(201):
+            want = _monomial_coefficients_by_factorials(d, k)
+            assert monomial_coefficients(d, k).coeffs.tobytes() == want.tobytes(), (d, k)
 
 
 def test_top_coefficient_inverts_leading_term():

@@ -1,48 +1,12 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from radialeit import _kernels_py, kernels
+from radialeit import kernels
 from radialeit.jacobi import build_family
-
-try:
-    from radialeit import _kernels as compiled
-except ImportError:  # pure-python install
-    compiled = None
-
-needs_ext = pytest.mark.skipif(compiled is None, reason="compiled extension not built")
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
-
-
-@needs_ext
-def test_jacobi_table_backends_agree():
-    fam = build_family(4, 60)
-    r = np.linspace(0.0, 1.0, 501)
-    a = compiled.jacobi_table(fam.rec_a, fam.rec_b, fam.rec_c, 2.0, r)
-    b = _kernels_py.jacobi_table(fam.rec_a, fam.rec_b, fam.rec_c, 2.0, r)
-    assert a.shape == b.shape == (61, 501)
-    # same arithmetic, same order: the tables agree to the last bit
-    assert np.array_equal(a, b)
-
-
-@needs_ext
-def test_legendre_table_backends_agree():
-    t = np.linspace(-1.0, 1.0, 401)
-    p1, d1 = compiled.legendre_table(t, 30)
-    p2, d2 = _kernels_py.legendre_table(t, 30)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(d1, d2)
 
 
 def test_legendre_recurrence_values():
     t = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
-    p, dp = _kernels_py.legendre_table(t, 3)
+    p, dp = kernels.legendre_table(t, 3)
     np.testing.assert_allclose(p[2], 0.5 * (3 * t**2 - 1), rtol=0, atol=1e-15)
     np.testing.assert_allclose(p[3], 0.5 * (5 * t**3 - 3 * t), rtol=0, atol=1e-15)
     np.testing.assert_allclose(dp[3], 1.5 * (5 * t**2 - 1), rtol=0, atol=1e-14)
@@ -52,27 +16,8 @@ def test_legendre_recurrence_values():
 
 
 def test_degree_zero_table():
-    p, dp = _kernels_py.legendre_table(np.array([0.3]), 0)
+    p, dp = kernels.legendre_table(np.array([0.3]), 0)
     assert p.shape == (1, 1) and p[0, 0] == 1.0 and dp[0, 0] == 0.0
     fam = build_family(3, 0)
-    out = _kernels_py.jacobi_table(fam.rec_a, fam.rec_b, fam.rec_c, 3.0**0.5, np.array([0.7]))
+    out = kernels.jacobi_table(fam.rec_a, fam.rec_b, fam.rec_c, 3.0**0.5, np.array([0.7]))
     assert out.shape == (1, 1)
-
-
-def test_env_var_forces_fallback():
-    code = "import radialeit.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, RADIALEIT_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_ext
-def test_default_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "RADIALEIT_PURE_PYTHON"}
-    code = "import radialeit.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "cython"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_series_spectrum_matches_per_degree_sums(corpus):
                     want = forward_matrix(d, ell, n)[-1] @ exp.coeffs[:n]
                     assert spec.eigenvalues[ell - 1] == want
                     assert eigenvalue_series(exp, ell) == want
+
+
+def test_single_eigenvalue_builds_one_weight_row():
+    # degree ell needs 2*ell - 1 weights; the (ell, 2*ell - 1) matrix alone is 36 MB here
+    exp = JacobiExpansion(3, np.ones(2999))
+    tracemalloc.start()
+    try:
+        eigenvalue_series(exp, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_moment_spectrum_matches_per_degree_moments(corpus):
