@@ -5,10 +5,16 @@ leans on two things: Gauss-Legendre rules rescaled to (0, 1) and stable
 log-gamma ratios.  The factorial ratios that appear in the eigenvalue series
 overflow float64 well before the degrees of interest, so they are only ever
 handled in log space here.
+
+Rules are memoized per order: ``gauss_legendre(n)`` builds each order once per
+process (up to a fixed number of distinct orders) and hands every caller the
+same ``QuadratureRule``.  Sharing is safe because the rule is frozen and its
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,11 +62,17 @@ class QuadratureRule:
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` points, mapped from (-1, 1) to (0, 1).
 
-    Exact for polynomials of degree <= 2n - 1.
+    Exact for polynomials of degree <= 2n - 1.  Every call with the same
+    ``n`` returns the same (read-only) rule object.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"need a positive integer point count, got {n!r}")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    return _gauss_legendre(int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_legendre(n: int) -> QuadratureRule:
+    x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
 
 

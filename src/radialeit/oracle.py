@@ -7,6 +7,15 @@ orthonormal harmonics (Fourier modes on the circle; zonal Legendre harmonics
 on the sphere), assemble that integral by plain tensor quadrature, and
 compare the resulting matrix against the predicted diagonal.  Nothing here
 uses the eigenvalue formulas, so agreement is evidence, not tautology.
+
+The integrand of a pair depends on its degrees only through their sum S, so
+``cross_validate`` builds one grid per S: the angular rule, every harmonic's
+value and theta-derivative rows on it (one Legendre table per grid in d = 3)
+and each piece's radial factor.  Every entry of that S is then one product of
+shared tables.  The single-pair functions ``brute_force_entry`` and
+``gradient_identity`` build the same tables for their two harmonics and call
+the same per-pair helpers, so each formula exists once and both paths give
+the same bits.  The tables live for one call.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
 ]
 
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
+_TOL_IDENTITY = 1e-10  # surface-gradient identity, absolute
 
 
 @dataclass(frozen=True)
@@ -65,26 +75,38 @@ class ExplicitHarmonic:
 
     def value(self, theta) -> np.ndarray:
         """Harmonic at polar angle theta (colatitude for d = 3)."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.d == 2:
-            base = np.cos(self.degree * th) if self.kind == "cos" else np.sin(self.degree * th)
-        else:
-            p, _ = kernels.legendre_table(np.cos(th), self.degree)
-            base = p[self.degree]
-        return self._norm_const() * base
+        return _harmonic_rows((self,), np.atleast_1d(np.asarray(theta, dtype=float)))[0][0]
 
     def theta_derivative(self, theta) -> np.ndarray:
         """d/dtheta of the harmonic at polar angle theta."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.d == 2:
-            if self.kind == "cos":
-                base = -self.degree * np.sin(self.degree * th)
-            else:
-                base = self.degree * np.cos(self.degree * th)
+        return _harmonic_rows((self,), np.atleast_1d(np.asarray(theta, dtype=float)))[1][0]
+
+
+def _harmonic_rows(hs, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and theta-derivative rows of each harmonic (all of one dimension)
+    at the angles theta.
+
+    d = 3 runs one Legendre recurrence up to the highest degree; row k of it
+    does not depend on how far the recurrence runs, so every row equals the
+    one a single-harmonic table gives.
+    """
+    values = np.empty((len(hs), theta.size))
+    derivs = np.empty((len(hs), theta.size))
+    if hs[0].d == 3:
+        p, dp = kernels.legendre_table(np.cos(theta), max(h.degree for h in hs))
+        minus_sin = -np.sin(theta)
+    for i, h in enumerate(hs):
+        k = h.degree
+        if h.d == 3:
+            base, dbase = p[k], dp[k] * minus_sin
+        elif h.kind == "cos":
+            base, dbase = np.cos(k * theta), -k * np.sin(k * theta)
         else:
-            _, dp = kernels.legendre_table(np.cos(th), self.degree)
-            base = dp[self.degree] * (-np.sin(th))
-        return self._norm_const() * base
+            base, dbase = np.sin(k * theta), k * np.cos(k * theta)
+        c = h._norm_const()
+        values[i] = c * base
+        derivs[i] = c * dbase
+    return values, derivs
 
 
 def harmonics_up_to(d: int, max_degree: int) -> list[ExplicitHarmonic]:
@@ -115,6 +137,58 @@ def _angular_rule(d: int, degree_sum: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(t), 2.0 * math.pi * (2.0 * rule.weights)
 
 
+@dataclass(frozen=True)
+class _AngularTables:
+    """The angular rule of one degree sum with harmonic rows on its nodes."""
+
+    degrees: tuple[int, ...]
+    ang_w: np.ndarray
+    values: np.ndarray
+    derivs: np.ndarray
+
+
+def _angular_tables(hs, degree_sum: int) -> _AngularTables:
+    theta, ang_w = _angular_rule(hs[0].d, degree_sum)
+    values, derivs = _harmonic_rows(hs, theta)
+    return _AngularTables(tuple(h.degree for h in hs), ang_w, values, derivs)
+
+
+def _radial_factors(profile: RadialProfile, d: int, degree_sum: int) -> list:
+    """Per piece: the radial weights w * eta(r) * r**(d-1) of its Gauss rule
+    and the column r**(degree_sum - 2) of the gradient product."""
+    p = degree_sum - 2
+    out = []
+    for lo, hi, c in profile.intervals():
+        rule = gauss_legendre(((c.size - 1) + p + d) // 2 + 2)
+        r = lo + (hi - lo) * rule.nodes
+        w = (hi - lo) * rule.weights
+        out.append((w * npoly.polyval(r, c) * r ** (d - 1), r[:, None] ** p))
+    return out
+
+
+def _entry(tab: _AngularTables, radial: list, a: int, b: int) -> float:
+    """Brute-force entry of rows a and b (see ``brute_force_entry``)."""
+    g = tab.values[a] * tab.values[b] + (tab.derivs[a] * tab.derivs[b]) / (
+        tab.degrees[a] * tab.degrees[b]
+    )
+    total = 0.0
+    for weight, r_pow in radial:
+        total += weight @ (r_pow * g) @ tab.ang_w  # grad(u1) . grad(u2) on the tensor grid
+    return -total
+
+
+def _identity_sums(tab: _AngularTables, a: int, b: int) -> tuple[float, float]:
+    """Sphere integrals of grad_S f_a . grad_S f_b and of f_a f_b."""
+    lhs = float(tab.ang_w @ (tab.derivs[a] * tab.derivs[b]))
+    rhs = float(tab.ang_w @ (tab.values[a] * tab.values[b]))
+    return lhs, rhs
+
+
+def _identity_defect(d: int, degree: int, lhs: float, rhs: float) -> float:
+    """|lhs - l (l + d - 2) rhs| for the first harmonic's degree l."""
+    return abs(lhs - degree * (degree + d - 2) * rhs)
+
+
 def brute_force_entry(
     profile: RadialProfile, h1: ExplicitHarmonic, h2: ExplicitHarmonic
 ) -> float:
@@ -129,21 +203,8 @@ def brute_force_entry(
     """
     if h1.d != h2.d:
         raise ValueError(f"harmonics live in different dimensions: {h1.d} vs {h2.d}")
-    d = h1.d
-    l1, l2 = h1.degree, h2.degree
-    theta, ang_w = _angular_rule(d, l1 + l2)
-    g = h1.value(theta) * h2.value(theta) + (
-        h1.theta_derivative(theta) * h2.theta_derivative(theta)
-    ) / (l1 * l2)
-    p = l1 + l2 - 2
-    total = 0.0
-    for lo, hi, c in profile.intervals():
-        rule = gauss_legendre(((c.size - 1) + p + d) // 2 + 2)
-        r = lo + (hi - lo) * rule.nodes
-        w = (hi - lo) * rule.weights
-        grid = r[:, None] ** p * g[None, :]  # grad(u1) . grad(u2) on the tensor grid
-        total += (w * npoly.polyval(r, c) * r ** (d - 1)) @ grid @ ang_w
-    return -total
+    s = h1.degree + h2.degree
+    return _entry(_angular_tables((h1, h2), s), _radial_factors(profile, h1.d, s), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -165,23 +226,20 @@ class GradientIdentityReport:
 
 
 def gradient_identity(
-    h1: ExplicitHarmonic, h2: ExplicitHarmonic, tol: float = 1e-10
+    h1: ExplicitHarmonic, h2: ExplicitHarmonic, tol: float = _TOL_IDENTITY
 ) -> GradientIdentityReport:
     """Quadrature check of the surface-gradient identity for one pair."""
     if h1.d != h2.d:
         raise ValueError(f"harmonics live in different dimensions: {h1.d} vs {h2.d}")
-    theta, ang_w = _angular_rule(h1.d, h1.degree + h2.degree)
-    lhs = float(ang_w @ (h1.theta_derivative(theta) * h2.theta_derivative(theta)))
-    rhs = float(ang_w @ (h1.value(theta) * h2.value(theta)))
-    factor = h1.degree * (h1.degree + h1.d - 2)
-    return GradientIdentityReport(
-        h1=h1, h2=h2, lhs=lhs, rhs=rhs, defect=abs(lhs - factor * rhs), tol=tol
-    )
+    lhs, rhs = _identity_sums(_angular_tables((h1, h2), h1.degree + h2.degree), 0, 1)
+    defect = _identity_defect(h1.d, h1.degree, lhs, rhs)
+    return GradientIdentityReport(h1=h1, h2=h2, lhs=lhs, rhs=rhs, defect=defect, tol=tol)
 
 
 @dataclass(frozen=True)
 class CrossValidationReport:
-    """Brute-force matrix of the form against the predicted diagonal."""
+    """Brute-force matrix of the form against the predicted diagonal, plus the
+    largest surface-gradient identity defect over all ordered pairs."""
 
     d: int
     labels: tuple[str, ...]
@@ -190,6 +248,8 @@ class CrossValidationReport:
     reference: np.ndarray  # predicted eigenvalue per harmonic
     tol_offdiag: float
     tol_diag: float
+    identity_defect: float
+    tol_identity: float = _TOL_IDENTITY
 
     def __post_init__(self) -> None:
         self.entries.flags.writeable = False
@@ -207,7 +267,11 @@ class CrossValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.max_offdiag <= self.tol_offdiag and self.max_diag_scaled <= self.tol_diag
+        return (
+            self.max_offdiag <= self.tol_offdiag
+            and self.max_diag_scaled <= self.tol_diag
+            and self.identity_defect <= self.tol_identity
+        )
 
 
 def cross_validate(
@@ -220,6 +284,11 @@ def cross_validate(
     """Assemble the full brute-force matrix over all explicit harmonics up to
     max_degree and compare with the moment-route eigenvalues.
 
+    Pairs are grouped by degree sum; each group shares one angular grid with
+    its harmonic rows and one set of radial factors.  Every entry equals
+    ``brute_force_entry`` of its pair, and ``identity_defect`` equals the
+    largest ``gradient_identity(h1, h2).defect``, bit for bit.
+
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
     """
@@ -227,11 +296,23 @@ def cross_validate(
 
     hs = harmonics_up_to(d, max_degree)
     n = len(hs)
-    entries = np.empty((n, n))
+    by_sum: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(i, n):
-            v = brute_force_entry(profile, hs[i], hs[j])
-            entries[i, j] = entries[j, i] = v
+            by_sum.setdefault(hs[i].degree + hs[j].degree, []).append((i, j))
+    entries = np.empty((n, n))
+    identity_defect = 0.0
+    for s, pairs in by_sum.items():
+        # harmonics are degree-major, so the pairs of one sum span a slice of hs
+        lo, hi = pairs[0][0], max(j for _, j in pairs) + 1
+        tab = _angular_tables(hs[lo:hi], s)
+        radial = _radial_factors(profile, d, s)
+        for i, j in pairs:
+            a, b = i - lo, j - lo
+            entries[i, j] = entries[j, i] = _entry(tab, radial, a, b)
+            lhs, rhs = _identity_sums(tab, a, b)  # the same for (i, j) and (j, i)
+            for ell in (hs[i].degree, hs[j].degree):
+                identity_defect = max(identity_defect, _identity_defect(d, ell, lhs, rhs))
     reference = spectrum_moment(profile, d, max_degree).eigenvalues[[h.degree - 1 for h in hs]]
     return CrossValidationReport(
         d=d,
@@ -241,4 +322,5 @@ def cross_validate(
         reference=reference,
         tol_offdiag=tol_offdiag,
         tol_diag=tol_diag,
+        identity_defect=identity_defect,
     )

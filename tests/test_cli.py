@@ -195,6 +195,22 @@ def test_invert_from_spectrum_file(tmp_path, capsys):
     assert abs(float(rows[0]["coefficient"]) - 2.0**-0.5) < 1e-12
 
 
+def test_spectrum_header_after_comments(tmp_path, capsys):
+    # the header is the first row that is neither blank nor a comment
+    data = [f"{ell},{-1.0 / ell!r}" for ell in range(1, 11)]
+    path = tmp_path / "lam.csv"
+    path.write_text("\n".join(["# note", "", "ell,lambda", *data]) + "\n")
+    args = ("invert", "--spectrum", str(path), "--dim", "2", "--K", "5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rows, _ = parse_csv(out)
+    assert abs(float(rows[0]["coefficient"]) - 2.0**-0.5) < 1e-12
+    # a non-numeric row after data is still an error
+    path.write_text("\n".join(["# note", "ell,lambda", *data[:5], "six,-0.1", *data[6:]]) + "\n")
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2 and "line 8" in err
+
+
 def test_invert_input_validation(tmp_path, capsys):
     code, _, err = run_cli(capsys, "invert", "--spectrum", "nope.csv", "--preset", "constant:1")
     assert code == 2

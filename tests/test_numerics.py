@@ -55,7 +55,7 @@ def test_polynomial_exactness(n, data):
 
 
 def test_bad_point_counts():
-    for n in (0, -1, 2.5):
+    for n in (0, -1, 2.5, 2.0) * 2:  # rejected on every call, not only the first
         with pytest.raises(ValueError):
             gauss_legendre(n)
 
@@ -72,9 +72,12 @@ def test_rule_validation():
 
 
 def test_rule_arrays_frozen():
-    rule = gauss_legendre(5)
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 0.5
+    rule = gauss_legendre(12)
+    # rules are memoized per order, so every caller shares this object
+    assert gauss_legendre(np.int64(12)) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 # ---------------------------------------------------------------------------

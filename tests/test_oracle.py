@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from radialeit import oracle
 from radialeit.oracle import (
     ExplicitHarmonic,
     brute_force_entry,
@@ -154,3 +155,30 @@ def test_cross_validation_detects_wrong_reference():
     rep = cross_validate(prof, 2, 2)
     shifted = rep.reference + 0.5
     assert np.abs(np.diag(rep.entries) - shifted).max() > 0.4
+
+
+def test_batched_oracle_equals_single_pair_functions(corpus):
+    # exact equality: the grid tables are shared, not recomputed differently
+    for d in (2, 3):
+        hs = harmonics_up_to(d, 6)
+        worst = max(gradient_identity(h1, h2).defect for h1 in hs for h2 in hs)
+        for name, prof in corpus:
+            rep = cross_validate(prof, d, 6)
+            assert rep.identity_defect == worst
+            for i, h1 in enumerate(hs):
+                for j, h2 in enumerate(hs):
+                    assert rep.entries[i, j] == brute_force_entry(prof, h1, h2), (name, d, i, j)
+
+
+def test_one_legendre_table_per_degree_sum(monkeypatch):
+    calls = []
+    table = oracle.kernels.legendre_table
+
+    def counted(t, lmax):
+        calls.append(lmax)
+        return table(t, lmax)
+
+    monkeypatch.setattr(oracle.kernels, "legendre_table", counted)
+    rep = cross_validate(preset("annulus", [0.3, 0.8, -1.5]), 3, 8)
+    assert rep.ok
+    assert len(calls) <= 15  # degree sums 2..16
