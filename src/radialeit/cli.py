@@ -68,7 +68,16 @@ def _resolve_profile(args) -> tuple[profiles.RadialProfile, int]:
     if args.preset is not None:
         if args.dim is None:
             raise ConfigError("--dim is required with --preset")
-        return _parse_preset(args.preset), args.dim
+        profile, d = _parse_preset(args.preset), args.dim
+    else:
+        profile, d = _read_profile_file(args)
+    # finite coefficients can still square past the float range
+    if not math.isfinite(profiles.norm_ball_profile(profile, d)):
+        raise ConfigError(f"the profile's L2 norm over the ball in d = {d} is not finite")
+    return profile, d
+
+
+def _read_profile_file(args) -> tuple[profiles.RadialProfile, int]:
     try:
         doc = json.loads(Path(args.profile).read_text())
     except OSError as exc:

@@ -6,7 +6,8 @@ For each ambient dimension d >= 2 this is the family of polynomials P_k with
 
 i.e. the orthonormalised Jacobi polynomials with parameters (d-1, 0) mapped
 to the unit interval.  Degree-graded tables are produced by a three-term
-recurrence in ``r``, run by ``radialeit.kernels``; an exact rational
+recurrence in ``r``, run by ``radialeit.kernels`` (whole, or a block of
+degrees at a time); an exact rational
 evaluation of the explicit monomial sum is kept alongside as a low-degree
 oracle.  The expansion of r**k in the basis uses exact integer ratios,
 rounded once per coefficient.
@@ -27,6 +28,7 @@ __all__ = [
     "MonomialExpansion",
     "build_family",
     "evaluate",
+    "evaluate_blocks",
     "evaluate_direct",
     "evaluate_table",
     "leading_coefficient",
@@ -91,16 +93,28 @@ def _as_points(r) -> np.ndarray:
     return pts
 
 
-def evaluate_table(family: JacobiFamily, r, max_degree: int | None = None) -> np.ndarray:
-    """Table of basis values, shape (max_degree + 1, len(r))."""
+def _recurrence(family: JacobiFamily, max_degree: int | None) -> tuple:
+    # the recurrence arguments of the kernels for degrees 0..max_degree
     kmax = family.max_degree if max_degree is None else int(max_degree)
     if not 0 <= kmax <= family.max_degree:
         raise ValueError(f"degree {kmax} outside the family's range 0..{family.max_degree}")
-    pts = _as_points(r)
     s = slice(0, kmax + 1)
-    return kernels.jacobi_table(
-        family.rec_a[s], family.rec_b[s], family.rec_c[s], math.sqrt(family.d), pts
-    )
+    return family.rec_a[s], family.rec_b[s], family.rec_c[s], math.sqrt(family.d)
+
+
+def evaluate_table(family: JacobiFamily, r, max_degree: int | None = None) -> np.ndarray:
+    """Table of basis values, shape (max_degree + 1, len(r))."""
+    rec = _recurrence(family, max_degree)
+    return kernels.jacobi_table(*rec, _as_points(r))
+
+
+def evaluate_blocks(family: JacobiFamily, r, height: int):
+    """The rows of ``evaluate_table`` in blocks of ``height`` degrees, as
+    (first degree, rows) pairs from one recurrence; the blocks share one
+    buffer, so use each before asking for the next."""
+    if not isinstance(height, (int, np.integer)) or height < 1:
+        raise ValueError(f"block height must be an integer >= 1, got {height!r}")
+    return kernels.jacobi_blocks(*_recurrence(family, None), _as_points(r), int(height))
 
 
 def evaluate(family: JacobiFamily, k: int, r):

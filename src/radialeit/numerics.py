@@ -9,7 +9,8 @@ handled in log space here.
 Rules are memoized per order: ``gauss_legendre(n)`` builds each order once per
 process (up to a fixed number of distinct orders) and hands every caller the
 same ``QuadratureRule``.  Sharing is safe because the rule is frozen and its
-arrays are read-only.
+arrays are read-only.  The package's other module-level cache, the series
+weights per dimension, lives in ``radialeit.operator``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ eigenspace.  Two independent routes to those eigenvalues are implemented:
   factorial-ratio weights handled in log space, and
 * a single weighted moment of the profile itself.
 
+The series weight of coefficient k in eigenvalue ell depends on (d, ell, k)
+only, so ``spectrum_series`` keeps one read-only band of weights per
+dimension, grown to cover each request and bounded in total size, and reads
+every degree's weights as a slice of it.
+
 On top of that sit the decay estimate per degree, finite-rank truncation with
 its error split, and a regularized least-squares inversion from observed
 eigenvalues back to basis coefficients.
@@ -114,11 +119,58 @@ def _band(max_index: int, num_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
     return (rows + 1).astype(np.int32), k.astype(np.int32)
 
 
+def _row_lengths(max_index: int, num_coeffs: int) -> np.ndarray:
+    # entries per row of _band: degree ell has min(num_coeffs, 2*ell - 1)
+    return np.minimum(num_coeffs, 2 * np.arange(max_index) + 1)
+
+
 def _series_weights(d: int, ell, k) -> np.ndarray:
     # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio;
     # integer arrays ell and k broadcast
     ratio = np.exp(log_factorial_ratio(ell, k, d))
     return np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) / ell * ratio
+
+
+@dataclass(frozen=True)
+class _WeightBand:
+    """The series weights of one dimension for degrees 1..max_index and
+    coefficients 0..num_coeffs - 1: the rows of ``_band``, back to back."""
+
+    max_index: int
+    num_coeffs: int
+    weights: np.ndarray  # read-only
+    starts: list  # row ell begins at weights[starts[ell - 1]]
+
+
+# Every weight depends on (d, ell, k) alone, so the rows of a smaller band are
+# prefixes of a larger band's rows: one band per dimension serves every request
+# inside it.  At most _BAND_CAP weights (32 MB) are held over all dimensions.
+_BAND_CAP = 1 << 22
+_weight_bands: dict[int, _WeightBand] = {}
+
+
+def _weight_band(d: int, max_index: int, num_coeffs: int) -> _WeightBand:
+    held = _weight_bands.get(d)
+    if held is not None:
+        if max_index <= held.max_index and num_coeffs <= held.num_coeffs:
+            return held
+        both = max(max_index, held.max_index), max(num_coeffs, held.num_coeffs)
+        if _row_lengths(*both).sum() <= _BAND_CAP:
+            max_index, num_coeffs = both
+    weights = _series_weights(d, *_band(max_index, num_coeffs))
+    weights.flags.writeable = False
+    lengths = _row_lengths(max_index, num_coeffs)
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    band = _WeightBand(max_index, num_coeffs, weights, starts)
+    if weights.size <= _BAND_CAP:
+        _weight_bands.pop(d, None)
+        _weight_bands[d] = band
+        held_total = sum(b.weights.size for b in _weight_bands.values())
+        for other in list(_weight_bands)[:-1]:  # oldest first
+            if held_total <= _BAND_CAP:
+                break
+            held_total -= _weight_bands.pop(other).weights.size
+    return band
 
 
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
@@ -140,11 +192,12 @@ def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     kmax = min(expansion.max_degree, 2 * max_index - 2)
-    weights = forward_matrix(expansion.d, max_index, kmax + 1)
+    band = _weight_band(expansion.d, max_index, kmax + 1)
     # One dot product per degree, over its band k <= min(kmax, 2*ell - 2) only:
     # a single dense weights @ coeffs sums in another order and moves the last bits.
-    bands = np.minimum(kmax, 2 * np.arange(max_index)) + 1
-    vals = np.array([row[:n] @ expansion.coeffs[:n] for row, n in zip(weights, bands)])
+    lengths = _row_lengths(max_index, kmax + 1).tolist()
+    w, c = band.weights, expansion.coeffs
+    vals = np.array([w[s : s + n] @ c[:n] for s, n in zip(band.starts, lengths)])
     return Spectrum(
         d=expansion.d,
         eigenvalues=vals,
@@ -204,12 +257,13 @@ def dual_route(
 
     ``coeff_degree`` is the expansion degree used for the series route; the
     default 2*max_index - 2 is the smallest that makes the series complete
-    for every requested degree.
+    for every requested degree.  The series reads no coefficient above it, so
+    a larger ``coeff_degree`` is cut down to it.
     """
     from .profiles import project  # local import keeps module deps one-way
 
-    if coeff_degree is None:
-        coeff_degree = max(2 * max_index - 2, 0)
+    complete = max(2 * max_index - 2, 0)
+    coeff_degree = complete if coeff_degree is None else min(coeff_degree, complete)
     series = spectrum_series(project(profile, d, coeff_degree), max_index)
     moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(

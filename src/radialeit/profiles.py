@@ -4,7 +4,9 @@ A profile is a piecewise polynomial in the radius on a partition of [0, 1].
 That class is closed under everything we need (presets, products, moments)
 and lets every radial integral be evaluated either exactly from monomial
 antiderivatives or by per-piece Gauss-Legendre rules of sufficient order, so
-the two routes can be played against each other in tests.
+the two routes can be played against each other in tests.  Projection runs
+one basis recurrence over the quadrature nodes of all pieces together, a
+block of degrees at a time, so it never holds the whole basis table.
 """
 
 from __future__ import annotations
@@ -232,22 +234,34 @@ class JacobiExpansion:
         return vals
 
 
+# Degrees per block of the projection's recurrence.  A multiple of the BLAS
+# row unroll: each block's rows then sum exactly as rows of the whole table.
+_PROJECT_BLOCK = 64
+
+
 def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     """Coefficients <profile, P_k> for k = 0..max_degree.
 
     Each piece is integrated with a Gauss-Legendre rule whose order covers
     the full integrand degree (basis degree + piece degree + weight), so the
-    only error is roundoff.
+    only error is roundoff.  One recurrence runs over the nodes of all pieces,
+    a block of degrees at a time, and each block adds its pieces' sums in
+    piece order: every coefficient is the same sum as with one table per piece.
     """
     family = jacobi.build_family(d, max_degree)
-    total = np.zeros(max_degree + 1)
+    nodes, integrands = [], []
     for lo, hi, c in profile.intervals():
         npts = (max_degree + (c.size - 1) + d) // 2 + 2
         rule = gauss_legendre(npts)
         r = lo + (hi - lo) * rule.nodes
-        w = (hi - lo) * rule.weights
-        table = jacobi.evaluate_table(family, r)
-        total += table @ (w * npoly.polyval(r, c) * r ** (d - 1))
+        nodes.append(r)
+        integrands.append((hi - lo) * rule.weights * npoly.polyval(r, c) * r ** (d - 1))
+    cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
+    total = np.zeros(max_degree + 1)
+    for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes), _PROJECT_BLOCK):
+        out = total[start : start + len(block)]
+        for lo, hi, g in zip(cuts, cuts[1:], integrands):
+            out += block[:, lo:hi] @ g
     return JacobiExpansion(d=d, coeffs=total)
 
 

@@ -48,6 +48,13 @@ def test_eigvals_csv(capsys):
     assert extras["meta.dimension"] == 2
 
 
+def test_eigvals_ignores_coefficients_past_the_series(capsys):
+    # lambda_ell reads a_k for k <= 2 ell - 2 only: at L = 10 any K >= 18 is complete
+    argv = ("eigvals", "--dim", "3", "--preset", "annulus:0.3,0.8,-1.5", "--L", "10")
+    outs = [parse_csv(run_cli(capsys, *argv, "--K", K)[1])[0] for K in ("18", "3000")]
+    assert outs[0] == outs[1]
+
+
 def test_eigvals_json_structure(capsys):
     code, out, _ = run_cli(
         capsys, "eigvals", "--dim", "3", "--preset", "constant:1", "--L", "4",
@@ -271,6 +278,13 @@ def test_config_errors(tmp_path, capsys):
         assert run_cli(capsys, "invert", *base, "--alpha", value)[0] == 2
         assert run_cli(capsys, "eigvals", *base, "--tol-dual", value)[0] == 2
         assert run_cli(capsys, "basis", "--dim", "2", "--tol-basis", value)[0] == 2
+    # finite coefficients whose square overflows: the ball norm is inf
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"breakpoints": [0.0, 1.0], "pieces": [[1e200]]}))
+    for cmd in ("eigvals", "truncate", "invert", "verify"):
+        for source in (("--preset", "constant:1e200"), ("--profile", str(huge))):
+            code, _, err = run_cli(capsys, cmd, "--dim", "3", *source)
+            assert code == 2 and "norm" in err
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

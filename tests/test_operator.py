@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from radialeit import operator
 from radialeit.operator import (
     BoundaryField,
     InversionSettings,
@@ -24,6 +25,7 @@ from radialeit.operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
+from radialeit.numerics import log_factorial_ratio
 from radialeit.profiles import (
     JacobiExpansion,
     moment_integral,
@@ -130,6 +132,50 @@ def test_series_spectrum_matches_per_degree_sums(corpus):
                     want = forward_matrix(d, ell, n)[-1] @ exp.coeffs[:n]
                     assert spec.eigenvalues[ell - 1] == want
                     assert eigenvalue_series(exp, ell) == want
+
+
+def test_series_weights_built_once_per_dimension(monkeypatch):
+    monkeypatch.setattr(operator, "_weight_bands", {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_factorial_ratio(*args)
+
+    monkeypatch.setattr(operator, "log_factorial_ratio", counted)
+    coeffs = np.random.default_rng(3).normal(size=81)
+
+    def series(L, K):
+        return spectrum_series(JacobiExpansion(7, coeffs[: K + 1]), L).eigenvalues
+
+    first = series(40, 78)
+    inside = series(20, 10)  # rows of the held band (40 degrees, 79 coefficients)
+    assert series(40, 78).tobytes() == first.tobytes()
+    assert len(calls) == 1
+    series(41, 80)  # outside it: one rebuild at the larger size
+    assert len(calls) == 2
+    operator._weight_bands.clear()
+    for L, K in ((40, 20), (20, 38), (40, 20), (20, 38)):
+        series(L, K)
+    assert len(calls) == 4  # the second build spans both: 40 degrees, 39 coefficients
+    for ell in range(1, 21):
+        n = min(10, 2 * ell - 2) + 1
+        assert inside[ell - 1] == forward_matrix(7, ell, n)[-1] @ coeffs[:n]
+
+
+def test_weight_bands_are_read_only_and_capped(monkeypatch):
+    monkeypatch.setattr(operator, "_weight_bands", {})
+    monkeypatch.setattr(operator, "_BAND_CAP", 500)
+    coeffs = np.ones(79)
+    spectrum_series(JacobiExpansion(2, coeffs[:19]), 10)  # 100 weights: held
+    band = operator._weight_bands[2]
+    assert not band.weights.flags.writeable
+    with pytest.raises(ValueError):
+        band.weights[0] = 0.0
+    spectrum_series(JacobiExpansion(2, coeffs), 40)  # 1600 weights: used, not held
+    assert operator._weight_bands[2] is band
+    spectrum_series(JacobiExpansion(3, coeffs[:41]), 21)  # 441 more: the older band goes
+    assert list(operator._weight_bands) == [3]
 
 
 def test_single_eigenvalue_builds_one_weight_row():

@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from radialeit.jacobi import monomial_coefficients
+from radialeit.jacobi import build_family, evaluate_table, monomial_coefficients
+from radialeit.numerics import gauss_legendre
 from radialeit.profiles import (
     MAX_PIECE_DEGREE,
     JacobiExpansion,
@@ -217,6 +220,44 @@ def test_parseval_is_monotone_for_rough_profiles():
         assert n <= exact + 1e-12
         prev = n
     assert exact - prev < 0.05  # the tail is genuinely small by degree 32
+
+
+def _project_per_piece(profile, d, max_degree):
+    # the plain form of project: one full basis table per piece, summed in piece order
+    family = build_family(d, max_degree)
+    total = np.zeros(max_degree + 1)
+    for lo, hi, c in profile.intervals():
+        rule = gauss_legendre((max_degree + (c.size - 1) + d) // 2 + 2)
+        r = lo + (hi - lo) * rule.nodes
+        w = (hi - lo) * rule.weights
+        total += evaluate_table(family, r) @ (w * npoly.polyval(r, c) * r ** (d - 1))
+    return total
+
+
+def test_project_equals_one_table_per_piece(corpus):
+    # bit for bit, at degrees on both sides of the batched recurrence's 64-degree blocks
+    for _, prof in corpus:
+        for d in (2, 3, 5):
+            for K in (0, 1, 63, 64, 65, 200):
+                got = project(prof, d, K).coeffs
+                assert got.tobytes() == _project_per_piece(prof, d, K).tobytes(), (d, K)
+
+
+def test_project_holds_one_block_of_the_table():
+    # six pieces of ~400 nodes each at K = 798: one table per piece peaks near
+    # 5 MB, one table over all pieces near 16 MB
+    prof = RadialProfile(
+        np.linspace(0.0, 1.0, 7), tuple(np.array([1.0, -0.5 * i, 0.25]) for i in range(6))
+    )
+    want = project(prof, 3, 798)  # builds the shared quadrature rules first
+    tracemalloc.start()
+    try:
+        got = project(prof, 3, 798)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert peak < 2.6e6
 
 
 def test_expansion_validation():
