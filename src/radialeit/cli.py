@@ -71,9 +71,14 @@ def _resolve_profile(args) -> tuple[profiles.RadialProfile, int]:
         profile, d = _parse_preset(args.preset), args.dim
     else:
         profile, d = _read_profile_file(args)
-    # finite coefficients can still square past the float range
-    if not math.isfinite(profiles.norm_ball_profile(profile, d)):
-        raise ConfigError(f"the profile's L2 norm over the ball in d = {d} is not finite")
+    # finite coefficients can still square past the float range, and the
+    # decay bound C_d ||eta|| past it again
+    norm = profiles.norm_ball_profile(profile, d)
+    if not math.isfinite(operator.decay_constant(d) * norm):
+        raise ConfigError(
+            f"the profile's L2 norm over the ball in d = {d} is not finite, "
+            "or its decay bound C_d * norm is not"
+        )
     return profile, d
 
 
@@ -192,9 +197,10 @@ def _emit(args, meta: dict, records: list[dict], summary: dict) -> None:
 
 def _cmd_eigvals(args) -> int:
     profile, d = _resolve_profile(args)
-    report = operator.dual_route(
-        profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual
-    )
+    try:
+        report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
+    except ValueError as exc:  # the projection leaves the float range
+        raise ConfigError(str(exc)) from None
     decay = operator.verify_decay_bound(report.moment)
     records = [
         {
@@ -216,12 +222,13 @@ def _cmd_eigvals(args) -> int:
         "decay_constant": operator.decay_constant(d),
         "scaled_sup": decay.scaled_sup,
         "series_source": report.series.source,
+        "series_tail_bound": float(report.tail_bounds.max()),
     }
     meta = {
         "command": "eigvals",
         "dimension": d,
         "L": args.L,
-        "coeff_degree": args.K if args.K is not None else max(2 * args.L - 2, 0),
+        "coeff_degree": report.coeff_degree,
         "tol_dual": args.tol_dual,
         "profile": profiles.profile_to_dict(profile),
     }
@@ -385,17 +392,32 @@ def _cmd_invert(args) -> int:
 # parser
 
 
-def _at_least(low: float, cast=int):
-    """argparse type: a finite ``cast(text)`` >= low (out of range exits 2)."""
+# Largest accepted sizes.  MAX_DIM is the largest d with a finite decay
+# constant C_d (log C_d = 709.74 at d = 520), so every output of eigvals,
+# truncate and invert stays finite.  MAX_L and MAX_BASIS_K keep the largest
+# accepted eigvals and basis runs under 5 s and 500 MB (measured on a shared
+# 2-vCPU host: 2.5 s and 300 MB for eigvals --L 30000 at d = 2, 3.5 s and
+# 120 MB for basis --K 1500).
+MAX_DIM = 520
+MAX_L = 30_000
+MAX_BASIS_K = 1_500
+
+
+def _at_least(low: float, cast=int, high: float = math.inf):
+    """argparse type: a finite ``cast(text)`` in low..high (out of range exits 2)."""
 
     def parse(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        if not (math.isfinite(value) and low <= value <= high):
+            limits = f">= {low}" if high == math.inf else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {limits}, got {text!r}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+_dimension = _at_least(2, high=MAX_DIM)
 
 
 def _add_io_flags(sub) -> None:
@@ -404,7 +426,7 @@ def _add_io_flags(sub) -> None:
 
 
 def _add_profile_flags(sub) -> None:
-    sub.add_argument("--dim", type=_at_least(2), help="ambient dimension (>= 2)")
+    sub.add_argument("--dim", type=_dimension, help=f"ambient dimension (2..{MAX_DIM})")
     sub.add_argument(
         "--preset",
         help="stock profile, e.g. constant:1, ramp:0.5, annulus:0.3,0.8,1, "
@@ -423,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eigvals", help="eigenvalues by both routes, with decay margins")
     _add_profile_flags(p)
-    p.add_argument("--L", type=_at_least(1), default=20, help="largest harmonic degree")
+    p.add_argument(
+        "--L", type=_at_least(1, high=MAX_L), default=20, help="largest harmonic degree"
+    )
     p.add_argument(
         "--K", type=_at_least(0), default=None, help="expansion degree for the series route"
     )
@@ -432,8 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eigvals)
 
     p = subs.add_parser("basis", help="orthonormality / reconstruction self-checks")
-    p.add_argument("--dim", type=_at_least(2), required=True, help="ambient dimension (>= 2)")
-    p.add_argument("--K", type=_at_least(0), default=40, help="largest basis degree checked")
+    p.add_argument(
+        "--dim", type=_dimension, required=True, help=f"ambient dimension (2..{MAX_DIM})"
+    )
+    p.add_argument(
+        "--K", type=_at_least(0, high=MAX_BASIS_K), default=40, help="largest basis degree checked"
+    )
     p.add_argument("--tol-basis", type=_at_least(0.0, float), default=1e-10, dest="tol_basis")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_basis)

@@ -2,9 +2,11 @@
 
 Everything downstream (basis projection, eigenvalue formulas, decay bounds)
 leans on two things: Gauss-Legendre rules rescaled to (0, 1) and stable
-log-gamma ratios.  The factorial ratios that appear in the eigenvalue series
-overflow float64 well before the degrees of interest, so they are only ever
-handled in log space here.
+log-gamma ratios.  The factorial ratios of the eigenvalue series are handled
+in log space here, for the check of the paper's bound on them
+(``operator.verify_factorial_ratio_bound``); the series itself builds each
+ratio row by its recurrence in ``radialeit.operator``, which is more accurate
+than lgamma differences (about 2e-15 against 1e-11 at ell = 2000).
 
 Rules are memoized per order: ``gauss_legendre(n)`` builds each order once per
 process (up to a fixed number of distinct orders) and hands every caller the
@@ -90,7 +92,7 @@ def log_factorial_ratio(ell, k, d: int) -> float | np.ndarray:
 
     This ratio multiplies the k-th basis coefficient in the eigenvalue series
     for eigenvalue index ``ell``; it is <= 1 and decays super-exponentially in
-    k, so only its log is ever exposed.  The two lgamma differences below each
+    k, so only its log is exposed here.  The two lgamma differences below each
     pair arguments that coincide at k = 0, which keeps the result exactly 0.0
     there and keeps the sign of the log reliable near 0 (a naive four-term sum
     can come out at +2e-13 for large ell).

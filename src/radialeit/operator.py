@@ -6,13 +6,20 @@ with one eigenvalue per degree ell >= 1 shared by the whole degree-ell
 eigenspace.  Two independent routes to those eigenvalues are implemented:
 
 * a finite series in the profile's orthonormal-basis coefficients, with
-  factorial-ratio weights handled in log space, and
+  weights built by their factorial-ratio recurrence, and
 * a single weighted moment of the profile itself.
 
 The series weight of coefficient k in eigenvalue ell depends on (d, ell, k)
-only, so ``spectrum_series`` keeps one read-only band of weights per
-dimension, grown to cover each request and bounded in total size, and reads
-every degree's weights as a slice of it.
+only, and by the paper's factorial-ratio bound it falls below double
+precision past k ~ sqrt(ell).  Row ell is therefore cut at k*(ell), the first
+k at which a rigorous bound on the dropped weights' norm is at most 2**-53
+times the leading weight; what the cut drops from an eigenvalue is bounded
+by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
+and ``dual_route`` reports this tail bound per degree.  ``spectrum_series``
+keeps one read-only band of cut rows per dimension, grown by appending rows
+and bounded in total size; ``dual_route`` projects the profile only to the
+largest cut it reads, and ``forward_matrix`` and ``eigenvalue_series`` read
+the same rows.
 
 On top of that sit the decay estimate per degree, finite-rank truncation with
 its error split, and a regularized least-squares inversion from observed
@@ -31,6 +38,7 @@ from .numerics import log_factorial_ratio, log_gamma
 from .profiles import (
     JacobiExpansion,
     RadialProfile,
+    log_surface_area,
     moment_integral,
     norm_ball,
     norm_ball_profile,
@@ -113,97 +121,177 @@ class Spectrum:
         return float(self.eigenvalues[ell - 1])
 
 
-def _band(max_index: int, num_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
-    # (ell, k) of every weight that can be non-zero, row by row; int32 saves memory
-    rows, k = np.nonzero(np.arange(num_coeffs) <= 2 * np.arange(max_index)[:, None])
-    return (rows + 1).astype(np.int32), k.astype(np.int32)
-
-
-def _row_lengths(max_index: int, num_coeffs: int) -> np.ndarray:
-    # entries per row of _band: degree ell has min(num_coeffs, 2*ell - 1)
-    return np.minimum(num_coeffs, 2 * np.arange(max_index) + 1)
-
-
-def _series_weights(d: int, ell, k) -> np.ndarray:
-    # weight of coefficient a_k in lambda_ell: (-1)**(k+1) sqrt(2k+d)/ell * ratio;
-    # integer arrays ell and k broadcast
-    ratio = np.exp(log_factorial_ratio(ell, k, d))
-    return np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) / ell * ratio
+# Series weights.  The weight of a_k in lambda_ell is
+#     w(ell, k) = (-1)**(k+1) sqrt(2k+d)/ell * R(ell, k),   n = 2 ell - 2,
+# with R(ell, 0) = 1 and R(ell, k+1) = R(ell, k) (n - k)/(n + d + k + 1), so
+# R(ell, k) = (n+d)! n! / ((n+d+k)! (n-k)!).  Each row is built by this ratio
+# recurrence on its own (a cumulative product along k, never across rows), so a
+# row's bits do not depend on which other rows are built with it.
+#
+# The ratio |w(ell, j+1)/w(ell, j)| = sqrt((2j+2+d)/(2j+d)) (n-j)/(n+d+j+1) =: rho_j
+# falls with j, so once rho_{k+1} < 1,
+#     ||w(ell, >k)||_2 <= |w(ell, k+1)| / sqrt(1 - rho_{k+1}**2).
+# Row ell is cut at k*(ell), the smallest k at which this bound is at most
+# 2**-53 |w(ell, 0)| = 2**-53 sqrt(d)/ell; past it the series reads nothing.
+_CUT = 2.0**-53
+# The recurrence rounds R(ell, k) by at most about k ulps; inflating the bound
+# by 1e-12 covers that up to k ~ 9000 (ell ~ 10**6; --L stops at 30,000).
+_SLACK = 1.0 + 1e-12
+_ROW_BLOCK = 256  # rows per block of the band
 
 
 @dataclass(frozen=True)
-class _WeightBand:
-    """The series weights of one dimension for degrees 1..max_index and
-    coefficients 0..num_coeffs - 1: the rows of ``_band``, back to back."""
+class _RowBlock:
+    """Cut weight rows first..first + len(tails) - 1 of one dimension, back
+    to back, with each row's tail bound (all arrays read-only)."""
 
-    max_index: int
-    num_coeffs: int
-    weights: np.ndarray  # read-only
-    starts: list  # row ell begins at weights[starts[ell - 1]]
+    first: int
+    weights: np.ndarray
+    starts: np.ndarray  # row first + i is weights[starts[i] : starts[i + 1]]
+    tails: np.ndarray  # bound on ||w(ell, >k*(ell))||_2; 0 where the row is whole
+
+    @property
+    def last(self) -> int:
+        return self.first + self.tails.size - 1
 
 
-# Every weight depends on (d, ell, k) alone, so the rows of a smaller band are
-# prefixes of a larger band's rows: one band per dimension serves every request
-# inside it.  At most _BAND_CAP weights (32 MB) are held over all dimensions.
+def _row_block(d: int, first: int, last: int) -> _RowBlock:
+    """Rows first..last, each built by its own cumulative product along k,
+    padded to a common width and cut at k*(ell)."""
+    ell = np.arange(first, last + 1)
+    n = 2.0 * ell - 2.0
+    rows = np.arange(ell.size)
+    full = 2 * last - 1  # columns k = 0..n of the longest row
+
+    def head_room(k):
+        # per row i at k[i]: ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2
+        head = np.sqrt(2.0 * k + 2 + d) * np.abs(r[rows, k + 1]) * _SLACK
+        rho = np.sqrt((2.0 * k + 4 + d) / (2.0 * k + 2 + d)) * ratio[rows, k + 1]
+        return head, 1.0 - rho * rho
+
+    def cut(k):  # is the tail bound past k at most 2**-53 |w(ell, 0)|?
+        head, room = head_room(k)
+        return head * head <= (_CUT * _CUT * d) * room
+
+    # the paper's Gaussian estimate of the cut, with room to spare
+    width = min(int(1.1 * math.sqrt((4.0 * last - 2 + d) / 2 * 53 * math.log(2))) + 8, full)
+    while True:
+        j = np.arange(width + 1.0)
+        ratio = np.subtract.outer(n, j)
+        ratio /= np.add.outer(n, j + (d + 1.0))  # R(ell, j+1) / R(ell, j)
+        r = np.ones((ell.size, width + 1))
+        np.cumprod(ratio[:, :width], axis=1, out=r[:, 1:])
+        hi = np.full(ell.size, width - 1)
+        if width == full or cut(hi).all():  # every row is cut by k = n
+            break
+        width = min(2 * width, full)
+    # The test is false while rho_{k+1} >= 1 and then, as |w(k+1)| falls and
+    # rho with it, turns true for good: bisect for the first k that passes.
+    lo = np.full(ell.size, -1)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ok = cut(mid)
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    head, room = head_room(hi)
+    tails = head / np.sqrt(room) / ell  # room > 0 wherever the test passes
+    k = np.arange(width)
+    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, :width] / ell[:, None]
+    weights = w[k <= hi[:, None]]
+    starts = np.concatenate(([0], np.cumsum(hi + 1)))
+    for arr in (weights, starts, tails):
+        arr.flags.writeable = False
+    return _RowBlock(first, weights, starts, tails)
+
+
+# Rows depend on (d, ell) alone, so the band for L degrees is a prefix of the
+# band for any larger L: one band per dimension, a tuple of row blocks grown by
+# appending blocks.  At most _BAND_CAP weights (32 MB) are held over all
+# dimensions; a larger band is used and then dropped.
 _BAND_CAP = 1 << 22
-_weight_bands: dict[int, _WeightBand] = {}
+_weight_bands: dict[int, tuple[_RowBlock, ...]] = {}
 
 
-def _weight_band(d: int, max_index: int, num_coeffs: int) -> _WeightBand:
-    held = _weight_bands.get(d)
-    if held is not None:
-        if max_index <= held.max_index and num_coeffs <= held.num_coeffs:
-            return held
-        both = max(max_index, held.max_index), max(num_coeffs, held.num_coeffs)
-        if _row_lengths(*both).sum() <= _BAND_CAP:
-            max_index, num_coeffs = both
-    weights = _series_weights(d, *_band(max_index, num_coeffs))
-    weights.flags.writeable = False
-    lengths = _row_lengths(max_index, num_coeffs)
-    starts = (np.cumsum(lengths) - lengths).tolist()
-    band = _WeightBand(max_index, num_coeffs, weights, starts)
-    if weights.size <= _BAND_CAP:
+def _weight_band(d: int, max_index: int) -> tuple[_RowBlock, ...]:
+    held = _weight_bands.get(d, ())
+    top = held[-1].last if held else 0
+    if max_index <= top:
+        return held
+    band = held + tuple(
+        _row_block(d, lo, min(lo + _ROW_BLOCK - 1, max_index))
+        for lo in range(top + 1, max_index + 1, _ROW_BLOCK)
+    )
+    if sum(b.weights.size for b in band) <= _BAND_CAP:
         _weight_bands.pop(d, None)
         _weight_bands[d] = band
-        held_total = sum(b.weights.size for b in _weight_bands.values())
+        held_total = sum(b.weights.size for bs in _weight_bands.values() for b in bs)
         for other in list(_weight_bands)[:-1]:  # oldest first
             if held_total <= _BAND_CAP:
                 break
-            held_total -= _weight_bands.pop(other).weights.size
+            held_total -= sum(b.weights.size for b in _weight_bands.pop(other))
     return band
+
+
+def _rows(band: tuple[_RowBlock, ...], max_index: int):
+    # (block, number of its rows that lie in degrees 1..max_index) for each block used
+    for block in band:
+        if block.first > max_index:
+            break
+        yield block, min(block.tails.size, max_index - block.first + 1)
+
+
+def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k w(ell, k) a_k over the block's first ``count`` rows, a_k = 0 past
+    the coefficients.  One reduction over the block, one segment per row: a
+    row reads nothing from its neighbours, so a degree's value is the same in
+    every spectrum."""
+    starts = block.starts[: count + 1]
+    lengths = np.diff(starts)
+    c = np.zeros(int(lengths.max()))
+    c[: min(c.size, coeffs.size)] = coeffs[: c.size]
+    k = np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
+    return np.add.reduceat(block.weights[: starts[-1]] * c[k], starts[:-1])
+
+
+def _longest_row(band: tuple[_RowBlock, ...], max_index: int) -> int:
+    return max(int(np.diff(b.starts[: m + 1]).max()) for b, m in _rows(band, max_index))
 
 
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     """Degree-ell eigenvalue from the basis coefficients.
 
-    Only coefficients up to degree 2*ell - 2 enter; if the expansion carries
-    fewer, the partial sum is returned (the eigenvalue of the truncated
-    profile).
+    Only coefficients up to degree k*(ell) <= 2*ell - 2 enter; if the
+    expansion carries fewer, the partial sum is returned (the eigenvalue of
+    the truncated profile).
     """
     if ell < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
-    kmax = min(expansion.max_degree, 2 * ell - 2)
-    weights = _series_weights(expansion.d, ell, np.arange(kmax + 1))
-    return float(weights @ expansion.coeffs[: kmax + 1])
+    return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
+
+
+def _series_spectrum(
+    expansion: JacobiExpansion, band: tuple[_RowBlock, ...], max_index: int
+) -> tuple[Spectrum, np.ndarray]:
+    # the spectrum from the band's rows 1..max_index, and their tail bounds
+    used = list(_rows(band, max_index))
+    cut_short = _longest_row(band, max_index) > expansion.coeffs.size
+    spectrum = Spectrum(
+        d=expansion.d,
+        eigenvalues=np.concatenate([_row_sums(b, m, expansion.coeffs) for b, m in used]),
+        source="series-truncated" if cut_short else "series",
+        eta_norm=norm_ball(expansion),
+    )
+    return spectrum, np.concatenate([b.tails[:m] for b, m in used])
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
-    """Eigenvalues for degrees 1..max_index from the coefficient series."""
+    """Eigenvalues for degrees 1..max_index from the coefficient series.
+
+    Degree ell reads a_k for k <= k*(ell); the source is "series-truncated"
+    when the expansion stops short of that for some degree.
+    """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    kmax = min(expansion.max_degree, 2 * max_index - 2)
-    band = _weight_band(expansion.d, max_index, kmax + 1)
-    # One dot product per degree, over its band k <= min(kmax, 2*ell - 2) only:
-    # a single dense weights @ coeffs sums in another order and moves the last bits.
-    lengths = _row_lengths(max_index, kmax + 1).tolist()
-    w, c = band.weights, expansion.coeffs
-    vals = np.array([w[s : s + n] @ c[:n] for s, n in zip(band.starts, lengths)])
-    return Spectrum(
-        d=expansion.d,
-        eigenvalues=vals,
-        source="series" if kmax == 2 * max_index - 2 else "series-truncated",
-        eta_norm=norm_ball(expansion),
-    )
+    return _series_spectrum(expansion, _weight_band(expansion.d, max_index), max_index)[0]
 
 
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
@@ -227,15 +315,25 @@ def spectrum_moment(profile: RadialProfile, d: int, max_index: int) -> Spectrum:
 
 @dataclass(frozen=True)
 class DualRouteReport:
-    """Per-degree agreement of the two eigenvalue routes."""
+    """Per-degree agreement of the two eigenvalue routes.
+
+    ``tail_bounds[i]`` bounds the series terms that degree i + 1 drops past
+    its cut k*(ell): ||w(ell, >k*)||_2 ||eta||_{L2(ball)} / sqrt(|S^(d-1)|), by
+    Cauchy-Schwarz and Parseval (0 where the row is whole).  It does not cover
+    coefficients that ``coeff_degree`` leaves out; the series source says
+    "series-truncated" then.
+    """
 
     series: Spectrum
     moment: Spectrum
     scaled_diffs: np.ndarray  # |series - moment| / max(1, |moment|) per degree
     tol: float
+    tail_bounds: np.ndarray
+    coeff_degree: int  # the expansion degree the series route projected to
 
     def __post_init__(self) -> None:
         self.scaled_diffs.flags.writeable = False
+        self.tail_bounds.flags.writeable = False
 
     @property
     def max_scaled_diff(self) -> float:
@@ -256,31 +354,48 @@ def dual_route(
     """Compute the spectrum both ways and compare degree by degree.
 
     ``coeff_degree`` is the expansion degree used for the series route; the
-    default 2*max_index - 2 is the smallest that makes the series complete
-    for every requested degree.  The series reads no coefficient above it, so
-    a larger ``coeff_degree`` is cut down to it.
+    default, the largest cut k*(ell) over the requested degrees (at most
+    2*max_index - 2), is the smallest that every degree reads in full.  The
+    series reads no coefficient above it, so a larger ``coeff_degree`` is cut
+    down to it.
     """
     from .profiles import project  # local import keeps module deps one-way
 
-    complete = max(2 * max_index - 2, 0)
-    coeff_degree = complete if coeff_degree is None else min(coeff_degree, complete)
-    series = spectrum_series(project(profile, d, coeff_degree), max_index)
+    band = _weight_band(d, max_index)
+    top = _longest_row(band, max_index) - 1
+    coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
+    series, tails = _series_spectrum(project(profile, d, coeff_degree), band, max_index)
     moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)
     )
-    return DualRouteReport(series=series, moment=moment, scaled_diffs=diffs, tol=tol)
+    # ||eta|| / sqrt(|S^(d-1)|) bounds the coefficient norm (Parseval)
+    scale = moment.eta_norm * math.exp(-0.5 * log_surface_area(d))
+    return DualRouteReport(
+        series=series,
+        moment=moment,
+        scaled_diffs=diffs,
+        tol=tol,
+        tail_bounds=tails * scale,
+        coeff_degree=coeff_degree,
+    )
 
 
 # --------------------------------------------------------------------------
 # decay bounds
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def decay_constant(d: int) -> float:
     """Constant C_d in the bound |lambda_ell| <= C_d ||eta||_{L2(ball)} ell**(-1/2):
-    C_d = d * (e**2/pi)**(d/4) * sqrt(2 * Gamma(d/2))."""
+    C_d = d * (e**2/pi)**(d/4) * sqrt(2 * Gamma(d/2)), evaluated in log space
+    (finite up to d = 520; inf above)."""
     d = _check_dimension(d)
-    return d * (math.e**2 / math.pi) ** (d / 4.0) * math.sqrt(2.0 * math.exp(log_gamma(d / 2.0)))
+    log_c = math.log(d) + d / 4.0 * (2.0 - math.log(math.pi))
+    log_c += 0.5 * (math.log(2.0) + log_gamma(d / 2.0))
+    return math.exp(log_c) if log_c < _LOG_MAX else math.inf
 
 
 @dataclass(frozen=True)
@@ -348,7 +463,8 @@ def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundR
     """Sweep ell = 1..max_index, k = 0..2*ell-2, comparing in log space."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    ell, k = _band(max_index, 2 * max_index - 1)
+    rows, k = np.nonzero(np.arange(2 * max_index - 1) <= 2 * np.arange(max_index)[:, None])
+    ell = rows + 1
     excess = log_factorial_ratio(ell, k, d) + 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
     bad = excess > 0.0
     return FactorialRatioBoundReport(
@@ -472,18 +588,19 @@ def truncation_error(op: TruncatedOperator) -> TruncationErrorReport:
 
 def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
     """Matrix taking basis coefficients a_0..a_{num_coeffs-1} to eigenvalues
-    lambda_1..lambda_max_index; entry (ell, k) vanishes for k > 2*ell - 2.
-    These are the series-route weights, all from one log-factorial table."""
+    lambda_1..lambda_max_index: the series route's cut rows, so entry (ell, k)
+    is 0 for k > k*(ell) (and k*(ell) <= 2*ell - 2)."""
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     if not 1 <= num_coeffs <= 2 * max_index - 1:
         raise ValueError(
             f"num_coeffs must lie in 1..{2 * max_index - 1} for max_index={max_index}"
         )
-    ell, k = _band(max_index, num_coeffs)
-    w = _series_weights(d, ell, k)
-    m = np.zeros((max_index, num_coeffs))  # allocated last: keeps the peak low
-    m[ell - 1, k] = w
+    m = np.zeros((max_index, num_coeffs))
+    for block, count in _rows(_weight_band(d, max_index), max_index):
+        for i in range(count):
+            row = block.weights[block.starts[i] : block.starts[i + 1]][:num_coeffs]
+            m[block.first - 1 + i, : row.size] = row
     return m
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "MAX_PIECE_DEGREE",
     "JacobiExpansion",
     "RadialProfile",
+    "log_surface_area",
     "moment_integral",
     "norm_ball",
     "norm_ball_profile",
@@ -174,10 +175,16 @@ def profile_to_dict(profile: RadialProfile, d: int | None = None) -> dict:
     return doc
 
 
+def log_surface_area(d: int) -> float:
+    """log of the surface measure of the unit sphere in R**d; finite in every d,
+    where the measure itself underflows from d = 438 on."""
+    d = jacobi._check_dimension(d)
+    return math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
+
+
 def surface_area(d: int) -> float:
     """Surface measure of the unit sphere in R**d (2*pi, 4*pi, 2*pi**2, ...)."""
-    d = jacobi._check_dimension(d)
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return math.exp(log_surface_area(d))
 
 
 def _piece_integral(coeffs: np.ndarray, lo: float, hi: float, power) -> np.ndarray:
@@ -202,7 +209,7 @@ def norm_ball_profile(profile: RadialProfile, d: int) -> float:
     pieces = profile.intervals()
     total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
     # squaring can leave a tiny negative residue for the zero profile
-    return math.sqrt(surface_area(d) * max(total, 0.0))
+    return math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
 
 
 @dataclass(frozen=True)
@@ -258,13 +265,20 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
         integrands.append((hi - lo) * rule.weights * npoly.polyval(r, c) * r ** (d - 1))
     cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
     total = np.zeros(max_degree + 1)
-    for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes), _PROJECT_BLOCK):
-        out = total[start : start + len(block)]
-        for lo, hi, g in zip(cuts, cuts[1:], integrands):
-            out += block[:, lo:hi] @ g
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes), _PROJECT_BLOCK):
+            out = total[start : start + len(block)]
+            for lo, hi, g in zip(cuts, cuts[1:], integrands):
+                out += block[:, lo:hi] @ g
+    if not np.all(np.isfinite(total)):
+        # the basis grows like binomial(k + d/2, k) near r = 0 and leaves the float range
+        raise ValueError(
+            f"the basis up to degree {max_degree} overflows at the quadrature nodes in d = {d}"
+        )
     return JacobiExpansion(d=d, coeffs=total)
 
 
 def norm_ball(expansion: JacobiExpansion) -> float:
     """L2 norm over the ball implied by the coefficients (Parseval)."""
-    return math.sqrt(surface_area(expansion.d) * float(expansion.coeffs @ expansion.coeffs))
+    root_area = math.exp(0.5 * log_surface_area(expansion.d))
+    return root_area * math.sqrt(float(expansion.coeffs @ expansion.coeffs))

@@ -278,6 +278,13 @@ def test_config_errors(tmp_path, capsys):
         assert run_cli(capsys, "invert", *base, "--alpha", value)[0] == 2
         assert run_cli(capsys, "eigvals", *base, "--tol-dual", value)[0] == 2
         assert run_cli(capsys, "basis", "--dim", "2", "--tol-basis", value)[0] == 2
+    # oversized dimensions, degrees and basis orders are refused before any work
+    assert run_cli(capsys, "basis", "--dim", "521")[0] == 2
+    for cmd in ("eigvals", "truncate", "invert", "verify"):
+        assert run_cli(capsys, cmd, "--preset", "constant:1", "--dim", "521")[0] == 2
+    big_l = ("eigvals", "--dim", "3", "--preset", "constant:1", "--L", "30001")
+    assert run_cli(capsys, *big_l)[0] == 2
+    assert run_cli(capsys, "basis", "--dim", "2", "--K", "1501")[0] == 2
     # finite coefficients whose square overflows: the ball norm is inf
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"breakpoints": [0.0, 1.0], "pieces": [[1e200]]}))
@@ -285,6 +292,51 @@ def test_config_errors(tmp_path, capsys):
         for source in (("--preset", "constant:1e200"), ("--profile", str(huge))):
             code, _, err = run_cli(capsys, cmd, "--dim", "3", *source)
             assert code == 2 and "norm" in err
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_largest_dimension_gives_finite_output(capsys):
+    # d = 520 is the cap: every number eigvals, truncate and invert write is
+    # finite there, so the JSON is strict; d = 521 exits 2
+    base = ("--dim", "520", "--preset", "annulus:0.3,0.8,1", "--format", "json")
+    for argv in (("eigvals", "--L", "40"), ("truncate", "--L", "40", "--N", "5"),
+                 ("invert", "--L", "10", "--K", "5")):
+        code, out, _ = run_cli(capsys, *argv, *base)
+        assert code == 0
+        doc = _strict_json(out)
+        assert doc["meta"]["dimension"] == 520
+    code, out, _ = run_cli(capsys, "eigvals", *base)
+    assert 1e300 < _strict_json(out)["summary"]["decay_constant"] < float("inf")
+    assert run_cli(capsys, "eigvals", *base[:1], "521", *base[2:])[0] == 2
+
+
+def test_eigvals_reports_the_cut_and_its_tail_bound(capsys):
+    argv = ("eigvals", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "400")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows, extras = parse_csv(out)
+    assert "series_tail_bound" not in rows[0]  # a summary key, not a column
+    assert 0.0 < extras["series_tail_bound"] < 1e-16
+    assert extras["series_source"] == "series"
+    kstar = extras["meta.coeff_degree"]
+    assert 150 < kstar < 2 * 400 - 2  # projected to k*(400), not to 2L - 2
+    code, out, _ = run_cli(capsys, *argv, "--K", str(kstar - 1))
+    _, extras = parse_csv(out)
+    assert extras["series_source"] == "series-truncated"
+    assert extras["meta.coeff_degree"] == kstar - 1
+
+
+def test_eigvals_refuses_a_basis_past_the_float_range(capsys):
+    code, out, err = run_cli(
+        capsys, "eigvals", "--dim", "520", "--preset", "constant:1", "--L", "7000"
+    )
+    assert code == 2 and out == "" and "overflows" in err
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

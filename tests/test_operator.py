@@ -25,7 +25,6 @@ from radialeit.operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
-from radialeit.numerics import log_factorial_ratio
 from radialeit.profiles import (
     JacobiExpansion,
     moment_integral,
@@ -120,66 +119,183 @@ def test_dual_route_report():
     assert starved.max_scaled_diff > 1e-8
 
 
+def _band_rows(d, L):
+    # the band's rows 1..L as (weights, tail bound) pairs
+    rows = []
+    for block, count in operator._rows(operator._weight_band(d, L), L):
+        for i in range(count):
+            rows.append((block.weights[block.starts[i] : block.starts[i + 1]], block.tails[i]))
+    return rows
+
+
+def _uncut_rows(d, L, first=1):
+    """Full rows k = 0..2 ell - 2 of the weights, ell = first..L, zero-padded
+    to 2L - 1 columns: the plain ratio recurrence, kept here uncut."""
+    n = 2.0 * np.arange(first - 1, L)[:, None]
+    k = np.arange(2 * L - 1)
+    ratio = np.maximum(n - k, 0.0) / (n + d + k + 1.0)
+    r = np.ones((n.size, 2 * L - 1))
+    r[:, 1:] = np.cumprod(ratio[:, :-1], axis=1)
+    sign = np.where(k % 2 == 0, -1.0, 1.0)
+    return sign * np.sqrt(2.0 * k + d) * r / np.arange(first, L + 1)[:, None]
+
+
+def _exact_row(d, ell, count):
+    # weights k < count with the factorial ratio as one exact fraction, rounded once
+    n, num, den, row = 2 * ell - 2, 1, 1, []
+    for k in range(count):
+        row.append((-1.0 if k % 2 == 0 else 1.0) * math.sqrt(2 * k + d) / ell * (num / den))
+        num *= n - k
+        den *= n + d + k + 1
+    return np.array(row)
+
+
 def test_series_spectrum_matches_per_degree_sums(corpus):
-    # complete (K = 2L - 2) and truncated expansions alike
-    for _, prof in corpus:
+    # Degree ell sums w(ell, k) a_k over k <= k*(ell) by itself: the band's
+    # 40-row block and eigenvalue_series's one-row block give the same bits, and
+    # both are the forward-matrix row sum to a few ulps, whether the expansion
+    # covers the cut (K = 78) or stops short of it.
+    for _, prof in corpus[::3]:
         for d in (2, 3, 5):
-            for K in (18, 5):
+            for K in (78, 20, 5):
                 exp = project(prof, d, K)
-                spec = spectrum_series(exp, 10)
-                for ell in range(1, 11):
+                spec = spectrum_series(exp, 40)
+                for ell in range(1, 41):
                     n = min(K, 2 * ell - 2) + 1
-                    want = forward_matrix(d, ell, n)[-1] @ exp.coeffs[:n]
-                    assert spec.eigenvalues[ell - 1] == want
-                    assert eigenvalue_series(exp, ell) == want
+                    terms = forward_matrix(d, ell, n)[-1] * exp.coeffs[:n]
+                    got = spec.eigenvalues[ell - 1]
+                    assert eigenvalue_series(exp, ell) == got
+                    assert abs(got - math.fsum(terms)) <= 4 * 2.0**-53 * np.abs(terms).sum()
+
+
+def test_cut_bound_dominates_the_exact_tail_and_is_tight():
+    # k*(ell): the first k whose bound on ||w(ell, >k)||_2 is <= 2**-53 |w(ell, 0)|.
+    # Against full uncut rows it must bound the true tail and cut within 5% of
+    # the first k where the true tail is that small.
+    ells = np.r_[1:200, 200:2001:9]
+    for d in (2, 3, 5, 9):
+        rows = _band_rows(d, 2000)
+        for ell in ells:
+            w, bound = rows[ell - 1]
+            full = _uncut_rows(d, int(ell), first=int(ell))[0]
+            tail = np.sqrt(np.cumsum(full[::-1] ** 2)[::-1])[1:]  # ||w(ell, >k)||_2, k < 2 ell - 2
+            tail = np.append(tail, 0.0)
+            kstar = w.size - 1
+            assert bound >= tail[kstar]
+            assert bound <= 2.0**-53 * abs(full[0]) * (1 + 1e-9)
+            assert (bound == 0.0) == (kstar == 2 * ell - 2)
+            exact_cut = int(np.argmax(tail <= 2.0**-53 * abs(full[0])))
+            assert exact_cut <= kstar <= 1.05 * exact_cut
+
+
+def test_band_weights_match_exact_fractions():
+    for d in (2, 3, 5, 9):
+        rows = _band_rows(d, 2000)
+        for ell in (1, 2, 7, 30, 100, 400, 1001, 2000):
+            w = rows[ell - 1][0]
+            want = _exact_row(d, ell, w.size)
+            assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want))
+
+
+def test_cut_spectrum_lies_within_its_tail_bound(corpus):
+    # The series reads k <= k*(ell) only; what it drops is bounded per degree by
+    # the reported tail bound.  Compared with the uncut full-row sum over the
+    # same coefficients (exactly rounded), plus a few ulps of sum |w_k a_k|.
+    L = 400
+    for d in (2, 3, 5):
+        full = _uncut_rows(d, L)
+        for _, prof in corpus:
+            exp = project(prof, d, 2 * L - 2)
+            terms = full * exp.coeffs
+            uncut = np.array([math.fsum(row) for row in terms.tolist()])
+            scale = np.abs(terms).sum(axis=1)
+            rep = dual_route(prof, d, L)
+            assert rep.tail_bounds.shape == (L,) and np.all(rep.tail_bounds >= 0.0)
+            cut = spectrum_series(exp, L).eigenvalues
+            assert np.all(np.abs(cut - uncut) <= rep.tail_bounds + 8 * 2.0**-53 * scale)
+
+
+def test_dual_route_projects_to_the_cut():
+    prof = preset("annulus", [0.3, 0.8, 1.0])
+    rep = dual_route(prof, 3, 400)
+    kstar = _band_rows(3, 400)[-1][0].size - 1
+    assert rep.coeff_degree == kstar < 2 * 400 - 2
+    assert rep.series.source == "series"
+    assert rep.ok and rep.max_scaled_diff <= 1e-14
+    # rows short enough to be whole carry no tail bound; cut rows carry one
+    whole = [w.size == 2 * ell - 1 for ell, (w, _) in enumerate(_band_rows(3, 400), 1)]
+    assert np.all((rep.tail_bounds == 0.0) == np.array(whole))
+    assert 0.0 < rep.tail_bounds.max() <= 2.0**-53 * math.sqrt(3.0) * rep.moment.eta_norm
+    # a --K below the cut zeroes the coefficients past it and says so
+    short = dual_route(prof, 3, 400, coeff_degree=kstar - 1)
+    assert short.coeff_degree == kstar - 1 and short.series.source == "series-truncated"
+    assert dual_route(prof, 3, 400, coeff_degree=10**6).coeff_degree == kstar
 
 
 def test_series_weights_built_once_per_dimension(monkeypatch):
+    # growing L appends rows (blocks) to the band; a smaller L or any K reads it
     monkeypatch.setattr(operator, "_weight_bands", {})
-    calls = []
+    built = []
+    real = operator._row_block
 
-    def counted(*args):
-        calls.append(args)
-        return log_factorial_ratio(*args)
+    def counted(d, first, last):
+        built.append((d, first, last))
+        return real(d, first, last)
 
-    monkeypatch.setattr(operator, "log_factorial_ratio", counted)
-    coeffs = np.random.default_rng(3).normal(size=81)
+    monkeypatch.setattr(operator, "_row_block", counted)
+    coeffs = np.random.default_rng(3).normal(size=600)
 
     def series(L, K):
         return spectrum_series(JacobiExpansion(7, coeffs[: K + 1]), L).eigenvalues
 
     first = series(40, 78)
-    inside = series(20, 10)  # rows of the held band (40 degrees, 79 coefficients)
-    assert series(40, 78).tobytes() == first.tobytes()
-    assert len(calls) == 1
-    series(41, 80)  # outside it: one rebuild at the larger size
-    assert len(calls) == 2
-    operator._weight_bands.clear()
-    for L, K in ((40, 20), (20, 38), (40, 20), (20, 38)):
+    assert built == [(7, 1, 40)]
+    band = operator._weight_bands[7]
+    for L, K in ((20, 10), (40, 78), (40, 5), (1, 0)):  # inside the band, any K
         series(L, K)
-    assert len(calls) == 4  # the second build spans both: 40 degrees, 39 coefficients
-    for ell in range(1, 21):
-        n = min(10, 2 * ell - 2) + 1
-        assert inside[ell - 1] == forward_matrix(7, ell, n)[-1] @ coeffs[:n]
+    assert series(40, 78).tobytes() == first.tobytes()
+    assert len(built) == 1
+    grown = series(300, 598)  # only the new rows are built, and the old blocks stay
+    assert built[1:] == [(7, 41, 296), (7, 297, 300)]
+    assert operator._weight_bands[7][0] is band[0]
+    assert grown[:40].tobytes() == first.tobytes()  # a row does not depend on L
 
 
 def test_weight_bands_are_read_only_and_capped(monkeypatch):
     monkeypatch.setattr(operator, "_weight_bands", {})
     monkeypatch.setattr(operator, "_BAND_CAP", 500)
-    coeffs = np.ones(79)
+    coeffs = np.ones(199)
     spectrum_series(JacobiExpansion(2, coeffs[:19]), 10)  # 100 weights: held
     band = operator._weight_bands[2]
-    assert not band.weights.flags.writeable
-    with pytest.raises(ValueError):
-        band.weights[0] = 0.0
-    spectrum_series(JacobiExpansion(2, coeffs), 40)  # 1600 weights: used, not held
+    for arr in (band[0].weights, band[0].starts, band[0].tails):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    spectrum_series(JacobiExpansion(2, coeffs), 100)  # about 5000 weights: used, not held
     assert operator._weight_bands[2] is band
     spectrum_series(JacobiExpansion(3, coeffs[:41]), 21)  # 441 more: the older band goes
     assert list(operator._weight_bands) == [3]
 
 
+def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):
+    # the cut band holds about 6M weights (48 MB) at L = 10**4; the full
+    # triangle would be 10**8
+    monkeypatch.setattr(operator, "_weight_bands", {})
+    exp = JacobiExpansion(3, np.ones(1000))
+    tracemalloc.start()
+    try:
+        spec = spectrum_series(exp, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.source == "series"
+    assert peak < 64e6
+    assert not operator._weight_bands  # over the cap: used, not held
+
+
 def test_single_eigenvalue_builds_one_weight_row():
-    # degree ell needs 2*ell - 1 weights; the (ell, 2*ell - 1) matrix alone is 36 MB here
+    # degree ell reads at most 2*ell - 1 weights; the (ell, 2*ell - 1) matrix alone is 36 MB here
     exp = JacobiExpansion(3, np.ones(2999))
     tracemalloc.start()
     try:
@@ -223,6 +339,16 @@ def test_decay_constant_values():
     assert abs(decay_constant(4) - 13.304975533734881) < 1e-12
     with pytest.raises(ValueError):
         decay_constant(1)
+
+
+def test_decay_constant_in_high_dimensions():
+    # log C_d is 434 at d = 343, where the direct formula already gave inf;
+    # d = 520 is the last dimension whose C_d is a float
+    want = math.log(343) + 343 / 4 * (2 - math.log(math.pi))
+    want += 0.5 * (math.log(2) + math.lgamma(171.5))
+    assert abs(math.log(decay_constant(343)) - want) < 1e-12 and abs(want - 434.095) < 1e-3
+    assert math.isfinite(decay_constant(520))
+    assert decay_constant(521) == math.inf
 
 
 def test_decay_bound_constant_profile():

@@ -15,6 +15,7 @@ from radialeit.profiles import (
     MAX_PIECE_DEGREE,
     JacobiExpansion,
     RadialProfile,
+    log_surface_area,
     moment_integral,
     norm_ball,
     norm_ball_profile,
@@ -118,6 +119,20 @@ def test_surface_area_values():
     assert abs(surface_area(4) - 2.0 * math.pi**2) < 1e-13
     with pytest.raises(ValueError):
         surface_area(1)
+
+
+def test_surface_area_in_high_dimensions():
+    # Gamma(d/2) overflows from d = 344 and the area underflows from d = 438;
+    # the log-space area and the ball norms built on it stay finite
+    assert 0.0 < surface_area(344) < 1e-150
+    assert surface_area(1000) == 0.0
+    assert abs(log_surface_area(3) - math.log(4.0 * math.pi)) < 1e-15
+    assert abs(log_surface_area(1000) + 2032.0578) < 1e-4  # log 2 + 500 log pi - log 499!
+    prof = preset("constant", [1.0])
+    for d in (344, 520, 1000):
+        want = math.exp(0.5 * (log_surface_area(d) - math.log(d)))  # sqrt(|S| / d)
+        assert abs(norm_ball_profile(prof, d) - want) <= 1e-13 * want
+        assert abs(norm_ball(project(prof, d, 0)) - want) <= 1e-10 * want  # quadrature of r**(d-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,6 +273,13 @@ def test_project_holds_one_block_of_the_table():
         tracemalloc.stop()
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert peak < 2.6e6
+
+
+def test_project_refuses_a_basis_past_the_float_range():
+    # near r = 0 the basis grows like binomial(k + d/2, k): in d = 520 it leaves
+    # the float range by degree 600
+    with pytest.raises(ValueError, match="overflows"):
+        project(preset("constant", [1.0]), 520, 600)
 
 
 def test_expansion_validation():
