@@ -199,7 +199,7 @@ def _cmd_eigvals(args) -> int:
     profile, d = _resolve_profile(args)
     try:
         report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
-    except ValueError as exc:  # the projection leaves the float range
+    except profiles.BasisOverflowError as exc:
         raise ConfigError(str(exc)) from None
     decay = operator.verify_decay_bound(report.moment)
     records = [

@@ -162,17 +162,6 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
     n = 2.0 * ell - 2.0
     rows = np.arange(ell.size)
     full = 2 * last - 1  # columns k = 0..n of the longest row
-
-    def head_room(k):
-        # per row i at k[i]: ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2
-        head = np.sqrt(2.0 * k + 2 + d) * np.abs(r[rows, k + 1]) * _SLACK
-        rho = np.sqrt((2.0 * k + 4 + d) / (2.0 * k + 2 + d)) * ratio[rows, k + 1]
-        return head, 1.0 - rho * rho
-
-    def cut(k):  # is the tail bound past k at most 2**-53 |w(ell, 0)|?
-        head, room = head_room(k)
-        return head * head <= (_CUT * _CUT * d) * room
-
     # the paper's Gaussian estimate of the cut, with room to spare
     width = min(int(1.1 * math.sqrt((4.0 * last - 2 + d) / 2 * 53 * math.log(2))) + 8, full)
     while True:
@@ -181,20 +170,21 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
         ratio /= np.add.outer(n, j + (d + 1.0))  # R(ell, j+1) / R(ell, j)
         r = np.ones((ell.size, width + 1))
         np.cumprod(ratio[:, :width], axis=1, out=r[:, 1:])
-        hi = np.full(ell.size, width - 1)
-        if width == full or cut(hi).all():  # every row is cut by k = n
+        # at column k: ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2, and
+        # whether the tail bound past k is at most 2**-53 |w(ell, 0)|
+        k = np.arange(width)
+        head = np.abs(r[:, 1:])
+        head *= np.sqrt(2.0 * k + 2 + d)
+        head *= _SLACK
+        room = ratio[:, 1:] * np.sqrt((2.0 * k + 4 + d) / (2.0 * k + 2 + d))  # rho_{k+1}
+        room *= room
+        np.subtract(1.0, room, out=room)
+        ok = head * head <= (_CUT * _CUT * d) * room
+        if width == full or ok[:, -1].all():  # every row is cut by k = n
             break
         width = min(2 * width, full)
-    # The test is false while rho_{k+1} >= 1 and then, as |w(k+1)| falls and
-    # rho with it, turns true for good: bisect for the first k that passes.
-    lo = np.full(ell.size, -1)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        ok = cut(mid)
-        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-    head, room = head_room(hi)
-    tails = head / np.sqrt(room) / ell  # room > 0 wherever the test passes
-    k = np.arange(width)
+    hi = ok.argmax(axis=1)  # k*(ell): the first k that passes
+    tails = head[rows, hi] / np.sqrt(room[rows, hi]) / ell  # room > 0 wherever the test passes
     w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, :width] / ell[:, None]
     weights = w[k <= hi[:, None]]
     starts = np.concatenate(([0], np.cumsum(hi + 1)))
@@ -239,17 +229,23 @@ def _rows(band: tuple[_RowBlock, ...], max_index: int):
         yield block, min(block.tails.size, max_index - block.first + 1)
 
 
+def _row_index(block: _RowBlock, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # (row within the block, k) of each weight in the block's first ``count`` rows
+    starts = block.starts[: count + 1]
+    lengths = np.diff(starts)
+    k = np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
+    return np.repeat(np.arange(count), lengths), k
+
+
 def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_k w(ell, k) a_k over the block's first ``count`` rows, a_k = 0 past
     the coefficients.  One reduction over the block, one segment per row: a
     row reads nothing from its neighbours, so a degree's value is the same in
     every spectrum."""
-    starts = block.starts[: count + 1]
-    lengths = np.diff(starts)
-    c = np.zeros(int(lengths.max()))
+    _, k = _row_index(block, count)
+    c = np.zeros(int(k.max()) + 1)
     c[: min(c.size, coeffs.size)] = coeffs[: c.size]
-    k = np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
-    return np.add.reduceat(block.weights[: starts[-1]] * c[k], starts[:-1])
+    return np.add.reduceat(block.weights[: k.size] * c[k], block.starts[:count])
 
 
 def _longest_row(band: tuple[_RowBlock, ...], max_index: int) -> int:
@@ -598,9 +594,9 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
         )
     m = np.zeros((max_index, num_coeffs))
     for block, count in _rows(_weight_band(d, max_index), max_index):
-        for i in range(count):
-            row = block.weights[block.starts[i] : block.starts[i + 1]][:num_coeffs]
-            m[block.first - 1 + i, : row.size] = row
+        i, k = _row_index(block, count)
+        keep = k < num_coeffs
+        m[block.first - 1 + i[keep], k[keep]] = block.weights[: k.size][keep]
     return m
 
 

@@ -23,6 +23,7 @@ from .numerics import gauss_legendre
 
 __all__ = [
     "MAX_PIECE_DEGREE",
+    "BasisOverflowError",
     "JacobiExpansion",
     "RadialProfile",
     "log_surface_area",
@@ -241,6 +242,10 @@ class JacobiExpansion:
         return vals
 
 
+class BasisOverflowError(ValueError):
+    """The orthonormal basis leaves the float range at the quadrature nodes."""
+
+
 # Degrees per block of the projection's recurrence.  A multiple of the BLAS
 # row unroll: each block's rows then sum exactly as rows of the whole table.
 _PROJECT_BLOCK = 64
@@ -272,7 +277,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
                 out += block[:, lo:hi] @ g
     if not np.all(np.isfinite(total)):
         # the basis grows like binomial(k + d/2, k) near r = 0 and leaves the float range
-        raise ValueError(
+        raise BasisOverflowError(
             f"the basis up to degree {max_degree} overflows at the quadrature nodes in d = {d}"
         )
     return JacobiExpansion(d=d, coeffs=total)

@@ -13,6 +13,7 @@ from radialeit.jacobi import build_family, evaluate_table, monomial_coefficients
 from radialeit.numerics import gauss_legendre
 from radialeit.profiles import (
     MAX_PIECE_DEGREE,
+    BasisOverflowError,
     JacobiExpansion,
     RadialProfile,
     log_surface_area,
@@ -278,7 +279,7 @@ def test_project_holds_one_block_of_the_table():
 def test_project_refuses_a_basis_past_the_float_range():
     # near r = 0 the basis grows like binomial(k + d/2, k): in d = 520 it leaves
     # the float range by degree 600
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(BasisOverflowError, match="overflows"):
         project(preset("constant", [1.0]), 520, 600)
 
 
