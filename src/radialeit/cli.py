@@ -9,18 +9,25 @@ Subcommands:
 * ``invert``    - recover basis coefficients from a spectrum
 
 Exit codes: 0 success, 1 a numerical check failed, 2 bad configuration or
-input, 3 requested verification is unsupported in that dimension.
+input (sizes past the caps below ``MAX_DIM`` included), 3 requested
+verification is unsupported in that dimension.
 
 Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
 with ``repr``, i.e. shortest round-trip form; the JSON metadata carries a
-timestamp, which is the only field that varies between identical runs.
+timestamp, which is the only field that varies between identical runs.  Each
+subcommand hands its records over as columns, and ``_emit`` formats each
+column once: the JSON is byte for byte ``json.dumps(doc, indent=2)`` and the
+CSV the same as written cell by cell, without walking every cell in Python's
+pure-Python JSON encoder.  ``main`` builds its argument parser once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -121,6 +128,8 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
                     raise ConfigError(
                         f"line {i + 1} of {path}: expected 'ell,lambda', got {row!r}"
                     ) from None
+                if len(rows) > MAX_INVERT_L:
+                    raise ConfigError(f"{path} holds more than {MAX_INVERT_L} spectrum rows")
     except OSError as exc:
         raise ConfigError(f"cannot read spectrum file: {exc}") from None
     if not rows:
@@ -156,32 +165,68 @@ def _plain(value):
     raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# json.dumps's spelling of the floats that float.__repr__ writes as nan/inf
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _emit(args, meta: dict, records: list[dict], summary: dict) -> None:
+def _cells(values, json_out: bool) -> list[str]:
+    """Every cell of one column as text, formatted by the type of its first
+    value: floats by ``float.__repr__`` (what json.dumps writes, and the
+    shortest round-trip form), bools as true/false, strings quoted by
+    json.dumps in JSON and as they are in CSV."""
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not items:
+        return []
+    first = items[0]
+    if isinstance(first, bool):
+        return ["true" if v else "false" for v in items]
+    if isinstance(first, float):
+        cells = list(map(float.__repr__, items))
+        if json_out and not all(map(math.isfinite, items)):
+            cells = [_JSON_CONSTANTS.get(c, c) for c in cells]
+        return cells
+    if isinstance(first, int):
+        return list(map(int.__repr__, items))
+    if isinstance(first, str):
+        return list(map(json.dumps, items)) if json_out else items
+    raise TypeError(f"cannot serialise a column of {type(first).__name__}")
+
+
+def _json_value(value) -> str:
+    """json.dumps(value, indent=2) as it reads one level deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
+    """Write one result.  ``columns`` maps each record field, in order, to a
+    1-d array or list with one value per record.
+
+    The bytes equal those of ``json.dumps(doc, indent=2)`` (JSON) or of the
+    record-by-record CSV writer, but each column is formatted once and the
+    JSON records come from one per-record template: the generic encoder
+    would walk every cell in pure Python.
+    """
     meta = _plain(meta)
-    records = [_plain(r) for r in records]
     summary = _plain(summary)
-    if args.format == "json":
-        doc = {
-            "meta": {**meta, "timestamp": datetime.now(timezone.utc).isoformat()},
-            "records": records,
-            "summary": summary,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+    json_out = args.format == "json"
+    keys = list(columns)
+    rows = list(zip(*(_cells(columns[k], json_out) for k in keys), strict=True))
+    if json_out:
+        meta = {**meta, "timestamp": datetime.now(timezone.utc).isoformat()}
+        records = "[]"
+        if rows:
+            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+            template = "    {\n" + fields + "\n    }"
+            records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
+        text = (
+            f'{{\n  "meta": {_json_value(meta)},\n  "records": {records},\n'
+            f'  "summary": {_json_value(summary)}\n}}\n'
+        )
     else:
         lines = []
-        if records:
-            keys = list(records[0])
+        if rows:
             lines.append(",".join(keys))
-            for rec in records:
-                lines.append(",".join(_csv_cell(rec[k]) for k in keys))
+            lines.extend(map(",".join, rows))
         for key, value in {**summary, **{f"meta.{k}": v for k, v in meta.items()}}.items():
             lines.append(f"# {key} = {json.dumps(value)}")
         text = "\n".join(lines) + "\n"
@@ -197,22 +242,16 @@ def _emit(args, meta: dict, records: list[dict], summary: dict) -> None:
 
 def _cmd_eigvals(args) -> int:
     profile, d = _resolve_profile(args)
-    try:
-        report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
-    except profiles.BasisOverflowError as exc:
-        raise ConfigError(str(exc)) from None
+    report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
     decay = operator.verify_decay_bound(report.moment)
-    records = [
-        {
-            "ell": i + 1,
-            "lambda_series": report.series.eigenvalues[i],
-            "lambda_moment": report.moment.eigenvalues[i],
-            "scaled_diff": report.scaled_diffs[i],
-            "decay_bound": decay.bounds[i],
-            "margin": decay.margins[i],
-        }
-        for i in range(args.L)
-    ]
+    columns = {
+        "ell": np.arange(1, args.L + 1),
+        "lambda_series": report.series.eigenvalues,
+        "lambda_moment": report.moment.eigenvalues,
+        "scaled_diff": report.scaled_diffs,
+        "decay_bound": decay.bounds,
+        "margin": decay.margins,
+    }
     summary = {
         "max_scaled_diff": report.max_scaled_diff,
         "dual_ok": report.ok,
@@ -232,7 +271,7 @@ def _cmd_eigvals(args) -> int:
         "tol_dual": args.tol_dual,
         "profile": profiles.profile_to_dict(profile),
     }
-    _emit(args, meta, records, summary)
+    _emit(args, meta, columns, summary)
     return EXIT_OK if (report.ok and decay.ok) else EXIT_CHECK_FAILED
 
 
@@ -240,35 +279,39 @@ def _cmd_basis(args) -> int:
     d, kmax = args.dim, args.K
     family = jacobi.build_family(d, kmax)
     rule = gauss_legendre(kmax + d)  # covers degree 2*kmax + d - 1
-    table = jacobi.evaluate_table(family, rule.nodes)
+    pts = np.linspace(0.0, 1.0, 50)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        table = jacobi.evaluate_table(family, rule.nodes)
+        pts_table = jacobi.evaluate_table(family, pts)  # one table serves every degree
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(pts_table))):
+        # as in profiles.project: the basis grows like binomial(k + d/2, k) near r = 0
+        raise profiles.BasisOverflowError(
+            f"the basis up to degree {kmax} overflows at the check points in d = {d}"
+        )
     gram = (table * (rule.weights * rule.nodes ** (d - 1))) @ table.T
     gram_diag = float(np.abs(np.diag(gram) - 1.0).max())
     gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
-    pts = np.linspace(0.0, 1.0, 50)
-    pts_table = jacobi.evaluate_table(family, pts)  # one table serves every degree
     recon = 0.0
     for k in range(kmax + 1):
         coeffs = jacobi.monomial_coefficients(d, k).coeffs
         recon = max(recon, float(np.abs(coeffs @ pts_table[: k + 1] - pts**k).max()))
     tol = args.tol_basis
-    records = [
-        {"check": "gram_offdiag", "max_error": gram_off, "tol": tol, "pass": gram_off <= tol},
-        {"check": "gram_diag", "max_error": gram_diag, "tol": tol, "pass": gram_diag <= tol},
-        {
-            "check": "monomial_reconstruction",
-            "max_error": recon,
-            "tol": tol,
-            "pass": recon <= tol,
-        },
-    ]
-    summary = {"all_ok": all(r["pass"] for r in records)}
+    errors = {"gram_offdiag": gram_off, "gram_diag": gram_diag, "monomial_reconstruction": recon}
+    passed = [err <= tol for err in errors.values()]
+    columns = {
+        "check": list(errors),
+        "max_error": list(errors.values()),
+        "tol": [tol] * len(errors),
+        "pass": passed,
+    }
+    summary = {"all_ok": all(passed)}
     meta = {
         "command": "basis",
         "dimension": d,
         "K": kmax,
         "tol_basis": tol,
     }
-    _emit(args, meta, records, summary)
+    _emit(args, meta, columns, summary)
     return EXIT_OK if summary["all_ok"] else EXIT_CHECK_FAILED
 
 
@@ -282,29 +325,29 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_UNSUPPORTED
     report = cross_validate(profile, d, args.L)
-    records = []
-    n = len(report.labels)
-    for i in range(n):
-        for j in range(i, n):
-            ref = report.reference[i] if i == j else 0.0
-            err = abs(report.entries[i, j] - ref)
-            tol = (
-                report.tol_diag * max(1.0, abs(ref)) if i == j else report.tol_offdiag
-            )
-            records.append(
-                {
-                    "h1": report.labels[i],
-                    "h2": report.labels[j],
-                    "entry": report.entries[i, j],
-                    "reference": ref,
-                    "abs_error": err,
-                    "pass": err <= tol,
-                }
-            )
+    # the upper triangle row by row; fmax is Python's max(1.0, x), NaN included
+    i, j = np.triu_indices(len(report.labels))
+    diag = i == j
+    entry = report.entries[i, j]
+    reference = np.where(diag, report.reference[i], 0.0)
+    abs_error = np.abs(entry - reference)
+    tol = np.where(
+        diag, report.tol_diag * np.fmax(1.0, np.abs(reference)), report.tol_offdiag
+    )
+    labels = np.array(report.labels)
+    columns = {
+        "h1": labels[i],
+        "h2": labels[j],
+        "entry": entry,
+        "reference": reference,
+        "abs_error": abs_error,
+        "pass": abs_error <= tol,
+    }
     summary = {
         "max_offdiag": report.max_offdiag,
         "max_diag_scaled": report.max_diag_scaled,
         "gradient_identity_max_defect": report.identity_defect,
+        "gradient_identity_scaled_defect": report.identity_scaled_defect,
         "ok": report.ok,
     }
     meta = {
@@ -315,34 +358,28 @@ def _cmd_verify(args) -> int:
         "tol_diag": report.tol_diag,
         "profile": profiles.profile_to_dict(profile),
     }
-    _emit(args, meta, records, summary)
+    _emit(args, meta, columns, summary)
     return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
 def _cmd_truncate(args) -> int:
     profile, d = _resolve_profile(args)
-    if not 0 <= args.N <= args.L:
+    if args.N > args.L:
         raise ConfigError(f"--N must lie in 0..L={args.L}, got {args.N}")
     spectrum = operator.spectrum_moment(profile, d, args.L)
     reports = [
         operator.truncation_error(operator.truncate(spectrum, cutoff))
         for cutoff in range(args.N + 1)
     ]
-    records = [
-        {
-            "cutoff": rep.cutoff,
-            "tail_norm": rep.tail_norm,
-            "apriori_bound": rep.apriori_bound,
-            "pass": rep.ok,
-        }
-        for rep in reports
-    ]
-    monotone = all(b.tail_norm <= a.tail_norm for a, b in zip(reports, reports[1:]))
-    summary = {
-        "monotone": monotone,
-        "all_bounded": all(r["pass"] for r in records),
-        "ok": monotone and all(r["pass"] for r in records),
+    columns = {
+        "cutoff": [rep.cutoff for rep in reports],
+        "tail_norm": [rep.tail_norm for rep in reports],
+        "apriori_bound": [rep.apriori_bound for rep in reports],
+        "pass": [rep.ok for rep in reports],
     }
+    monotone = all(b.tail_norm <= a.tail_norm for a, b in zip(reports, reports[1:]))
+    bounded = all(columns["pass"])
+    summary = {"monotone": monotone, "all_bounded": bounded, "ok": monotone and bounded}
     meta = {
         "command": "truncate",
         "dimension": d,
@@ -350,7 +387,7 @@ def _cmd_truncate(args) -> int:
         "N": args.N,
         "profile": profiles.profile_to_dict(profile),
     }
-    _emit(args, meta, records, summary)
+    _emit(args, meta, columns, summary)
     return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
@@ -369,7 +406,8 @@ def _cmd_invert(args) -> int:
         result = operator.invert(spectrum, args.K, settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    records = [{"k": k, "coefficient": c} for k, c in enumerate(result.expansion.coeffs)]
+    coeffs = result.expansion.coeffs
+    columns = {"k": np.arange(coeffs.size), "coefficient": coeffs}
     summary = {
         "singular_values": list(result.singular_values),
         "effective_rank": result.effective_rank,
@@ -384,7 +422,7 @@ def _cmd_invert(args) -> int:
         "alpha": args.alpha,
         "spectrum_source": spectrum.source,
     }
-    _emit(args, meta, records, summary)
+    _emit(args, meta, columns, summary)
     return EXIT_OK
 
 
@@ -394,13 +432,18 @@ def _cmd_invert(args) -> int:
 
 # Largest accepted sizes.  MAX_DIM is the largest d with a finite decay
 # constant C_d (log C_d = 709.74 at d = 520), so every output of eigvals,
-# truncate and invert stays finite.  MAX_L and MAX_BASIS_K keep the largest
-# accepted eigvals and basis runs under 5 s and 500 MB (measured on a shared
-# 2-vCPU host: 2.5 s and 300 MB for eigvals --L 30000 at d = 2, 3.5 s and
-# 120 MB for basis --K 1500).
+# truncate and invert stays finite.  The others keep the largest accepted
+# run of each subcommand under 5 s and 500 MB, measured with
+# annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
+# 2.5 s and 300 MB; basis --K 1500 3.5 s and 120 MB; truncate --L 30000
+# --N 30000 0.8 s and 60 MB; verify --L 90 at d = 2 2.9 s and 46 MB (--L 100
+# took 4.2-4.9 s); invert --L 1500 --K 2999 3.6 s and 240 MB (the SVD of the
+# L x K forward matrix; a --spectrum file may hold as many degrees).
 MAX_DIM = 520
 MAX_L = 30_000
 MAX_BASIS_K = 1_500
+MAX_VERIFY_L = 90
+MAX_INVERT_L = 1_500
 
 
 def _at_least(low: float, cast=int, high: float = math.inf):
@@ -468,20 +511,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="brute-force cross-validation (d = 2, 3)")
     _add_profile_flags(p)
-    p.add_argument("--L", type=_at_least(1), default=5, help="largest harmonic degree")
+    p.add_argument(
+        "--L", type=_at_least(1, high=MAX_VERIFY_L), default=5, help="largest harmonic degree"
+    )
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("truncate", help="finite-rank truncation error report")
     _add_profile_flags(p)
-    p.add_argument("--L", type=_at_least(1), default=50, help="spectrum length")
-    p.add_argument("--N", type=int, default=10, help="largest cutoff to report")
+    p.add_argument("--L", type=_at_least(1, high=MAX_L), default=50, help="spectrum length")
+    p.add_argument(
+        "--N", type=_at_least(0, high=MAX_L), default=10, help="largest cutoff to report"
+    )
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_truncate)
 
     p = subs.add_parser("invert", help="recover coefficients from a spectrum")
     _add_profile_flags(p)
-    p.add_argument("--L", type=_at_least(1), default=10, help="spectrum length (profile input)")
+    p.add_argument(
+        "--L",
+        type=_at_least(1, high=MAX_INVERT_L),
+        default=10,
+        help="spectrum length (profile input)",
+    )
     p.add_argument("--K", type=int, default=5, help="number of coefficients to recover")
     p.add_argument("--spectrum", help="two-column (ell,lambda) CSV file")
     p.add_argument("--tau", type=float, default=1e-10, help="relative SVD cutoff")
@@ -492,16 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state in the parser, so
+    # every call (a failed one included) starts from the same parser
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return EXIT_OK if code == 0 else EXIT_CONFIG
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, profiles.BasisOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
-_TOL_IDENTITY = 1e-10  # surface-gradient identity, absolute
+_TOL_IDENTITY = 1e-10  # surface-gradient identity, on the scaled defect
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,26 @@ def _entry(tab: _AngularTables, radial: list, a: int, b: int) -> float:
     return -total
 
 
-def _identity_sums(tab: _AngularTables, a: int, b: int) -> tuple[float, float]:
-    """Sphere integrals of grad_S f_a . grad_S f_b and of f_a f_b."""
-    lhs = float(tab.ang_w @ (tab.derivs[a] * tab.derivs[b]))
-    rhs = float(tab.ang_w @ (tab.values[a] * tab.values[b]))
-    return lhs, rhs
+def _identity_sums(tab: _AngularTables, a: int, b: int) -> tuple[float, float, float, float]:
+    """Sphere integrals of grad_S f_a . grad_S f_b and of f_a f_b, then of
+    their absolute values (the angular weights are positive)."""
+    grad = tab.derivs[a] * tab.derivs[b]
+    prod = tab.values[a] * tab.values[b]
+    lhs = float(tab.ang_w @ grad)
+    rhs = float(tab.ang_w @ prod)
+    return lhs, rhs, float(tab.ang_w @ np.abs(grad)), float(tab.ang_w @ np.abs(prod))
 
 
-def _identity_defect(d: int, degree: int, lhs: float, rhs: float) -> float:
-    """|lhs - l (l + d - 2) rhs| for the first harmonic's degree l."""
-    return abs(lhs - degree * (degree + d - 2) * rhs)
+def _identity_defect(d: int, degree: int, sums: tuple) -> tuple[float, float]:
+    """|lhs - l (l + d - 2) rhs| for the first harmonic's degree l, absolute
+    and divided by max(1, abs_lhs + l (l + d - 2) abs_rhs).  The rounding
+    error of both sums grows with that scale, which grows with the degree, so
+    only the scaled defect can be held to a fixed tolerance at every degree;
+    the max(1, .) keeps it no looser than the absolute one."""
+    lhs, rhs, abs_lhs, abs_rhs = sums
+    factor = degree * (degree + d - 2)
+    defect = abs(lhs - factor * rhs)
+    return defect, defect / max(1.0, abs_lhs + factor * abs_rhs)
 
 
 def brute_force_entry(
@@ -218,11 +228,12 @@ class GradientIdentityReport:
     lhs: float
     rhs: float
     defect: float
+    scaled_defect: float  # the gated one: see _identity_defect
     tol: float
 
     @property
     def ok(self) -> bool:
-        return self.defect <= self.tol
+        return self.scaled_defect <= self.tol
 
 
 def gradient_identity(
@@ -231,15 +242,18 @@ def gradient_identity(
     """Quadrature check of the surface-gradient identity for one pair."""
     if h1.d != h2.d:
         raise ValueError(f"harmonics live in different dimensions: {h1.d} vs {h2.d}")
-    lhs, rhs = _identity_sums(_angular_tables((h1, h2), h1.degree + h2.degree), 0, 1)
-    defect = _identity_defect(h1.d, h1.degree, lhs, rhs)
-    return GradientIdentityReport(h1=h1, h2=h2, lhs=lhs, rhs=rhs, defect=defect, tol=tol)
+    sums = _identity_sums(_angular_tables((h1, h2), h1.degree + h2.degree), 0, 1)
+    defect, scaled = _identity_defect(h1.d, h1.degree, sums)
+    return GradientIdentityReport(
+        h1=h1, h2=h2, lhs=sums[0], rhs=sums[1], defect=defect, scaled_defect=scaled, tol=tol
+    )
 
 
 @dataclass(frozen=True)
 class CrossValidationReport:
     """Brute-force matrix of the form against the predicted diagonal, plus the
-    largest surface-gradient identity defect over all ordered pairs."""
+    largest surface-gradient identity defect over all ordered pairs, absolute
+    and scaled (the scaled one is gated)."""
 
     d: int
     labels: tuple[str, ...]
@@ -249,6 +263,7 @@ class CrossValidationReport:
     tol_offdiag: float
     tol_diag: float
     identity_defect: float
+    identity_scaled_defect: float
     tol_identity: float = _TOL_IDENTITY
 
     def __post_init__(self) -> None:
@@ -270,7 +285,7 @@ class CrossValidationReport:
         return (
             self.max_offdiag <= self.tol_offdiag
             and self.max_diag_scaled <= self.tol_diag
-            and self.identity_defect <= self.tol_identity
+            and self.identity_scaled_defect <= self.tol_identity
         )
 
 
@@ -287,7 +302,8 @@ def cross_validate(
     Pairs are grouped by degree sum; each group shares one angular grid with
     its harmonic rows and one set of radial factors.  Every entry equals
     ``brute_force_entry`` of its pair, and ``identity_defect`` equals the
-    largest ``gradient_identity(h1, h2).defect``, bit for bit.
+    largest ``gradient_identity(h1, h2).defect`` (``identity_scaled_defect``
+    the largest ``scaled_defect``), bit for bit.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
@@ -301,7 +317,7 @@ def cross_validate(
         for j in range(i, n):
             by_sum.setdefault(hs[i].degree + hs[j].degree, []).append((i, j))
     entries = np.empty((n, n))
-    identity_defect = 0.0
+    identity_defect = identity_scaled_defect = 0.0
     for s, pairs in by_sum.items():
         # harmonics are degree-major, so the pairs of one sum span a slice of hs
         lo, hi = pairs[0][0], max(j for _, j in pairs) + 1
@@ -310,9 +326,11 @@ def cross_validate(
         for i, j in pairs:
             a, b = i - lo, j - lo
             entries[i, j] = entries[j, i] = _entry(tab, radial, a, b)
-            lhs, rhs = _identity_sums(tab, a, b)  # the same for (i, j) and (j, i)
+            sums = _identity_sums(tab, a, b)  # the same for (i, j) and (j, i)
             for ell in (hs[i].degree, hs[j].degree):
-                identity_defect = max(identity_defect, _identity_defect(d, ell, lhs, rhs))
+                defect, scaled = _identity_defect(d, ell, sums)
+                identity_defect = max(identity_defect, defect)
+                identity_scaled_defect = max(identity_scaled_defect, scaled)
     reference = spectrum_moment(profile, d, max_degree).eigenvalues[[h.degree - 1 for h in hs]]
     return CrossValidationReport(
         d=d,
@@ -323,4 +341,5 @@ def cross_validate(
         tol_offdiag=tol_offdiag,
         tol_diag=tol_diag,
         identity_defect=identity_defect,
+        identity_scaled_defect=identity_scaled_defect,
     )

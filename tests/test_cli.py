@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from radialeit import cli, oracle
 from radialeit.cli import main
 from radialeit.operator import eigenvalue_moment
 from radialeit.profiles import preset
@@ -148,6 +151,24 @@ def test_verify_d2(capsys):
     assert len(rows) == n * (n + 1) // 2
 
 
+def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
+    # the identity's rounding error grows with the degree: at L = 40 in d = 3
+    # the absolute defect is about 2e-10, the scaled one about 1e-13
+    argv = ("verify", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "40")
+    code, out, _ = run_cli(capsys, *argv)
+    _, extras = parse_csv(out)
+    assert code == 0 and extras["ok"] is True
+    assert extras["gradient_identity_max_defect"] > 1e-10
+    assert extras["gradient_identity_scaled_defect"] < 1e-12
+    # a wrong eigenvalue factor l (l + d - 1) still fails the scaled gate
+    defect = oracle._identity_defect
+    monkeypatch.setattr(oracle, "_identity_defect", lambda d, ell, sums: defect(d + 1, ell, sums))
+    code, out, _ = run_cli(capsys, *argv)
+    _, extras = parse_csv(out)
+    assert code == 1 and extras["ok"] is False
+    assert extras["gradient_identity_scaled_defect"] > 1e-3
+
+
 def test_verify_unsupported_dimension(capsys):
     code, _, err = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1")
     assert code == 3
@@ -285,6 +306,15 @@ def test_config_errors(tmp_path, capsys):
     big_l = ("eigvals", "--dim", "3", "--preset", "constant:1", "--L", "30001")
     assert run_cli(capsys, *big_l)[0] == 2
     assert run_cli(capsys, "basis", "--dim", "2", "--K", "1501")[0] == 2
+    profile = ("--dim", "2", "--preset", "constant:1")
+    assert run_cli(capsys, "verify", *profile, "--L", "91")[0] == 2
+    assert run_cli(capsys, "truncate", *profile, "--L", "30001", "--N", "0")[0] == 2
+    assert run_cli(capsys, "truncate", *profile, "--L", "30000", "--N", "30001")[0] == 2
+    assert run_cli(capsys, "invert", *profile, "--L", "1501", "--K", "1")[0] == 2
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("".join(f"{ell},-1.0\n" for ell in range(1, 1502)))
+    code, _, err = run_cli(capsys, "invert", "--spectrum", str(long_csv), "--dim", "2", "--K", "1")
+    assert code == 2 and "1500" in err
     # finite coefficients whose square overflows: the ball norm is inf
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"breakpoints": [0.0, 1.0], "pieces": [[1e200]]}))
@@ -332,6 +362,15 @@ def test_eigvals_reports_the_cut_and_its_tail_bound(capsys):
     assert extras["meta.coeff_degree"] == kstar - 1
 
 
+def test_basis_refuses_a_basis_past_the_float_range(capsys):
+    # the table leaves the float range at the small nodes: exit 2 with a
+    # message, not NaN in the output after overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "basis", "--dim", "520", "--K", "600", "--format", "json")
+    assert code == 2 and out == "" and "overflows" in err
+
+
 def test_eigvals_refuses_a_basis_past_the_float_range(capsys):
     code, out, err = run_cli(
         capsys, "eigvals", "--dim", "520", "--preset", "constant:1", "--L", "7000"
@@ -344,3 +383,111 @@ def test_argparse_errors_map_to_config_exit(capsys):
     assert main(["bogus"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()  # swallow argparse output
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+
+
+def _reference_emit(fmt, meta, columns, summary, timestamp):
+    """The record-by-record writer: json.dumps of the whole document, or one
+    formatted CSV cell at a time."""
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    if fmt == "json":
+        doc = {"meta": {**meta, "timestamp": timestamp}, "records": records, "summary": summary}
+        return json.dumps(doc, indent=2) + "\n"
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    lines = []
+    if records:
+        lines.append(",".join(records[0]))
+        lines += [",".join(cell(v) for v in rec.values()) for rec in records]
+    trailer = {**summary, **{f"meta.{k}": v for k, v in meta.items()}}
+    lines += [f"# {k} = {json.dumps(v)}" for k, v in trailer.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_matches_the_record_by_record_writer(capsys, fmt):
+    profile = {"breakpoints": [0.0, 1.0], "pieces": [[1.5]]}
+    meta = {"command": "t", "dimension": 3, "profile": profile}
+    summary = {"ok": False, "values": [1.0, 2.5], "worst": float("nan")}
+    floats = [0.1, -0.0, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]
+    cases = [
+        {
+            "k": np.arange(len(floats)),
+            "x": np.array(floats),
+            "y": floats[::-1],
+            "pass": np.array(floats) > 0.0,
+            "name": ["a", 'q"uote', "back\\slash", "100%s", "\u00e9", "tab\t", "z"],
+        },
+        {"only": [2.0]},
+        {"k": np.arange(0), "x": []},  # no records
+    ]
+    for columns in cases:
+        cli._emit(argparse.Namespace(format=fmt, out=None), meta, columns, summary)
+        out = capsys.readouterr().out
+        stamp = json.loads(out)["meta"]["timestamp"] if fmt == "json" else None
+        plain = {k: np.asarray(v).tolist() for k, v in columns.items()}
+        assert out == _reference_emit(fmt, meta, plain, summary, stamp)
+
+
+_EVERY_SUBCOMMAND = [
+    ("eigvals", "--dim", "3", "--preset", "annulus:0.3,0.8,-1.5", "--L", "6"),
+    ("basis", "--dim", "3", "--K", "8"),
+    ("verify", "--dim", "2", "--preset", "annulus:0.3,0.8,1", "--L", "3"),
+    ("verify", "--dim", "3", "--preset", "ramp:0.5", "--L", "4"),
+    ("truncate", "--dim", "2", "--preset", "constant:1", "--L", "10", "--N", "3"),
+    ("invert", "--dim", "2", "--preset", "ramp:0.5", "--L", "10", "--K", "5"),
+    ("invert", "--spectrum", "SPECTRUM", "--dim", "2", "--K", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: a[0] + "-" + a[1])
+def test_output_is_canonical(tmp_path, capsys, argv):
+    spectrum = tmp_path / "lam.csv"
+    spectrum.write_text("".join(f"{ell},{-1.0 / ell!r}\n" for ell in range(1, 11)))
+    argv = [str(spectrum) if a == "SPECTRUM" else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(_strict_json(out), indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows, _ = parse_csv(out)
+    floats = 0
+    for row in rows:
+        for cell in row.values():
+            if cell in ("true", "false") or cell.lstrip("-").isdigit():
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a label
+            assert cell == repr(value)
+            floats += 1
+    assert floats > 0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argv = ("eigvals", "--dim", "2", "--preset", "ramp:1", "--L", "3")
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, "eigvals", "--dim", "2", "--L", "nope")[0] == 2
+        assert run_cli(capsys, "truncate", "--bogus")[0] == 2
+        assert run_cli(capsys, *argv) == first and first[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

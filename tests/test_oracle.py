@@ -83,6 +83,16 @@ def test_gradient_identity_cross_terms_vanish():
         gradient_identity(ExplicitHarmonic(2, 1, "cos"), ExplicitHarmonic(3, 1, "zonal"))
 
 
+def test_gradient_identity_gates_the_scaled_defect():
+    # the rounding error of both sums grows with the degree: at degree 40 in
+    # d = 3 the absolute defect is about 1e-10, the scaled one about 4e-14
+    h = ExplicitHarmonic(3, 40, "zonal")
+    rep = gradient_identity(h, h)
+    assert rep.ok and rep.scaled_defect < 1e-12
+    # on the diagonal the absolute-value sums are lhs and rhs themselves
+    assert rep.scaled_defect == rep.defect / max(1.0, rep.lhs + 40 * 41 * rep.rhs)
+
+
 # ---------------------------------------------------------------------------
 # brute-force entries
 
