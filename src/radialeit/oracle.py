@@ -8,14 +8,16 @@ on the sphere), assemble that integral by plain tensor quadrature, and
 compare the resulting matrix against the predicted diagonal.  Nothing here
 uses the eigenvalue formulas, so agreement is evidence, not tautology.
 
-The integrand of a pair depends on its degrees only through their sum S, so
-``cross_validate`` builds one grid per S: the angular rule, every harmonic's
-value and theta-derivative rows on it (one Legendre table per grid in d = 3)
-and each piece's radial factor.  Every entry of that S is then one product of
-shared tables.  The single-pair functions ``brute_force_entry`` and
-``gradient_identity`` build the same tables for their two harmonics and call
-the same per-pair helpers, so each formula exists once and both paths give
-the same bits.  The tables live for one call.
+For radial eta the integral of a pair splits into a radial moment and a
+sphere integral (see ``brute_force_entry``), so the whole matrix is
+
+    -m[l_i + l_j - 2] * (V W V^T + D W D^T / (l l^T))
+
+with m_p the integral of eta(r) r**(d-1) r**p (one Gauss rule per piece), and
+V and D the harmonics' value and theta-derivative rows on one angular rule
+with weights W, exact for the largest degree sum.  ``cross_validate`` builds
+it over all harmonics at once; ``brute_force_entry`` and ``gradient_identity``
+run the same code on their two harmonics.
 """
 
 from __future__ import annotations
@@ -137,66 +139,58 @@ def _angular_rule(d: int, degree_sum: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(t), 2.0 * math.pi * (2.0 * rule.weights)
 
 
-@dataclass(frozen=True)
-class _AngularTables:
-    """The angular rule of one degree sum with harmonic rows on its nodes."""
-
-    degrees: tuple[int, ...]
-    ang_w: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
+def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows W rows^T, mirrored from its upper triangle: a matrix product is not
+    bitwise symmetric, and the brute-force matrix must be."""
+    g = (rows * weights) @ rows.T
+    return np.triu(g) + np.triu(g, 1).T
 
 
-def _angular_tables(hs, degree_sum: int) -> _AngularTables:
-    theta, ang_w = _angular_rule(hs[0].d, degree_sum)
+def _sphere_forms(hs) -> tuple[np.ndarray, ...]:
+    """Sphere integrals over all pairs of harmonics: grad_S f_i . grad_S f_j,
+    f_i f_j, then the same two of absolute values (the weights are positive).
+
+    One angular rule, exact for the largest degree sum, serves every pair.
+    """
+    if len({h.d for h in hs}) > 1:
+        raise ValueError(f"harmonics live in different dimensions: {sorted({h.d for h in hs})}")
+    theta, weights = _angular_rule(hs[0].d, 2 * max(h.degree for h in hs))
     values, derivs = _harmonic_rows(hs, theta)
-    return _AngularTables(tuple(h.degree for h in hs), ang_w, values, derivs)
+    return tuple(_gram(rows, weights) for rows in (derivs, values, abs(derivs), abs(values)))
 
 
-def _radial_factors(profile: RadialProfile, d: int, degree_sum: int) -> list:
-    """Per piece: the radial weights w * eta(r) * r**(d-1) of its Gauss rule
-    and the column r**(degree_sum - 2) of the gradient product."""
-    p = degree_sum - 2
-    out = []
+def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarray:
+    """m_p = integral_0^1 eta(r) r**(d-1) r**p dr for p = 0..max_power, by one
+    Gauss-Legendre rule per piece, exact for the highest power."""
+    powers = np.arange(max_power + 1)
+    moments = np.zeros(max_power + 1)
     for lo, hi, c in profile.intervals():
-        rule = gauss_legendre(((c.size - 1) + p + d) // 2 + 2)
+        rule = gauss_legendre(((c.size - 1) + max_power + d) // 2 + 2)
         r = lo + (hi - lo) * rule.nodes
         w = (hi - lo) * rule.weights
-        out.append((w * npoly.polyval(r, c) * r ** (d - 1), r[:, None] ** p))
-    return out
+        moments += (w * npoly.polyval(r, c) * r ** (d - 1)) @ r[:, None] ** powers
+    return moments
 
 
-def _entry(tab: _AngularTables, radial: list, a: int, b: int) -> float:
-    """Brute-force entry of rows a and b (see ``brute_force_entry``)."""
-    g = tab.values[a] * tab.values[b] + (tab.derivs[a] * tab.derivs[b]) / (
-        tab.degrees[a] * tab.degrees[b]
-    )
-    total = 0.0
-    for weight, r_pow in radial:
-        total += weight @ (r_pow * g) @ tab.ang_w  # grad(u1) . grad(u2) on the tensor grid
-    return -total
+def _assemble(profile: RadialProfile, hs, forms) -> np.ndarray:
+    """The brute-force matrix of the harmonics hs, given their ``_sphere_forms``
+    (see ``brute_force_entry``)."""
+    degrees = np.array([h.degree for h in hs])
+    grad, prod = forms[0], forms[1]
+    moments = _radial_moments(profile, hs[0].d, 2 * int(degrees.max()) - 2)
+    return -moments[degrees[:, None] + degrees - 2] * (prod + grad / np.outer(degrees, degrees))
 
 
-def _identity_sums(tab: _AngularTables, a: int, b: int) -> tuple[float, float, float, float]:
-    """Sphere integrals of grad_S f_a . grad_S f_b and of f_a f_b, then of
-    their absolute values (the angular weights are positive)."""
-    grad = tab.derivs[a] * tab.derivs[b]
-    prod = tab.values[a] * tab.values[b]
-    lhs = float(tab.ang_w @ grad)
-    rhs = float(tab.ang_w @ prod)
-    return lhs, rhs, float(tab.ang_w @ np.abs(grad)), float(tab.ang_w @ np.abs(prod))
-
-
-def _identity_defect(d: int, degree: int, sums: tuple) -> tuple[float, float]:
-    """|lhs - l (l + d - 2) rhs| for the first harmonic's degree l, absolute
-    and divided by max(1, abs_lhs + l (l + d - 2) abs_rhs).  The rounding
-    error of both sums grows with that scale, which grows with the degree, so
-    only the scaled defect can be held to a fixed tolerance at every degree;
-    the max(1, .) keeps it no looser than the absolute one."""
-    lhs, rhs, abs_lhs, abs_rhs = sums
-    factor = degree * (degree + d - 2)
-    defect = abs(lhs - factor * rhs)
-    return defect, defect / max(1.0, abs_lhs + factor * abs_rhs)
+def _identity_defect(d: int, degrees: np.ndarray, forms) -> tuple[np.ndarray, np.ndarray]:
+    """|lhs - l (l + d - 2) rhs| for every pair, l the row harmonic's degree,
+    absolute and divided by max(1, abs_lhs + l (l + d - 2) abs_rhs).  The
+    rounding error of both sums grows with that scale, which grows with the
+    degree, so only the scaled defect can be held to a fixed tolerance at
+    every degree; the max(1, .) keeps it no looser than the absolute one."""
+    lhs, rhs, abs_lhs, abs_rhs = forms
+    factor = (degrees * (degrees + d - 2))[:, None]
+    defect = np.abs(lhs - factor * rhs)
+    return defect, defect / np.maximum(1.0, abs_lhs + factor * abs_rhs)
 
 
 def brute_force_entry(
@@ -206,15 +200,14 @@ def brute_force_entry(
 
     The harmonic extension of a degree-ell harmonic f is r**ell f / ell (unit
     Neumann data), so the gradients' dot product at (r, theta) is
-    r**(l1+l2-2) (f1 f2 + f1' f2' / (l1 l2)); this is integrated against
-    -eta(r) r**(d-1) by per-piece radial Gauss-Legendre tensored with the
-    angular rule.  All rules are of exactly sufficient order, so the result
-    is the integral up to roundoff.
+    r**(l1+l2-2) (f1 f2 + f1' f2' / (l1 l2)); integrated against
+    -eta(r) r**(d-1), it is the radial moment of r**(l1+l2-2) (per-piece
+    Gauss-Legendre) times the sphere integral of the angular factor (the
+    angular rule).  All rules are of sufficient order, so the result is the
+    integral up to roundoff.
     """
-    if h1.d != h2.d:
-        raise ValueError(f"harmonics live in different dimensions: {h1.d} vs {h2.d}")
-    s = h1.degree + h2.degree
-    return _entry(_angular_tables((h1, h2), s), _radial_factors(profile, h1.d, s), 0, 1)
+    hs = (h1, h2)
+    return float(_assemble(profile, hs, _sphere_forms(hs))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -240,12 +233,16 @@ def gradient_identity(
     h1: ExplicitHarmonic, h2: ExplicitHarmonic, tol: float = _TOL_IDENTITY
 ) -> GradientIdentityReport:
     """Quadrature check of the surface-gradient identity for one pair."""
-    if h1.d != h2.d:
-        raise ValueError(f"harmonics live in different dimensions: {h1.d} vs {h2.d}")
-    sums = _identity_sums(_angular_tables((h1, h2), h1.degree + h2.degree), 0, 1)
-    defect, scaled = _identity_defect(h1.d, h1.degree, sums)
+    forms = _sphere_forms((h1, h2))
+    defect, scaled = _identity_defect(h1.d, np.array([h1.degree, h2.degree]), forms)
     return GradientIdentityReport(
-        h1=h1, h2=h2, lhs=sums[0], rhs=sums[1], defect=defect, scaled_defect=scaled, tol=tol
+        h1=h1,
+        h2=h2,
+        lhs=float(forms[0][0, 1]),
+        rhs=float(forms[1][0, 1]),
+        defect=float(defect[0, 1]),
+        scaled_defect=float(scaled[0, 1]),
+        tol=tol,
     )
 
 
@@ -299,11 +296,10 @@ def cross_validate(
     """Assemble the full brute-force matrix over all explicit harmonics up to
     max_degree and compare with the moment-route eigenvalues.
 
-    Pairs are grouped by degree sum; each group shares one angular grid with
-    its harmonic rows and one set of radial factors.  Every entry equals
-    ``brute_force_entry`` of its pair, and ``identity_defect`` equals the
-    largest ``gradient_identity(h1, h2).defect`` (``identity_scaled_defect``
-    the largest ``scaled_defect``), bit for bit.
+    The sphere integrals of all pairs come from one angular rule and the
+    radial moments from one rule per piece; ``identity_defect`` and
+    ``identity_scaled_defect`` are the largest ``gradient_identity`` defects
+    over all ordered pairs, read from the same sphere integrals.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
@@ -311,35 +307,17 @@ def cross_validate(
     from .operator import spectrum_moment
 
     hs = harmonics_up_to(d, max_degree)
-    n = len(hs)
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            by_sum.setdefault(hs[i].degree + hs[j].degree, []).append((i, j))
-    entries = np.empty((n, n))
-    identity_defect = identity_scaled_defect = 0.0
-    for s, pairs in by_sum.items():
-        # harmonics are degree-major, so the pairs of one sum span a slice of hs
-        lo, hi = pairs[0][0], max(j for _, j in pairs) + 1
-        tab = _angular_tables(hs[lo:hi], s)
-        radial = _radial_factors(profile, d, s)
-        for i, j in pairs:
-            a, b = i - lo, j - lo
-            entries[i, j] = entries[j, i] = _entry(tab, radial, a, b)
-            sums = _identity_sums(tab, a, b)  # the same for (i, j) and (j, i)
-            for ell in (hs[i].degree, hs[j].degree):
-                defect, scaled = _identity_defect(d, ell, sums)
-                identity_defect = max(identity_defect, defect)
-                identity_scaled_defect = max(identity_scaled_defect, scaled)
-    reference = spectrum_moment(profile, d, max_degree).eigenvalues[[h.degree - 1 for h in hs]]
+    degrees = np.array([h.degree for h in hs])
+    forms = _sphere_forms(hs)
+    defect, scaled = _identity_defect(d, degrees, forms)
     return CrossValidationReport(
         d=d,
         labels=tuple(h.label for h in hs),
         degrees=tuple(h.degree for h in hs),
-        entries=entries,
-        reference=reference,
+        entries=_assemble(profile, hs, forms),
+        reference=spectrum_moment(profile, d, max_degree).eigenvalues[degrees - 1],
         tol_offdiag=tol_offdiag,
         tol_diag=tol_diag,
-        identity_defect=identity_defect,
-        identity_scaled_defect=identity_scaled_defect,
+        identity_defect=float(defect.max()),
+        identity_scaled_defect=float(scaled.max()),
     )

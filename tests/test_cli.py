@@ -131,6 +131,34 @@ def test_basis_reports_failure_on_absurd_tolerance(capsys):
     assert extras["all_ok"] is False
 
 
+def test_basis_passes_a_correct_high_dimensional_basis(capsys):
+    # sum_j c_j P_j(x) cancels terms near 1e25 here; the gate is scaled by sum_j |c_j P_j(x)|
+    code, out, _ = run_cli(capsys, "basis", "--dim", "100", "--K", "200")
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["all_ok"] is True
+    assert float(rows[2]["max_error"]) < 1e-13
+
+
+@pytest.mark.parametrize("dim, K", [("3", "40"), ("100", "200")])
+def test_basis_fails_a_wrong_monomial_coefficient(capsys, monkeypatch, dim, K):
+    # the largest coefficient of the top monomial off by a relative 1e-6 fails
+    # the scaled gate
+    top = int(K)
+    coefficients = cli.jacobi.monomial_coefficients
+
+    def wrong(d, k):
+        coeffs = coefficients(d, k).coeffs.copy()
+        if k == top:
+            coeffs[np.abs(coeffs).argmax()] *= 1.0 + 1e-6
+        return cli.jacobi.MonomialExpansion(d=d, degree=k, coeffs=coeffs)
+
+    monkeypatch.setattr(cli.jacobi, "monomial_coefficients", wrong)
+    code, out, _ = run_cli(capsys, "basis", "--dim", dim, "--K", K)
+    rows, extras = parse_csv(out)
+    assert code == 1 and extras["all_ok"] is False
+    assert rows[2]["pass"] == "false" and float(rows[2]["max_error"]) > 1e-9
+
+
 def test_basis_requires_dim(capsys):
     code, _, err = run_cli(capsys, "basis")
     assert code == 2 and "dim" in err
@@ -153,7 +181,7 @@ def test_verify_d2(capsys):
 
 def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
     # the identity's rounding error grows with the degree: at L = 40 in d = 3
-    # the absolute defect is about 2e-10, the scaled one about 1e-13
+    # the absolute defect is about 1.7e-10, the scaled one about 8e-14
     argv = ("verify", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "40")
     code, out, _ = run_cli(capsys, *argv)
     _, extras = parse_csv(out)
@@ -162,7 +190,9 @@ def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
     assert extras["gradient_identity_scaled_defect"] < 1e-12
     # a wrong eigenvalue factor l (l + d - 1) still fails the scaled gate
     defect = oracle._identity_defect
-    monkeypatch.setattr(oracle, "_identity_defect", lambda d, ell, sums: defect(d + 1, ell, sums))
+    monkeypatch.setattr(
+        oracle, "_identity_defect", lambda d, degrees, forms: defect(d + 1, degrees, forms)
+    )
     code, out, _ = run_cli(capsys, *argv)
     _, extras = parse_csv(out)
     assert code == 1 and extras["ok"] is False

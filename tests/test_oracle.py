@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from radialeit.oracle import (
     harmonics_up_to,
 )
 from radialeit.oracle import _angular_rule
-from radialeit.profiles import preset
+from radialeit.profiles import RadialProfile, preset
+
+# the benchmark's exact-rational reference; it imports nothing from radialeit
+_spec = importlib.util.spec_from_file_location(
+    "exact", Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+)
+exact = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(exact)
 
 
 def test_harmonic_construction():
@@ -167,20 +176,40 @@ def test_cross_validation_detects_wrong_reference():
     assert np.abs(np.diag(rep.entries) - shifted).max() > 0.4
 
 
-def test_batched_oracle_equals_single_pair_functions(corpus):
-    # exact equality: the grid tables are shared, not recomputed differently
+def test_oracle_matches_exact_rationals(corpus):
+    # against moments in exact rationals that share no code with the library
+    for name, prof in corpus:
+        ref = exact.ExactProfile(prof.breakpoints, prof.pieces)
+        for d in (2, 3):
+            tol = 1e-14 * exact.ball_norm(ref, d)
+            lambdas = exact.moment_eigenvalues(ref, d)
+            want = [next(lambdas) for _ in range(20)]
+            for max_degree in (6, 20):
+                hs = harmonics_up_to(d, max_degree)
+                entries = cross_validate(prof, d, max_degree).entries
+                diag = np.array([want[h.degree - 1] for h in hs])
+                assert np.abs(np.diag(entries) - diag).max() <= tol, (name, d, max_degree)
+                off = entries - np.diag(np.diag(entries))
+                assert np.abs(off).max() <= tol, (name, d, max_degree)
+
+
+def test_single_pair_functions_read_the_pair_matrix():
+    # each is the matrix code applied to its two harmonics: (h1, h2) is entry [0, 1]
+    prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
     for d in (2, 3):
         hs = harmonics_up_to(d, 6)
-        worst = max(gradient_identity(h1, h2).defect for h1 in hs for h2 in hs)
-        for name, prof in corpus:
-            rep = cross_validate(prof, d, 6)
-            assert rep.identity_defect == worst
-            for i, h1 in enumerate(hs):
-                for j, h2 in enumerate(hs):
-                    assert rep.entries[i, j] == brute_force_entry(prof, h1, h2), (name, d, i, j)
+        for h1 in hs:
+            for h2 in hs:
+                forms = oracle._sphere_forms((h1, h2))
+                assert brute_force_entry(prof, h1, h2) == oracle._assemble(prof, (h1, h2), forms)[0, 1]
+                degrees = np.array([h1.degree, h2.degree])
+                defect, scaled = oracle._identity_defect(d, degrees, forms)
+                rep = gradient_identity(h1, h2)
+                assert (rep.lhs, rep.rhs) == (forms[0][0, 1], forms[1][0, 1])
+                assert (rep.defect, rep.scaled_defect) == (defect[0, 1], scaled[0, 1])
 
 
-def test_one_legendre_table_per_degree_sum(monkeypatch):
+def test_one_legendre_table_per_cross_validate(monkeypatch):
     calls = []
     table = oracle.kernels.legendre_table
 
@@ -191,4 +220,12 @@ def test_one_legendre_table_per_degree_sum(monkeypatch):
     monkeypatch.setattr(oracle.kernels, "legendre_table", counted)
     rep = cross_validate(preset("annulus", [0.3, 0.8, -1.5]), 3, 8)
     assert rep.ok
-    assert len(calls) <= 15  # degree sums 2..16
+    assert calls == [8]
+
+
+def test_many_pieces_verify_at_the_largest_degree():
+    # one moment vector per call: the cost is linear in the piece count
+    bp = np.linspace(0.0, 1.0, 1001)
+    prof = RadialProfile(bp, tuple(np.array([np.cos(7.0 * r)]) for r in bp[:-1]))
+    rep = cross_validate(prof, 2, 90)
+    assert rep.ok, (rep.max_offdiag, rep.max_diag_scaled, rep.identity_scaled_defect)
