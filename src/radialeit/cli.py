@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,9 @@ _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _cells(values, json_out: bool) -> list[str]:
     """Every cell of one column as text, formatted by the type of its first
     value: floats by ``float.__repr__`` (what json.dumps writes, and the
-    shortest round-trip form), bools as true/false, strings quoted by
-    json.dumps in JSON and as they are in CSV."""
+    shortest round-trip form), bools as true/false, strings quoted in JSON
+    by the encoder json.dumps itself uses for a str (so the same bytes) and
+    as they are in CSV."""
     items = values.tolist() if isinstance(values, np.ndarray) else list(values)
     if not items:
         return []
@@ -188,7 +190,7 @@ def _cells(values, json_out: bool) -> list[str]:
     if isinstance(first, int):
         return list(map(int.__repr__, items))
     if isinstance(first, str):
-        return list(map(json.dumps, items)) if json_out else items
+        return list(map(encode_basestring_ascii, items)) if json_out else items
     raise TypeError(f"cannot serialise a column of {type(first).__name__}")
 
 
@@ -293,14 +295,16 @@ def _cmd_basis(args) -> int:
     gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
     # the rounding error of sum_j c_j P_j(x) grows with sum_j |c_j P_j(x)|, which
     # grows with d and k, so the reconstruction error is divided by max(1, that
-    # sum) before it is gated, as the surface-gradient identity is in verify
-    abs_table = np.abs(pts_table)
-    recon = 0.0
+    # sum) before it is gated, as the surface-gradient identity is in verify.
+    # Row k of the lower-triangular ``coeffs`` expands r**k, so one product
+    # checks every degree at once.
+    coeffs = np.zeros((kmax + 1, kmax + 1))
     for k in range(kmax + 1):
-        coeffs = jacobi.monomial_coefficients(d, k).coeffs
-        err = np.abs(coeffs @ pts_table[: k + 1] - pts**k)
-        scale = np.maximum(1.0, np.abs(coeffs) @ abs_table[: k + 1])
-        recon = max(recon, float((err / scale).max()))
+        coeffs[k, : k + 1] = jacobi.monomial_coefficients(d, k).coeffs
+    err = np.abs(coeffs @ pts_table - pts ** np.arange(kmax + 1)[:, None])
+    np.abs(coeffs, out=coeffs)  # in place: one (K+1)^2 array, not two
+    scale = np.maximum(1.0, coeffs @ np.abs(pts_table))
+    recon = float((err / scale).max())
     tol = args.tol_basis
     errors = {"gram_offdiag": gram_off, "gram_diag": gram_diag, "monomial_reconstruction": recon}
     passed = [err <= tol for err in errors.values()]
@@ -441,7 +445,7 @@ def _cmd_invert(args) -> int:
 # truncate and invert stays finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 2.5 s and 300 MB; basis --K 1500 3.5 s and 120 MB; truncate --L 30000
+# 2.5 s and 300 MB; basis --K 1500 4 s and 110 MB; truncate --L 30000
 # --N 30000 0.8 s and 60 MB; verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s
 # for a profile of 1,000 pieces: the oracle's cost is linear in the piece
 # count); invert --L 1500 --K 2999 3.6 s and 240 MB (the SVD of the L x K

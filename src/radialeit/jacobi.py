@@ -10,14 +10,19 @@ recurrence in ``r``, run by ``radialeit.kernels`` (whole, or a block of
 degrees at a time); an exact rational
 evaluation of the explicit monomial sum is kept alongside as a low-degree
 oracle.  The expansion of r**k in the basis uses exact integer ratios,
-rounded once per coefficient.
+rounded once per coefficient; each expansion is built once per process per
+(d, k) (up to a fixed number of rows) and every caller shares the same
+read-only row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +44,11 @@ __all__ = [
 # 1e9 and exact rational evaluation gets slow; the recurrence is the intended
 # evaluator anyway.
 _DIRECT_DEGREE_CAP = 20
+
+# Memoized monomial rows: enough for basis checks up to K = 150 in a dozen
+# dimensions, and at most about 25 MB even when every row is the longest the
+# CLI asks for (K = 1,500).
+_MONOMIAL_ROWS = 2_048
 
 
 @dataclass(frozen=True)
@@ -187,18 +197,25 @@ def monomial_coefficients(d: int, k: int) -> MonomialExpansion:
 
     The q-th coefficient is (-1)**q sqrt(2q + d) (k+d-1)! k! / ((k+d+q)! (k-q)!),
     an exact rational times one square root.  The rational is carried as an
-    integer numerator and denominator, each updated by one factor per q; the
-    int / int division rounds correctly, so each coefficient is the exact ratio
-    rounded once.
+    integer numerator and denominator, each a running product of one factor
+    per q; the int / int division rounds correctly, so each coefficient is the
+    exact ratio rounded once.  Each row is built once per process per (d, k),
+    and every call with the same arguments returns the same (read-only)
+    expansion.
     """
     d = _check_dimension(d)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"monomial degree must be an integer >= 0, got {k!r}")
-    k = int(k)
-    out = np.empty(k + 1)
-    num, den = 1, k + d  # the ratio at q = 0 is 1 / (k + d)
-    for q in range(k + 1):
-        out[q] = (-1) ** q * math.sqrt(2 * q + d) * (num / den)
-        num *= k - q
-        den *= k + d + q + 1
-    return MonomialExpansion(d=d, degree=k, coeffs=out)
+    return _monomial_row(d, int(k))
+
+
+@functools.lru_cache(maxsize=_MONOMIAL_ROWS)
+def _monomial_row(d: int, k: int) -> MonomialExpansion:
+    # the ratio at q = 0 is 1 / (k + d); step q multiplies the numerator by
+    # k - q and the denominator by k + d + q + 1
+    nums = accumulate(range(k, 0, -1), operator.mul, initial=1)
+    dens = accumulate(range(k + d + 1, 2 * k + d + 1), operator.mul, initial=k + d)
+    ratios = np.fromiter(map(operator.truediv, nums, dens), dtype=float, count=k + 1)
+    q = np.arange(k + 1)
+    signed_roots = np.where(q % 2, -1.0, 1.0) * np.sqrt(2.0 * q + d)
+    return MonomialExpansion(d=d, degree=k, coeffs=signed_roots * ratios)

@@ -11,8 +11,10 @@ than lgamma differences (about 2e-15 against 1e-11 at ell = 2000).
 Rules are memoized per order: ``gauss_legendre(n)`` builds each order once per
 process (up to a fixed number of distinct orders) and hands every caller the
 same ``QuadratureRule``.  Sharing is safe because the rule is frozen and its
-arrays are read-only.  The package's other module-level cache, the series
-weights per dimension, lives in ``radialeit.operator``.
+arrays are read-only.  The package's other module-level caches are the
+series weights per dimension, in ``radialeit.operator``, and the exact
+monomial expansions per ``(d, k)`` (``jacobi.monomial_coefficients``), which
+are shared read-only in the same way.
 """
 
 from __future__ import annotations

@@ -139,16 +139,25 @@ def test_basis_passes_a_correct_high_dimensional_basis(capsys):
     assert float(rows[2]["max_error"]) < 1e-13
 
 
-@pytest.mark.parametrize("dim, K", [("3", "40"), ("100", "200")])
-def test_basis_fails_a_wrong_monomial_coefficient(capsys, monkeypatch, dim, K):
-    # the largest coefficient of the top monomial off by a relative 1e-6 fails
-    # the scaled gate
-    top = int(K)
+# (dim, K, corrupted degree): the top degree keeps the ids "3-40" and "100-200"
+_WRONG_ROWS = [
+    (dim, K, k) for dim, K in (("3", "40"), ("100", "200")) for k in (int(K), 1, int(K) // 2)
+]
+
+
+@pytest.mark.parametrize(
+    "dim, K, wrong_degree",
+    _WRONG_ROWS,
+    ids=[f"{d}-{K}" if k == int(K) else f"{d}-{K}-k{k}" for d, K, k in _WRONG_ROWS],
+)
+def test_basis_fails_a_wrong_monomial_coefficient(capsys, monkeypatch, dim, K, wrong_degree):
+    # the largest coefficient of one monomial off by a relative 1e-6 fails the
+    # scaled gate, whichever degree's row it is in
     coefficients = cli.jacobi.monomial_coefficients
 
     def wrong(d, k):
         coeffs = coefficients(d, k).coeffs.copy()
-        if k == top:
+        if k == wrong_degree:
             coeffs[np.abs(coeffs).argmax()] *= 1.0 + 1e-6
         return cli.jacobi.MonomialExpansion(d=d, degree=k, coeffs=coeffs)
 
@@ -157,6 +166,46 @@ def test_basis_fails_a_wrong_monomial_coefficient(capsys, monkeypatch, dim, K):
     rows, extras = parse_csv(out)
     assert code == 1 and extras["all_ok"] is False
     assert rows[2]["pass"] == "false" and float(rows[2]["max_error"]) > 1e-9
+
+
+def test_basis_builds_each_monomial_row_once(capsys):
+    rows = cli.jacobi._monomial_row
+    rows.cache_clear()
+    built = []
+    for K in ("40", "30", "50"):
+        before = rows.cache_info().misses
+        assert run_cli(capsys, "basis", "--dim", "3", "--K", K)[0] == 0
+        built.append(rows.cache_info().misses - before)
+    assert built == [41, 0, 10]
+    row = cli.jacobi.monomial_coefficients(3, 7)
+    assert cli.jacobi.monomial_coefficients(3, 7) is row
+    assert not row.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        row.coeffs[0] = 0.0
+
+
+def _reconstruction_by_degree(d, K):
+    # the per-degree form of the basis reconstruction check
+    pts = np.linspace(0.0, 1.0, 50)
+    pts_table = cli.jacobi.evaluate_table(cli.jacobi.build_family(d, K), pts)
+    abs_table = np.abs(pts_table)
+    recon = 0.0
+    for k in range(K + 1):
+        coeffs = cli.jacobi.monomial_coefficients(d, k).coeffs
+        err = np.abs(coeffs @ pts_table[: k + 1] - pts**k)
+        scale = np.maximum(1.0, np.abs(coeffs) @ abs_table[: k + 1])
+        recon = max(recon, float((err / scale).max()))
+    return recon
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 100])
+def test_basis_reconstruction_matches_the_per_degree_check(capsys, dim):
+    # one matrix product for all degrees sums in another order than the loop
+    for K in (0, 1, 20, 150):
+        code, out, _ = run_cli(capsys, "basis", "--dim", str(dim), "--K", str(K))
+        rows, _ = parse_csv(out)
+        assert code == 0
+        assert abs(float(rows[2]["max_error"]) - _reconstruction_by_degree(dim, K)) <= 1e-15
 
 
 def test_basis_requires_dim(capsys):
@@ -453,7 +502,10 @@ def test_emit_matches_the_record_by_record_writer(capsys, fmt):
             "x": np.array(floats),
             "y": floats[::-1],
             "pass": np.array(floats) > 0.0,
-            "name": ["a", 'q"uote', "back\\slash", "100%s", "\u00e9", "tab\t", "z"],
+            "name": [
+                "a", 'q"uote', "back\\slash", "100%s", "\u00e9", "tab\t",
+                "\x00\x1f\x7f\u2028\U0001f600",  # controls, a line separator, a surrogate pair
+            ],
         },
         {"only": [2.0]},
         {"k": np.arange(0), "x": []},  # no records
