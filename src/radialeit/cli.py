@@ -290,7 +290,12 @@ def _cmd_basis(args) -> int:
         raise profiles.BasisOverflowError(
             f"the basis up to degree {kmax} overflows at the check points in d = {d}"
         )
-    gram = (table * (rule.weights * rule.nodes ** (d - 1))) @ table.T
+    # Gram matrix A A^T with A = table * sqrt(w r**(d-1)), the root formed in
+    # log space: w r**(d-1) itself goes subnormal at the smallest nodes from
+    # about d = 200 on, and the rounded weights then fail a correct basis
+    root = np.exp(0.5 * (np.log(rule.weights) + (d - 1) * np.log(rule.nodes)))
+    scaled = table * root
+    gram = scaled @ scaled.T
     gram_diag = float(np.abs(np.diag(gram) - 1.0).max())
     gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
     # the rounding error of sum_j c_j P_j(x) grows with sum_j |c_j P_j(x)|, which

@@ -19,7 +19,9 @@ and ``dual_route`` reports this tail bound per degree.  ``spectrum_series``
 keeps one read-only band of cut rows per dimension, grown by appending rows
 and bounded in total size; ``dual_route`` projects the profile only to the
 largest cut it reads, and ``forward_matrix`` and ``eigenvalue_series`` read
-the same rows.
+the same rows.  A row is summed only up to the expansion's last non-zero
+coefficient: the projection of a one-piece profile of degree m is exactly 0
+past a_m, so its eigenvalues cost m + 1 terms per degree.
 
 On top of that sit the decay estimate per degree, finite-rank truncation with
 its error split, and a regularized least-squares inversion from observed
@@ -229,23 +231,30 @@ def _rows(band: tuple[_RowBlock, ...], max_index: int):
         yield block, min(block.tails.size, max_index - block.first + 1)
 
 
-def _row_index(block: _RowBlock, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # (row within the block, k) of each weight in the block's first ``count`` rows
-    starts = block.starts[: count + 1]
-    lengths = np.diff(starts)
-    k = np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
-    return np.repeat(np.arange(count), lengths), k
+def _cut_rows(
+    block: _RowBlock, count: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block's first ``count`` rows, each cut to its first ``width``
+    weights: where each cut row starts in the run of kept weights, the k of
+    each kept weight, and the kept weights (the block's own leading run when
+    no row is cut, so nothing is gathered then)."""
+    lengths = np.minimum(np.diff(block.starts[: count + 1]), width)
+    seg = np.cumsum(lengths) - lengths
+    k = np.arange(seg[-1] + lengths[-1]) - np.repeat(seg, lengths)
+    if k.size == block.starts[count]:
+        return seg, k, block.weights[: k.size]
+    return seg, k, block.weights[k + np.repeat(block.starts[:count], lengths)]
 
 
 def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_k w(ell, k) a_k over the block's first ``count`` rows, a_k = 0 past
-    the coefficients.  One reduction over the block, one segment per row: a
-    row reads nothing from its neighbours, so a degree's value is the same in
-    every spectrum."""
-    _, k = _row_index(block, count)
-    c = np.zeros(int(k.max()) + 1)
-    c[: min(c.size, coeffs.size)] = coeffs[: c.size]
-    return np.add.reduceat(block.weights[: k.size] * c[k], block.starts[:count])
+    the coefficients.  Each row stops at the last non-zero coefficient (a
+    one-piece profile of degree m has none past m), and one reduction runs
+    over the block, one segment per row: a row reads nothing from its
+    neighbours, so a degree's value is the same in every spectrum."""
+    nonzero = np.flatnonzero(coeffs)
+    seg, k, weights = _cut_rows(block, count, int(nonzero[-1]) + 1 if nonzero.size else 1)
+    return np.add.reduceat(weights * coeffs[k], seg)
 
 
 def _longest_row(band: tuple[_RowBlock, ...], max_index: int) -> int:
@@ -594,9 +603,9 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
         )
     m = np.zeros((max_index, num_coeffs))
     for block, count in _rows(_weight_band(d, max_index), max_index):
-        i, k = _row_index(block, count)
-        keep = k < num_coeffs
-        m[block.first - 1 + i[keep], k[keep]] = block.weights[: k.size][keep]
+        _, k, weights = _cut_rows(block, count, num_coeffs)
+        rows = block.first - 2 + np.cumsum(k == 0)  # each cut row starts at k = 0
+        m[rows, k] = weights
     return m
 
 

@@ -6,7 +6,10 @@ and lets every radial integral be evaluated either exactly from monomial
 antiderivatives or by per-piece Gauss-Legendre rules of sufficient order, so
 the two routes can be played against each other in tests.  Projection runs
 one basis recurrence over the quadrature nodes of all pieces together, a
-block of degrees at a time, so it never holds the whole basis table.
+block of degrees at a time, so it never holds the whole basis table.  A
+profile of one piece of degree m is orthogonal to every P_k with k > m, so
+its projection runs the recurrence to degree m only and the coefficients
+above are exact zeros.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class RadialProfile:
 
     ``breakpoints`` is the partition (first 0, last 1, strictly increasing);
     ``pieces[i]`` holds the polynomial coefficients (constant term first) on
-    [breakpoints[i], breakpoints[i+1]].
+    [breakpoints[i], breakpoints[i+1]].  The arrays are read-only, so the
+    ball norm per dimension is computed once and kept on the profile.
     """
 
     breakpoints: np.ndarray
@@ -78,6 +82,7 @@ class RadialProfile:
         bp.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_ball_norms", {})  # d -> norm_ball_profile(self, d)
 
     @property
     def max_piece_degree(self) -> int:
@@ -206,11 +211,15 @@ def moment_integral(profile: RadialProfile, power) -> float | np.ndarray:
 
 
 def norm_ball_profile(profile: RadialProfile, d: int) -> float:
-    """L2 norm of the profile over the unit ball in R**d."""
-    pieces = profile.intervals()
-    total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
-    # squaring can leave a tiny negative residue for the zero profile
-    return math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
+    """L2 norm of the profile over the unit ball in R**d; computed once per
+    dimension and kept on the (immutable) profile."""
+    norms = profile._ball_norms
+    if d not in norms:
+        pieces = profile.intervals()
+        total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
+        # squaring can leave a tiny negative residue for the zero profile
+        norms[d] = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
+    return norms[d]
 
 
 @dataclass(frozen=True)
@@ -259,11 +268,19 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     only error is roundoff.  One recurrence runs over the nodes of all pieces,
     a block of degrees at a time, and each block adds its pieces' sums in
     piece order: every coefficient is the same sum as with one table per piece.
+
+    A profile of one piece of degree m is a combination of P_0..P_m, so it
+    is projected to degree min(max_degree, m) only (recurrence, rule and all)
+    and the coefficients above are exact zeros, not rounding noise.
     """
-    family = jacobi.build_family(d, max_degree)
+    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
+        raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+    pieces = profile.pieces
+    degree = max_degree if len(pieces) > 1 else min(max_degree, pieces[0].size - 1)
+    family = jacobi.build_family(d, degree)
     nodes, integrands = [], []
     for lo, hi, c in profile.intervals():
-        npts = (max_degree + (c.size - 1) + d) // 2 + 2
+        npts = (degree + (c.size - 1) + d) // 2 + 2
         rule = gauss_legendre(npts)
         r = lo + (hi - lo) * rule.nodes
         nodes.append(r)
@@ -278,7 +295,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     if not np.all(np.isfinite(total)):
         # the basis grows like binomial(k + d/2, k) near r = 0 and leaves the float range
         raise BasisOverflowError(
-            f"the basis up to degree {max_degree} overflows at the quadrature nodes in d = {d}"
+            f"the basis up to degree {degree} overflows at the quadrature nodes in d = {d}"
         )
     return JacobiExpansion(d=d, coeffs=total)
 

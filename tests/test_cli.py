@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -137,6 +138,34 @@ def test_basis_passes_a_correct_high_dimensional_basis(capsys):
     rows, extras = parse_csv(out)
     assert code == 0 and extras["all_ok"] is True
     assert float(rows[2]["max_error"]) < 1e-13
+
+
+@pytest.mark.parametrize("dim, K", [("200", "600"), ("520", "300")])
+def test_basis_passes_a_correct_gram_matrix_in_high_dimensions(capsys, dim, K):
+    # w r**(d-1) goes subnormal at the smallest nodes; the Gram matrix is
+    # formed from its root, taken in log space
+    code, out, _ = run_cli(capsys, "basis", "--dim", dim, "--K", K)
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["all_ok"] is True
+    assert max(float(r["max_error"]) for r in rows[:2]) < 1e-10
+
+
+@pytest.mark.parametrize("dim, K", [("3", "40"), ("200", "300")])
+def test_basis_gram_fails_a_wrong_recurrence_coefficient(capsys, monkeypatch, dim, K):
+    # one recurrence coefficient off by a relative 1e-6 scales every later degree
+    build = cli.jacobi.build_family
+
+    def wrong(d, kmax):
+        family = build(d, kmax)
+        rec_c = family.rec_c.copy()
+        rec_c[kmax // 2] *= 1.0 + 1e-6
+        return dataclasses.replace(family, rec_c=rec_c)
+
+    monkeypatch.setattr(cli.jacobi, "build_family", wrong)
+    code, out, _ = run_cli(capsys, "basis", "--dim", dim, "--K", K)
+    rows, extras = parse_csv(out)
+    assert code == 1 and extras["all_ok"] is False
+    assert rows[1]["check"] == "gram_diag" and rows[1]["pass"] == "false"
 
 
 # (dim, K, corrupted degree): the top degree keeps the ids "3-40" and "100-200"
@@ -451,10 +480,22 @@ def test_basis_refuses_a_basis_past_the_float_range(capsys):
 
 
 def test_eigvals_refuses_a_basis_past_the_float_range(capsys):
+    # a profile of several pieces needs the basis to degree k*(L)
     code, out, err = run_cli(
-        capsys, "eigvals", "--dim", "520", "--preset", "constant:1", "--L", "7000"
+        capsys, "eigvals", "--dim", "520", "--preset", "annulus:0.3,0.8,1", "--L", "7000"
     )
     assert code == 2 and out == "" and "overflows" in err
+
+
+def test_eigvals_one_piece_profile_in_the_largest_dimension(capsys):
+    # a one-piece profile of degree m needs the basis to degree m only
+    for preset in ("constant:1", "polynomial:1,0,-2"):
+        code, out, err = run_cli(
+            capsys, "eigvals", "--dim", "520", "--preset", preset, "--L", "7000"
+        )
+        assert code == 0 and err == ""
+        assert "# dual_ok = true" in out.splitlines()
+        assert '# series_source = "series"' in out.splitlines()
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

@@ -160,6 +160,26 @@ def test_monomial_recurrence_matches_factorials():
             assert monomial_coefficients(d, k).coeffs.tobytes() == want.tobytes(), (d, k)
 
 
+def _monomial_coefficient_by_explicit_sum(d, k, q):
+    # <r**k, P_q> from P_q's explicit monomial sum (as in evaluate_direct), each
+    # term integrated against r**(k + d - 1) exactly, and rounded once
+    s = sum(
+        Fraction((-1) ** j * math.comb(q, j) * math.comb(q + j + d - 1, q), k + j + d)
+        for j in range(q + 1)
+    )
+    return math.sqrt(2 * q + d) * float(s)
+
+
+@pytest.mark.parametrize("d, k", [(2, 150), (3, 1500), (100, 150)])
+def test_top_monomial_coefficients_match_the_explicit_sum(d, k):
+    # the 50-point reconstruction cannot see an error in the top coefficients
+    # of r**k; an independent closed form for them can.  At k = 1500 the top
+    # ones underflow to 0, so the last non-zero one (subnormal) is checked too.
+    got = monomial_coefficients(d, k).coeffs
+    for q in (0, 1, k - 1, k, int(np.flatnonzero(got)[-1])):
+        assert got[q] == _monomial_coefficient_by_explicit_sum(d, k, q), (d, k, q)
+
+
 def test_top_coefficient_inverts_leading_term():
     # chi_{k,k} * lead(P_k) = 1: the expansion's top term matches r**k exactly
     for d in DIMS:

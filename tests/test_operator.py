@@ -1,5 +1,8 @@
+import importlib.util
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +217,31 @@ def test_cut_spectrum_lies_within_its_tail_bound(corpus):
             assert rep.tail_bounds.shape == (L,) and np.all(rep.tail_bounds >= 0.0)
             cut = spectrum_series(exp, L).eigenvalues
             assert np.all(np.abs(cut - uncut) <= rep.tail_bounds + 8 * 2.0**-53 * scale)
+
+
+def _exact_module():
+    # the benchmark's exact-rational reference, which imports nothing from radialeit
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+    spec = importlib.util.spec_from_file_location("radialeit_exact_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_piece_series_matches_exact_eigenvalues(corpus):
+    # a one-piece profile's coefficients past its degree are exact zeros, so the
+    # series route carries no projection rounding beyond them
+    exact = _exact_module()
+    L = 400
+    for name, prof in corpus:
+        if len(prof.pieces) > 1:
+            continue
+        ref_prof = exact.ExactProfile(prof.breakpoints.tolist(), [p.tolist() for p in prof.pieces])
+        for d in (2, 3, 5):
+            want = np.array(list(itertools.islice(exact.moment_eigenvalues(ref_prof, d), L)))
+            got = dual_route(prof, d, L).series.eigenvalues
+            err = np.abs(got - want).max()
+            assert err <= 2e-15 * exact.ball_norm(ref_prof, d), (name, d, err)
 
 
 def test_dual_route_projects_to_the_cut():

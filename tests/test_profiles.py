@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
+from radialeit import jacobi
 from radialeit.jacobi import build_family, evaluate_table, monomial_coefficients
 from radialeit.numerics import gauss_legendre
+from radialeit.operator import spectrum_moment
 from radialeit.profiles import (
     MAX_PIECE_DEGREE,
     BasisOverflowError,
@@ -175,6 +177,17 @@ def test_norms():
     assert norm_ball_profile(preset("constant", [0.0]), 4) == 0.0
 
 
+def test_ball_norm_is_computed_once_per_dimension():
+    # the CLI's finiteness check and the moment spectrum share one value
+    prof = preset("annulus", [0.3, 0.8, -1.5])
+    first = norm_ball_profile(prof, 3)
+    assert norm_ball_profile(prof, 3) is first
+    assert spectrum_moment(prof, 3, 10).eta_norm is first
+    again = preset("annulus", [0.3, 0.8, -1.5])
+    assert norm_ball_profile(again, 3) is not first and norm_ball_profile(again, 3) == first
+    assert norm_ball_profile(prof, 2) != first
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -239,7 +252,12 @@ def test_parseval_is_monotone_for_rough_profiles():
 
 
 def _project_per_piece(profile, d, max_degree):
-    # the plain form of project: one full basis table per piece, summed in piece order
+    # the plain form of project: one full basis table per piece, summed in piece
+    # order; a profile of one piece of degree m to degree min(max_degree, m),
+    # then exact zeros
+    if len(profile.pieces) == 1 and max_degree > profile.max_piece_degree:
+        head = _project_per_piece(profile, d, profile.max_piece_degree)
+        return np.concatenate([head, np.zeros(max_degree - head.size + 1)])
     family = build_family(d, max_degree)
     total = np.zeros(max_degree + 1)
     for lo, hi, c in profile.intervals():
@@ -257,6 +275,42 @@ def test_project_equals_one_table_per_piece(corpus):
             for K in (0, 1, 63, 64, 65, 200):
                 got = project(prof, d, K).coeffs
                 assert got.tobytes() == _project_per_piece(prof, d, K).tobytes(), (d, K)
+
+
+def test_one_piece_projection_runs_only_its_own_degrees(monkeypatch):
+    runs = []  # the number of basis degrees each projection's recurrence runs
+    real = jacobi.evaluate_blocks
+
+    def counted(family, r, height):
+        runs.append(0)
+        for start, block in real(family, r, height):
+            runs[-1] += len(block)
+            yield start, block
+
+    monkeypatch.setattr(jacobi, "evaluate_blocks", counted)
+    K = 175
+    cubic = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
+    two_pieces = preset("annulus", [0.0, 0.5, 2.0])
+    assert len(two_pieces.pieces) == 2
+    for prof in (preset("constant", [1.0]), cubic, two_pieces):
+        project(prof, 3, K)
+    assert runs == [1, 4, K + 1]
+    assert project(cubic, 3, 2).max_degree == 2 and runs[-1] == 3  # K below m
+    for bad in (-1, 2.5):  # refused before the degree is cut to m
+        with pytest.raises(ValueError, match="max_degree"):
+            project(preset("constant", [1.0]), 3, bad)
+
+
+def test_one_piece_projection_is_exactly_zero_past_its_degree(corpus):
+    for _, prof in corpus:
+        if len(prof.pieces) > 1:
+            continue
+        m = prof.max_piece_degree
+        for d in (2, 3, 5, 100):
+            for K in (m, m + 1, 64, 200):
+                coeffs = project(prof, d, K).coeffs
+                assert coeffs.size == K + 1
+                assert coeffs[m + 1 :].tobytes() == np.zeros(max(K - m, 0)).tobytes()
 
 
 def test_project_holds_one_block_of_the_table():
@@ -278,9 +332,11 @@ def test_project_holds_one_block_of_the_table():
 
 def test_project_refuses_a_basis_past_the_float_range():
     # near r = 0 the basis grows like binomial(k + d/2, k): in d = 520 it leaves
-    # the float range by degree 600
+    # the float range by degree 600.  A profile of several pieces needs every
+    # degree; one of a single piece needs only its own and does not overflow.
     with pytest.raises(BasisOverflowError, match="overflows"):
-        project(preset("constant", [1.0]), 520, 600)
+        project(preset("annulus", [0.3, 0.8, 1.0]), 520, 600)
+    assert project(preset("constant", [1.0]), 520, 600).coeffs[1:].tolist() == [0.0] * 600
 
 
 def test_expansion_validation():
