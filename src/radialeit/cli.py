@@ -9,8 +9,9 @@ Subcommands:
 * ``invert``    - recover basis coefficients from a spectrum
 
 Exit codes: 0 success, 1 a numerical check failed, 2 bad configuration or
-input (sizes past the caps below ``MAX_DIM`` included), 3 requested
-verification is unsupported in that dimension.
+input (sizes and profiles past the caps below ``MAX_DIM`` included, and an
+``--out`` that cannot be written), 3 requested verification is unsupported
+in that dimension.
 
 Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
@@ -79,6 +80,7 @@ def _resolve_profile(args) -> tuple[profiles.RadialProfile, int]:
         profile, d = _parse_preset(args.preset), args.dim
     else:
         profile, d = _read_profile_file(args)
+    _check_profile_size(args, profile, d)
     # finite coefficients can still square past the float range, and the
     # decay bound C_d ||eta|| past it again
     norm = profiles.norm_ball_profile(profile, d)
@@ -97,10 +99,20 @@ def _read_profile_file(args) -> tuple[profiles.RadialProfile, int]:
         raise ConfigError(f"cannot read profile file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"profile file is not valid JSON: {exc}") from None
+    pieces = doc.get("pieces") if isinstance(doc, dict) else None
+    if isinstance(pieces, list) and len(pieces) > MAX_PIECES:  # before they are built
+        raise ConfigError(
+            f"the profile file holds {len(pieces)} pieces; at most {MAX_PIECES} are accepted"
+        )
     try:
         profile, d_doc = profiles.profile_from_dict(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if d_doc is not None:
+        try:
+            _dimension(str(d_doc))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"the profile file's dimension {exc}") from None
     if args.dim is not None and d_doc is not None and args.dim != d_doc:
         raise ConfigError(
             f"--dim {args.dim} contradicts the profile file's dimension {d_doc}"
@@ -109,6 +121,35 @@ def _read_profile_file(args) -> tuple[profiles.RadialProfile, int]:
     if d is None:
         raise ConfigError("no dimension given: pass --dim or put one in the profile file")
     return profile, d
+
+
+def _check_profile_size(args, profile: profiles.RadialProfile, d: int) -> None:
+    """Refuse a profile whose run would pass MAX_PROFILE_STEPS or
+    MAX_PROJECTION_NODES, before any projection or moment is computed."""
+    sizes = [p.size for p in profile.pieces]
+    L = args.L
+    steps = _PIECE_STEPS * len(sizes) + _MOMENT_STEPS * L * sum(sizes)
+    nodes = 0
+    if args.command == "eigvals":
+        # the projection degree: the largest cut k*(ell) over ell <= L, or --K
+        # if smaller; one piece of degree m is projected to degree m at most
+        k = min(2 * L - 2, operator.cut_estimate(d, L))
+        if args.K is not None:
+            k = min(k, args.K)
+        if len(sizes) == 1:
+            k = min(k, sizes[0] - 1)
+        nodes = sum((k + m - 1 + d) // 2 + 2 for m in sizes)  # one Gauss rule per piece
+        steps += (k + 1) * nodes
+    elif args.command == "verify":
+        # one Gauss rule per piece, exact for power 2L - 2, times 2L - 1 powers
+        steps += (2 * L - 1) * sum((m + 2 * L - 3 + d) // 2 + 2 for m in sizes)
+    if steps > MAX_PROFILE_STEPS or nodes > MAX_PROJECTION_NODES:
+        raise ConfigError(
+            f"a profile of {len(sizes)} pieces and {sum(sizes)} coefficients is too large "
+            f"for {args.command} at L = {L} in d = {d}: about {steps:.2g} steps "
+            f"(at most {MAX_PROFILE_STEPS:.2g})"
+            + (f" and {nodes} projection nodes (at most {MAX_PROJECTION_NODES})" if nodes else "")
+        )
 
 
 def _load_spectrum(path: str, d: int) -> operator.Spectrum:
@@ -233,7 +274,10 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
             lines.append(f"# {key} = {json.dumps(value)}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -460,6 +504,29 @@ MAX_L = 30_000
 MAX_BASIS_K = 1_500
 MAX_VERIFY_L = 90
 MAX_INVERT_L = 1_500
+
+# Largest accepted profile.  The sizes above are measured with a profile of
+# three pieces; a profile's own cost grows with its piece count P, its
+# coefficient count C (over all pieces) and L.  On the host above, in steps
+# of about 10 ns: each piece costs 10,000 (building it, its norm and its turn
+# in every loop over pieces), each moment term (one power of one coefficient,
+# L * C of them per spectrum) 20, and each step of eigvals's projection
+# recurrence (one degree at one Gauss node) and each power at one node of
+# verify's radial moments 1.  The projection also holds about 0.6 KB per node.
+# A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
+# 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
+# series weights at L = 30,000, 2.5 s and 310 MB) or MAX_PROJECTION_NODES
+# (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
+# are built.  The largest accepted runs then measured 3.9 s and 320 MB
+# (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert
+# --L 1500 --K 2999, 150 pieces of degree 32), 1.9 s (truncate --L 30000 --N
+# 30000, 245 constant pieces), 1.1 s (verify --L 90, 5,306 constant pieces)
+# and 1.3 s (eigvals --L 1, 14,965 pieces).
+MAX_PROFILE_STEPS = 150_000_000
+MAX_PROJECTION_NODES = 250_000
+_PIECE_STEPS = 10_000
+_MOMENT_STEPS = 20
+MAX_PIECES = MAX_PROFILE_STEPS // _PIECE_STEPS
 
 
 def _at_least(low: float, cast=int, high: float = math.inf):

@@ -430,6 +430,39 @@ def test_config_errors(tmp_path, capsys):
         for source in (("--preset", "constant:1e200"), ("--profile", str(huge))):
             code, _, err = run_cli(capsys, cmd, "--dim", "3", *source)
             assert code == 2 and "norm" in err
+    # an --out that cannot be written is bad input, not a failed check
+    for fmt in ("csv", "json"):
+        target = str(tmp_path / "missing" / f"x.{fmt}")
+        argv = ("eigvals", *profile, "--L", "3", "--format", fmt, "--out", target)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "cannot write" in err
+    # a profile file's dimension gets the --dim range check, zero profile or not
+    far = tmp_path / "far.json"
+    for value in (1.0, 0.0):
+        far.write_text(json.dumps({"dimension": 600, "breakpoints": [0.0, 1.0], "pieces": [[value]]}))
+        code, _, err = run_cli(capsys, "eigvals", "--profile", str(far))
+        assert code == 2 and "must be in 2..520" in err and "norm" not in err
+    # profiles too large for the run are refused before any moment is taken;
+    # the limit follows the piece count, the coefficients and L
+    many = tmp_path / "many.json"
+    n = 1000
+    many.write_text(json.dumps({"breakpoints": [i / n for i in range(n + 1)],
+                                "pieces": [[(-1.0) ** i] for i in range(n)]}))
+    code, _, err = run_cli(capsys, "eigvals", "--dim", "2", "--profile", str(many), "--L", "30000")
+    assert code == 2 and "1000 pieces" in err
+    assert run_cli(capsys, "eigvals", "--dim", "2", "--profile", str(many), "--L", "20")[0] == 0
+    assert run_cli(capsys, "verify", "--dim", "2", "--profile", str(many), "--L", "90")[0] == 0
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"breakpoints": [i / n for i in range(n + 1)],
+                                "pieces": [[0.5] * 33 for _ in range(n)]}))
+    for argv in (("eigvals", "--L", "2000"), ("invert", "--L", "1500", "--K", "2999"),
+                 ("truncate", "--L", "2000", "--N", "1")):
+        code, _, err = run_cli(capsys, argv[0], "--dim", "2", "--profile", str(wide), *argv[1:])
+        assert code == 2 and "33000 coefficients" in err
+    n = cli.MAX_PIECES + 1
+    many.write_text(json.dumps({"breakpoints": [i / n for i in range(n + 1)], "pieces": [[1.0]] * n}))
+    code, _, err = run_cli(capsys, "verify", "--dim", "2", "--profile", str(many), "--L", "1")
+    assert code == 2 and f"{n} pieces" in err
 
 
 def _strict_json(text):

@@ -123,9 +123,9 @@ def test_dual_route_report():
 
 
 def _band_rows(d, L):
-    # the band's rows 1..L as (weights, tail bound) pairs
+    # the weight rows 1..L as (weights, tail bound) pairs
     rows = []
-    for block, count in operator._rows(operator._weight_band(d, L), L):
+    for block, count in operator._weight_band(d, L):
         for i in range(count):
             rows.append((block.weights[block.starts[i] : block.starts[i + 1]], block.tails[i]))
     return rows
@@ -154,10 +154,10 @@ def _exact_row(d, ell, count):
 
 
 def test_series_spectrum_matches_per_degree_sums(corpus):
-    # Degree ell sums w(ell, k) a_k over k <= k*(ell) by itself: the band's
-    # 40-row block and eigenvalue_series's one-row block give the same bits, and
-    # both are the forward-matrix row sum to a few ulps, whether the expansion
-    # covers the cut (K = 78) or stops short of it.
+    # Degree ell sums w(ell, k) a_k over k <= k*(ell) by itself: the first 40
+    # rows of a 256-row block and eigenvalue_series's one-row block give the
+    # same bits, and both are the forward-matrix row sum to a few ulps, whether
+    # the expansion covers the cut (K = 78) or stops short of it.
     for _, prof in corpus:
         for d in (2, 3, 5):
             for K in (78, 20, 5):
@@ -244,6 +244,16 @@ def test_one_piece_series_matches_exact_eigenvalues(corpus):
             assert err <= 2e-15 * exact.ball_norm(ref_prof, d), (name, d, err)
 
 
+def test_cut_estimate_lies_above_the_cut():
+    # the CLI sizes eigvals's projection by it before any weight is built
+    for d in (2, 3, 9, 520):
+        for ell in (1, 2, 10, 100, 1000, 10_000, 30_000):
+            kstar = int(operator._row_block(d, ell, ell).starts[1]) - 1
+            assert kstar <= operator.cut_estimate(d, ell)
+            if d <= 9 and ell >= 100:
+                assert operator.cut_estimate(d, ell) <= 1.3 * kstar
+
+
 def test_dual_route_projects_to_the_cut():
     prof = preset("annulus", [0.3, 0.8, 1.0])
     rep = dual_route(prof, 3, 400)
@@ -261,9 +271,13 @@ def test_dual_route_projects_to_the_cut():
     assert dual_route(prof, 3, 400, coeff_degree=10**6).coeff_degree == kstar
 
 
-def test_series_weights_built_once_per_dimension(monkeypatch):
-    # growing L appends rows (blocks) to the band; a smaller L or any K reads it
-    monkeypatch.setattr(operator, "_weight_bands", {})
+def _held():
+    return sum(block.weights.size for block in operator._weight_blocks.values())
+
+
+def _counted_row_blocks(monkeypatch):
+    # an empty store, and the (d, first, last) of every block built from now on
+    monkeypatch.setattr(operator, "_weight_blocks", {})
     built = []
     real = operator._row_block
 
@@ -272,44 +286,72 @@ def test_series_weights_built_once_per_dimension(monkeypatch):
         return real(d, first, last)
 
     monkeypatch.setattr(operator, "_row_block", counted)
-    coeffs = np.random.default_rng(3).normal(size=600)
+    return built
+
+
+def test_series_weights_built_once_per_dimension(monkeypatch):
+    # block b holds rows 256 b + 1 .. 256 (b + 1); a smaller L or any K builds
+    # nothing, and a larger L builds only the blocks it newly reaches
+    built = _counted_row_blocks(monkeypatch)
+    coeffs = np.random.default_rng(3).normal(size=1200)
 
     def series(L, K):
         return spectrum_series(JacobiExpansion(7, coeffs[: K + 1]), L).eigenvalues
 
     first = series(40, 78)
-    assert built == [(7, 1, 40)]
-    band = operator._weight_bands[7]
-    for L, K in ((20, 10), (40, 78), (40, 5), (1, 0)):  # inside the band, any K
+    assert built == [(7, 1, 256)]
+    block = operator._weight_blocks[7, 0]
+    for L, K in ((20, 10), (40, 78), (40, 5), (1, 0), (256, 510)):  # inside the block, any K
         series(L, K)
     assert series(40, 78).tobytes() == first.tobytes()
     assert len(built) == 1
-    grown = series(300, 598)  # only the new rows are built, and the old blocks stay
-    assert built[1:] == [(7, 41, 296), (7, 297, 300)]
-    assert operator._weight_bands[7][0] is band[0]
+    grown = series(600, 1198)  # only the new blocks are built, and the old one stays
+    assert built[1:] == [(7, 257, 512), (7, 513, 768)]
+    assert operator._weight_blocks[7, 0] is block
     assert grown[:40].tobytes() == first.tobytes()  # a row does not depend on L
+    assert series(300, 598).tobytes() == grown[:300].tobytes()
+    assert len(built) == 3
+
+
+def test_series_sweep_builds_each_block_once(monkeypatch):
+    # L = 1..600 in turn reaches rows up to 768: three blocks, each built once
+    built = _counted_row_blocks(monkeypatch)
+    exp = JacobiExpansion(3, np.ones(400))
+    for L in range(1, 601):
+        spectrum_series(exp, L)
+    assert built == [(3, 1, 256), (3, 257, 512), (3, 513, 768)]
 
 
 def test_weight_bands_are_read_only_and_capped(monkeypatch):
-    monkeypatch.setattr(operator, "_weight_bands", {})
-    monkeypatch.setattr(operator, "_BAND_CAP", 500)
-    coeffs = np.ones(199)
-    spectrum_series(JacobiExpansion(2, coeffs[:19]), 10)  # 100 weights: held
-    band = operator._weight_bands[2]
-    for arr in (band[0].weights, band[0].starts, band[0].tails):
+    size = {(d, b): operator._row_block(d, 256 * b + 1, 256 * (b + 1)).weights.size
+            for d, b in ((2, 0), (2, 1), (3, 0))}
+    built = _counted_row_blocks(monkeypatch)
+    cap = size[2, 0] + size[2, 1]
+    monkeypatch.setattr(operator, "_BAND_CAP", cap)
+    coeffs = np.ones(1599)
+    spectrum_series(JacobiExpansion(2, coeffs), 10)
+    spectrum_series(JacobiExpansion(3, coeffs), 10)
+    block = operator._weight_blocks[2, 0]
+    for arr in (block.weights, block.starts, block.tails):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    spectrum_series(JacobiExpansion(2, coeffs), 100)  # about 5000 weights: used, not held
-    assert operator._weight_bands[2] is band
-    spectrum_series(JacobiExpansion(3, coeffs[:41]), 21)  # 441 more: the older band goes
-    assert list(operator._weight_bands) == [3]
+    spectrum_series(JacobiExpansion(2, coeffs), 10)  # reading (2, 0) makes (3, 0) the oldest
+    spectrum_series(JacobiExpansion(2, coeffs), 300)  # so (2, 1) pushes out (3, 0)
+    assert list(operator._weight_blocks) == [(2, 0), (2, 1)]
+    assert operator._weight_blocks[2, 0] is block
+    assert _held() <= cap
+    # three blocks used, each larger than the last: the oldest go until the rest fit
+    spectrum_series(JacobiExpansion(2, coeffs), 700)
+    assert list(operator._weight_blocks) == [(2, 2)]
+    assert _held() <= cap
+    assert built.count((2, 1, 256)) == 1  # held blocks are read, not rebuilt
 
 
 def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):
-    # the cut band holds about 6M weights (48 MB) at L = 10**4; the full
+    # the cut rows hold about 6M weights (48 MB) at L = 10**4; the full
     # triangle would be 10**8
-    monkeypatch.setattr(operator, "_weight_bands", {})
+    monkeypatch.setattr(operator, "_weight_blocks", {})
     exp = JacobiExpansion(3, np.ones(1000))
     tracemalloc.start()
     try:
@@ -319,7 +361,7 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):
         tracemalloc.stop()
     assert spec.source == "series"
     assert peak < 64e6
-    assert not operator._weight_bands  # over the cap: used, not held
+    assert 0 < _held() <= operator._BAND_CAP  # over the cap: the oldest blocks go
 
 
 def test_single_eigenvalue_builds_one_weight_row():
