@@ -8,8 +8,8 @@ and cross-validates everything against brute-force integrals in d = 2, 3.
 """
 
 from .jacobi import (
+    JacobiExpansion,
     JacobiFamily,
-    MonomialExpansion,
     build_family,
     evaluate,
     evaluate_direct,
@@ -46,7 +46,6 @@ from .oracle import (
     harmonics_up_to,
 )
 from .profiles import (
-    JacobiExpansion,
     RadialProfile,
     moment_integral,
     norm_ball,
@@ -65,7 +64,6 @@ __all__ = [
     "InversionSettings",
     "JacobiExpansion",
     "JacobiFamily",
-    "MonomialExpansion",
     "QuadratureRule",
     "RadialProfile",
     "Spectrum",

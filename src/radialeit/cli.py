@@ -326,10 +326,12 @@ def _cmd_basis(args) -> int:
     family = jacobi.build_family(d, kmax)
     rule = gauss_legendre(kmax + d)  # covers degree 2*kmax + d - 1
     pts = np.linspace(0.0, 1.0, 50)
+    # one recurrence over the nodes and the check points: it runs point by
+    # point, so its columns are the bits of a table per point set
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        table = jacobi.evaluate_table(family, rule.nodes)
-        pts_table = jacobi.evaluate_table(family, pts)  # one table serves every degree
-    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(pts_table))):
+        both = jacobi.evaluate_table(family, np.concatenate([rule.nodes, pts]))
+    table, pts_table = both[:, : rule.nodes.size], both[:, rule.nodes.size :]
+    if not np.all(np.isfinite(both)):
         # as in profiles.project: the basis grows like binomial(k + d/2, k) near r = 0
         raise profiles.BasisOverflowError(
             f"the basis up to degree {kmax} overflows at the check points in d = {d}"
@@ -494,7 +496,7 @@ def _cmd_invert(args) -> int:
 # truncate and invert stays finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 2.5 s and 300 MB; basis --K 1500 4 s and 110 MB; truncate --L 30000
+# 1.9 s and 125 MB; basis --K 1500 3.3 s and 125 MB; truncate --L 30000
 # --N 30000 0.8 s and 60 MB; verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s
 # for a profile of 1,000 pieces: the oracle's cost is linear in the piece
 # count); invert --L 1500 --K 2999 3.6 s and 240 MB (the SVD of the L x K
@@ -515,9 +517,9 @@ MAX_INVERT_L = 1_500
 # verify's radial moments 1.  The projection also holds about 0.6 KB per node.
 # A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
 # 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
-# series weights at L = 30,000, 2.5 s and 310 MB) or MAX_PROJECTION_NODES
+# series weights at L = 30,000, 1.9 s and 125 MB) or MAX_PROJECTION_NODES
 # (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
-# are built.  The largest accepted runs then measured 3.9 s and 320 MB
+# are built.  The largest accepted runs then measured 2.8 s and 130 MB
 # (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert
 # --L 1500 --K 2999, 150 pieces of degree 32), 1.9 s (truncate --L 30000 --N
 # 30000, 245 constant pieces), 1.1 s (verify --L 90, 5,306 constant pieces)

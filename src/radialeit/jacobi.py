@@ -5,14 +5,16 @@ For each ambient dimension d >= 2 this is the family of polynomials P_k with
     integral_0^1 P_j(r) P_k(r) r**(d-1) dr = delta_jk,
 
 i.e. the orthonormalised Jacobi polynomials with parameters (d-1, 0) mapped
-to the unit interval.  Degree-graded tables are produced by a three-term
-recurrence in ``r``, run by ``radialeit.kernels`` (whole, or a block of
-degrees at a time); an exact rational
-evaluation of the explicit monomial sum is kept alongside as a low-degree
-oracle.  The expansion of r**k in the basis uses exact integer ratios,
-rounded once per coefficient; each expansion is built once per process per
-(d, k) (up to a fixed number of rows) and every caller shares the same
-read-only row.
+to the unit interval.  Degree-graded tables come from one three-term
+recurrence in ``r``, a few in-place NumPy operations per degree over all
+points, run a block of degrees at a time (``evaluate_blocks``) or whole
+(``evaluate_table``, the one-block case); an exact rational evaluation of the
+explicit monomial sum is kept alongside as a low-degree oracle.  A set of
+basis coefficients is a ``JacobiExpansion``, profile projections and monomial
+expansions alike.  The expansion of r**k in the basis uses exact integer
+ratios, rounded once per coefficient; each expansion is built once per
+process per (d, k) (up to a fixed number of rows) and every caller shares the
+same read-only row.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
+    "JacobiExpansion",
     "JacobiFamily",
-    "MonomialExpansion",
     "build_family",
     "evaluate",
     "evaluate_blocks",
@@ -103,28 +103,52 @@ def _as_points(r) -> np.ndarray:
     return pts
 
 
-def _recurrence(family: JacobiFamily, max_degree: int | None) -> tuple:
-    # the recurrence arguments of the kernels for degrees 0..max_degree
+def evaluate_table(family: JacobiFamily, r, max_degree: int | None = None) -> np.ndarray:
+    """Table of basis values, shape (max_degree + 1, len(r)): the one-block
+    case of ``evaluate_blocks``."""
     kmax = family.max_degree if max_degree is None else int(max_degree)
     if not 0 <= kmax <= family.max_degree:
         raise ValueError(f"degree {kmax} outside the family's range 0..{family.max_degree}")
-    s = slice(0, kmax + 1)
-    return family.rec_a[s], family.rec_b[s], family.rec_c[s], math.sqrt(family.d)
-
-
-def evaluate_table(family: JacobiFamily, r, max_degree: int | None = None) -> np.ndarray:
-    """Table of basis values, shape (max_degree + 1, len(r))."""
-    rec = _recurrence(family, max_degree)
-    return kernels.jacobi_table(*rec, _as_points(r))
+    return next(_blocks(family, kmax + 1, _as_points(r), kmax + 1))[1]
 
 
 def evaluate_blocks(family: JacobiFamily, r, height: int):
     """The rows of ``evaluate_table`` in blocks of ``height`` degrees, as
-    (first degree, rows) pairs from one recurrence; the blocks share one
+    (first degree, rows) pairs from one recurrence, the rows a
+    (<= height + 1, len(r)) array.  A last block of one row joins the block
+    before it, because a one-row matrix product is a plain dot, which sums in
+    another order than a row of a taller product.  The blocks share one
     buffer, so use each before asking for the next."""
     if not isinstance(height, (int, np.integer)) or height < 1:
         raise ValueError(f"block height must be an integer >= 1, got {height!r}")
-    return kernels.jacobi_blocks(*_recurrence(family, None), _as_points(r), int(height))
+    return _blocks(family, family.max_degree + 1, _as_points(r), int(height))
+
+
+def _blocks(family: JacobiFamily, num: int, r: np.ndarray, height: int):
+    # degrees 0..num - 1 by r P_k = a_k P_{k-1} + b_k P_k + c_k P_{k+1},
+    # P_{-1} = 0 and P_0 = sqrt(d)
+    starts = list(range(0, num, height))
+    if len(starts) > 1 and num - starts[-1] == 1:
+        starts.pop()
+    buf = np.empty((min(height + 1, num), r.size), dtype=float)
+    tmp, term = np.empty(r.size), np.empty(r.size)
+    prev, cur = np.zeros(r.size), np.full(r.size, math.sqrt(family.d))  # P_{-1}, P_0
+    a, b, c = (x[:num].tolist() for x in (family.rec_a, family.rec_b, family.rec_c))
+    for start, stop in zip(starts, starts[1:] + [num]):
+        block = buf[: stop - start]
+        for row, k in zip(block, range(start, stop)):
+            if k == 0:
+                row[:] = cur
+                continue
+            # P_k = ((r - b) * P_{k-1} - a * P_{k-2}) / c in place: the same
+            # operations in the same order as that expression, so the same bits
+            np.subtract(r, b[k - 1], out=tmp)
+            tmp *= cur
+            np.multiply(a[k - 1], prev, out=term)
+            tmp -= term
+            prev, cur = cur, np.divide(tmp, c[k - 1], out=row)
+        yield start, block
+        prev, cur = prev.copy(), cur.copy()  # the next block overwrites the buffer
 
 
 def evaluate(family: JacobiFamily, k: int, r):
@@ -173,26 +197,35 @@ def leading_coefficient(d: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class MonomialExpansion:
-    """Coefficients of r**degree in the basis: coeffs[q] multiplies P_q."""
+class JacobiExpansion:
+    """Basis coefficients of a radial function: coeffs[k] multiplies P_k."""
 
     d: int
-    degree: int
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.coeffs.flags.writeable = False
+        coeffs = np.array(self.coeffs, dtype=float)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("coefficients must be a non-empty 1-d array")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def reconstruct(self, r):
-        """Sum the expansion at the given points (should give back r**degree)."""
-        family = build_family(self.d, self.degree)
+    @property
+    def max_degree(self) -> int:
+        return self.coeffs.size - 1
+
+    def evaluate(self, r):
+        """Partial sum sum_k coeffs[k] P_k(r)."""
+        family = build_family(self.d, self.max_degree)
         vals = self.coeffs @ evaluate_table(family, r)
         if np.ndim(r) == 0:
             return float(vals[0])
         return vals
 
 
-def monomial_coefficients(d: int, k: int) -> MonomialExpansion:
+def monomial_coefficients(d: int, k: int) -> JacobiExpansion:
     """Expand r**k over basis degrees 0..k.
 
     The q-th coefficient is (-1)**q sqrt(2q + d) (k+d-1)! k! / ((k+d+q)! (k-q)!),
@@ -210,7 +243,7 @@ def monomial_coefficients(d: int, k: int) -> MonomialExpansion:
 
 
 @functools.lru_cache(maxsize=_MONOMIAL_ROWS)
-def _monomial_row(d: int, k: int) -> MonomialExpansion:
+def _monomial_row(d: int, k: int) -> JacobiExpansion:
     # the ratio at q = 0 is 1 / (k + d); step q multiplies the numerator by
     # k - q and the denominator by k + d + q + 1
     nums = accumulate(range(k, 0, -1), operator.mul, initial=1)
@@ -218,4 +251,4 @@ def _monomial_row(d: int, k: int) -> MonomialExpansion:
     ratios = np.fromiter(map(operator.truediv, nums, dens), dtype=float, count=k + 1)
     q = np.arange(k + 1)
     signed_roots = np.where(q % 2, -1.0, 1.0) * np.sqrt(2.0 * q + d)
-    return MonomialExpansion(d=d, degree=k, coeffs=signed_roots * ratios)
+    return JacobiExpansion(d=d, coeffs=signed_roots * ratios)

@@ -13,9 +13,10 @@ process (up to a fixed number of distinct orders) and hands every caller the
 same ``QuadratureRule``.  Sharing is safe because the rule is frozen and its
 arrays are read-only.  The package's other module-level caches are the
 series weights, in ``radialeit.operator`` (fixed blocks of rows under one cap
-on the weights held, the least recently used block dropped first), and the exact
-monomial expansions per ``(d, k)`` (``jacobi.monomial_coefficients``), which
-are shared read-only in the same way.
+on the weights held, read one block at a time, the least recently used block
+dropped first), and the exact monomial expansions per ``(d, k)``
+(``jacobi.monomial_coefficients``, each a ``JacobiExpansion``), which are
+shared read-only in the same way.
 """
 
 from __future__ import annotations

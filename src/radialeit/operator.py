@@ -18,12 +18,14 @@ by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
 and ``dual_route`` reports this tail bound per degree.  The rows are kept in
 fixed read-only blocks of 256 degrees, each built whole, and all blocks of all
 dimensions share one cap on the weights held, the least recently used block
-dropped first.  ``spectrum_series`` and ``forward_matrix`` read these blocks,
-``eigenvalue_series`` builds its one row the same way, and ``dual_route``
-projects the profile only to the largest cut it reads.  A row is summed only
-up to the expansion's last non-zero coefficient: the projection of a one-piece
-profile of degree m is exactly 0 past a_m, so its eigenvalues cost m + 1 terms
-per degree.
+dropped first.  ``spectrum_series`` and ``forward_matrix`` read these blocks
+one at a time, so a request past the cap holds at most the cap plus one block;
+``eigenvalue_series`` builds its one row the same way.  Row lengths never fall
+with ell, so ``dual_route`` reads the cut of its last degree first and
+projects the profile only to that degree, the largest cut it reads.  A row
+is summed only up to the expansion's last non-zero coefficient: the
+projection of a one-piece profile of degree m is exactly 0 past a_m, so its
+eigenvalues cost m + 1 terms per degree.
 
 On top of that sit the decay estimate per degree, finite-rank truncation with
 its error split, and a regularized least-squares inversion from observed
@@ -37,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import _check_dimension
+from .jacobi import JacobiExpansion, _check_dimension
 from .numerics import log_factorial_ratio, log_gamma
 from .profiles import (
-    JacobiExpansion,
     RadialProfile,
     log_surface_area,
     moment_integral,
@@ -204,27 +205,40 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
 # 256 b + 1 .. 256 (b + 1) and is always built whole, so a request for L degrees
 # reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  All blocks share
 # one store of at most _BAND_CAP weights (32 MB), and the least recently used
-# block is dropped first; a request that needs more than the cap keeps only its
-# most recent blocks.
+# block is dropped first.  A request reads its blocks one at a time, so one that
+# needs more than the cap holds at most the cap plus the block in use.
 _BAND_CAP = 1 << 22
 _weight_blocks: dict[tuple[int, int], _RowBlock] = {}  # least recently used first
 
 
-def _weight_band(d: int, max_index: int) -> list[tuple[_RowBlock, int]]:
-    """(block, number of its rows in degrees 1..max_index) for each block read."""
-    band = []
+def _weight_block(d: int, b: int) -> _RowBlock:
+    """Block b of dimension d, now the most recently used; building it first
+    drops the least recently used blocks until it fits under the cap."""
+    block = _weight_blocks.pop((d, b), None)
+    if block is None:
+        block = _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
+        held = block.weights.size + sum(blk.weights.size for blk in _weight_blocks.values())
+        for key in list(_weight_blocks):
+            if held <= _BAND_CAP:
+                break
+            held -= _weight_blocks.pop(key).weights.size
+    _weight_blocks[d, b] = block
+    return block
+
+
+def _weight_band(d: int, max_index: int):
+    """Yield (block, number of its rows in degrees 1..max_index) for each
+    block the degrees reach, in order, one at a time."""
     for b in range(-(-max_index // _ROW_BLOCK)):
-        block = _weight_blocks.pop((d, b), None)
-        if block is None:
-            block = _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
-        _weight_blocks[d, b] = block  # now the most recently used
-        band.append((block, min(_ROW_BLOCK, max_index - b * _ROW_BLOCK)))
-    held = sum(block.weights.size for block in _weight_blocks.values())
-    for key in list(_weight_blocks):
-        if held <= _BAND_CAP:
-            break
-        held -= _weight_blocks.pop(key).weights.size
-    return band
+        yield _weight_block(d, b), min(_ROW_BLOCK, max_index - b * _ROW_BLOCK)
+
+
+def _row_length(block: _RowBlock, count: int) -> int:
+    """The number of weights in the block's row ``count`` (from 1).  Row
+    lengths never fall with ell: every ratio (n - j)/(n + d + j + 1) grows
+    with n, so a tail test that passes at ell + 1 passes at ell.  The last
+    row a request reads is therefore its longest."""
+    return int(block.starts[count] - block.starts[count - 1])
 
 
 def _cut_rows(
@@ -253,10 +267,6 @@ def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
     return np.add.reduceat(weights * coeffs[k], seg)
 
 
-def _longest_row(band: list[tuple[_RowBlock, int]]) -> int:
-    return max(int(np.diff(b.starts[: m + 1]).max()) for b, m in band)
-
-
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     """Degree-ell eigenvalue from the basis coefficients.
 
@@ -269,17 +279,21 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
 
 
-def _series_spectrum(
-    expansion: JacobiExpansion, band: list[tuple[_RowBlock, int]]
-) -> tuple[Spectrum, np.ndarray]:
-    # the spectrum from the rows the band reaches, and their tail bounds
+def _series_spectrum(expansion: JacobiExpansion, band) -> tuple[Spectrum, np.ndarray]:
+    # the spectrum from the rows of a _weight_band, and their tail bounds; the
+    # last row read is the longest
+    sums, tails = [], []
+    for block, count in band:
+        sums.append(_row_sums(block, count, expansion.coeffs))
+        tails.append(block.tails[:count])
+    truncated = _row_length(block, count) > expansion.coeffs.size
     spectrum = Spectrum(
         d=expansion.d,
-        eigenvalues=np.concatenate([_row_sums(b, m, expansion.coeffs) for b, m in band]),
-        source="series-truncated" if _longest_row(band) > expansion.coeffs.size else "series",
+        eigenvalues=np.concatenate(sums),
+        source="series-truncated" if truncated else "series",
         eta_norm=norm_ball(expansion),
     )
-    return spectrum, np.concatenate([b.tails[:m] for b, m in band])
+    return spectrum, np.concatenate(tails)
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
@@ -360,10 +374,12 @@ def dual_route(
     """
     from .profiles import project  # local import keeps module deps one-way
 
-    band = _weight_band(d, max_index)
-    top = _longest_row(band) - 1
+    if max_index < 1:
+        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    last = (max_index - 1) // _ROW_BLOCK  # the block of the longest row
+    top = _row_length(_weight_block(d, last), max_index - last * _ROW_BLOCK) - 1
     coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
-    series, tails = _series_spectrum(project(profile, d, coeff_degree), band)
+    series, tails = _series_spectrum(project(profile, d, coeff_degree), _weight_band(d, max_index))
     moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)

@@ -6,7 +6,9 @@ is the harmonic extension of h.  In dimensions 2 and 3 we can write down
 orthonormal harmonics (Fourier modes on the circle; zonal Legendre harmonics
 on the sphere), assemble that integral by plain tensor quadrature, and
 compare the resulting matrix against the predicted diagonal.  Nothing here
-uses the eigenvalue formulas, so agreement is evidence, not tautology.
+uses the eigenvalue formulas or the radial basis: the zonal harmonics come
+from the oracle's own Legendre recurrence (``_legendre_table``), so agreement
+is evidence, not tautology.
 
 For radial eta the integral of a pair splits into a radial moment and a
 sphere integral (see ``brute_force_entry``), so the whole matrix is
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import kernels
 from .numerics import gauss_legendre
 from .profiles import RadialProfile
 
@@ -95,7 +96,7 @@ def _harmonic_rows(hs, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty((len(hs), theta.size))
     derivs = np.empty((len(hs), theta.size))
     if hs[0].d == 3:
-        p, dp = kernels.legendre_table(np.cos(theta), max(h.degree for h in hs))
+        p, dp = _legendre_table(np.cos(theta), max(h.degree for h in hs))
         minus_sin = -np.sin(theta)
     for i, h in enumerate(hs):
         k = h.degree
@@ -109,6 +110,25 @@ def _harmonic_rows(hs, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values[i] = c * base
         derivs[i] = c * dbase
     return values, derivs
+
+
+def _legendre_table(t: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre polynomials P_0..P_lmax and their t-derivatives at t, as two
+    (lmax + 1, len(t)) arrays, by Bonnet's recurrence and
+    P'_{k+1} = (2k + 1) P_k + P'_{k-1}: the oracle's own recurrence, sharing
+    no floating-point code with the eigenvalue routes."""
+    p = np.empty((lmax + 1, t.size), dtype=float)
+    dp = np.empty((lmax + 1, t.size), dtype=float)
+    p[0] = 1.0
+    dp[0] = 0.0
+    if lmax == 0:
+        return p, dp
+    p[1] = t
+    dp[1] = 1.0
+    for k in range(1, lmax):
+        p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
+        dp[k + 1] = (2 * k + 1) * p[k] + dp[k - 1]
+    return p, dp
 
 
 def harmonics_up_to(d: int, max_degree: int) -> list[ExplicitHarmonic]:

@@ -22,12 +22,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import jacobi
+from .jacobi import JacobiExpansion
 from .numerics import gauss_legendre
 
 __all__ = [
     "MAX_PIECE_DEGREE",
     "BasisOverflowError",
-    "JacobiExpansion",
     "RadialProfile",
     "log_surface_area",
     "moment_integral",
@@ -220,35 +220,6 @@ def norm_ball_profile(profile: RadialProfile, d: int) -> float:
         # squaring can leave a tiny negative residue for the zero profile
         norms[d] = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
     return norms[d]
-
-
-@dataclass(frozen=True)
-class JacobiExpansion:
-    """Basis coefficients of a radial profile: coeffs[k] multiplies P_k."""
-
-    d: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d array")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def evaluate(self, r):
-        """Partial sum sum_k coeffs[k] P_k(r)."""
-        family = jacobi.build_family(self.d, self.max_degree)
-        vals = self.coeffs @ jacobi.evaluate_table(family, r)
-        if np.ndim(r) == 0:
-            return float(vals[0])
-        return vals
 
 
 class BasisOverflowError(ValueError):

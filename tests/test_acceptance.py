@@ -64,7 +64,7 @@ def test_criterion_02_monomial_expansion():
         table = evaluate_table(fam, rule.nodes)
         for k in range(41):
             exp = monomial_coefficients(d, k)
-            worst_recon = max(worst_recon, float(np.abs(exp.reconstruct(pts) - pts**k).max()))
+            worst_recon = max(worst_recon, float(np.abs(exp.evaluate(pts) - pts**k).max()))
             proj = table[: k + 1] @ (rule.weights * rule.nodes ** (k + d - 1))
             worst_proj = max(worst_proj, float(np.abs(exp.coeffs - proj).max()))
     ok = worst_recon <= 1e-10 and worst_proj <= 1e-10

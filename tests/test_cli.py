@@ -188,7 +188,7 @@ def test_basis_fails_a_wrong_monomial_coefficient(capsys, monkeypatch, dim, K, w
         coeffs = coefficients(d, k).coeffs.copy()
         if k == wrong_degree:
             coeffs[np.abs(coeffs).argmax()] *= 1.0 + 1e-6
-        return cli.jacobi.MonomialExpansion(d=d, degree=k, coeffs=coeffs)
+        return cli.jacobi.JacobiExpansion(d=d, coeffs=coeffs)
 
     monkeypatch.setattr(cli.jacobi, "monomial_coefficients", wrong)
     code, out, _ = run_cli(capsys, "basis", "--dim", dim, "--K", K)
@@ -211,6 +211,21 @@ def test_basis_builds_each_monomial_row_once(capsys):
     assert not row.coeffs.flags.writeable
     with pytest.raises(ValueError):
         row.coeffs[0] = 0.0
+
+
+def test_basis_runs_one_basis_table(capsys, monkeypatch):
+    # the quadrature nodes and the check points share one recurrence
+    table = cli.jacobi.evaluate_table
+    points = []
+
+    def counted(family, r, max_degree=None):
+        points.append(len(r))
+        return table(family, r, max_degree)
+
+    monkeypatch.setattr(cli.jacobi, "evaluate_table", counted)
+    for K in (0, 20):
+        assert run_cli(capsys, "basis", "--dim", "3", "--K", str(K))[0] == 0
+    assert points == [0 + 3 + 50, 20 + 3 + 50]  # K + d Gauss nodes and 50 points
 
 
 def _reconstruction_by_degree(d, K):

@@ -66,6 +66,12 @@ def test_low_degree_closed_forms():
         )
 
 
+def test_degree_zero_table():
+    fam = build_family(3, 0)
+    out = evaluate_table(fam, np.array([0.7]))
+    assert out.shape == (1, 1) and out[0, 0] == math.sqrt(3.0)
+
+
 def test_recurrence_identity_residual():
     r = np.linspace(0.0, 1.0, 41)
     for d in (2, 4):
@@ -193,7 +199,7 @@ def test_reconstruction():
     for d in (2, 3):
         for k in (0, 1, 7, 25):
             exp = monomial_coefficients(d, k)
-            assert np.abs(exp.reconstruct(pts) - pts**k).max() <= 1e-10
+            assert np.abs(exp.evaluate(pts) - pts**k).max() <= 1e-10
 
 
 def test_expansion_matches_quadrature_projection():

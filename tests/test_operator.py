@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,56 @@ def test_weight_bands_are_read_only_and_capped(monkeypatch):
     assert list(operator._weight_blocks) == [(2, 2)]
     assert _held() <= cap
     assert built.count((2, 1, 256)) == 1  # held blocks are read, not rebuilt
+
+
+def test_past_the_cap_one_block_at_a_time(monkeypatch):
+    # a request past the cap reads its blocks one at a time: whenever a block
+    # is built or summed, the weights still alive (in the store or held by the
+    # caller) are at most the cap plus one block
+    built = _counted_row_blocks(monkeypatch)
+    cap = sum(operator._row_block(3, 256 * b + 1, 256 * (b + 1)).weights.size for b in (0, 1))
+    monkeypatch.setattr(operator, "_BAND_CAP", cap)
+    alive = []  # weakrefs to the weights of every block built
+    seen = []  # (weights alive, largest block alive) at each build and sum
+    build, row_sums = operator._row_block, operator._row_sums
+
+    def observe():
+        sizes = [w().size for w in alive if w() is not None]
+        seen.append((sum(sizes), max(sizes, default=0)))
+
+    def counted_build(d, first, last):
+        observe()
+        block = build(d, first, last)
+        alive.append(weakref.ref(block.weights))
+        return block
+
+    def counted_sums(block, count, coeffs):
+        observe()
+        return row_sums(block, count, coeffs)
+
+    monkeypatch.setattr(operator, "_row_block", counted_build)
+    monkeypatch.setattr(operator, "_row_sums", counted_sums)
+    L = 6 * 256
+    exp = JacobiExpansion(3, np.ones(2 * L))
+    want = spectrum_series(exp, L).eigenvalues
+    dual_route(preset("annulus", [0.3, 0.8, 1.0]), 3, L)
+    assert len(built) >= 12 and len(seen) >= 24
+    assert all(total <= cap + largest for total, largest in seen)
+    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 22)  # the same rows under any cap
+    assert spectrum_series(exp, L).eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 520])
+def test_row_lengths_never_fall(d):
+    # the series reads the last row of a request as its longest: across block
+    # boundaries near the first degrees and near the largest --L
+    for blocks in ((0, 1, 2, 3), (115, 116, 117)):
+        lengths = [
+            operator._row_length(block, i)
+            for block in (operator._row_block(d, 256 * b + 1, 256 * (b + 1)) for b in blocks)
+            for i in range(1, 257)
+        ]
+        assert lengths == sorted(lengths), d
 
 
 def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):

@@ -209,15 +209,28 @@ def test_single_pair_functions_read_the_pair_matrix():
                 assert (rep.defect, rep.scaled_defect) == (defect[0, 1], scaled[0, 1])
 
 
+def test_legendre_recurrence_values():
+    t = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
+    p, dp = oracle._legendre_table(t, 3)
+    np.testing.assert_allclose(p[2], 0.5 * (3 * t**2 - 1), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p[3], 0.5 * (5 * t**3 - 3 * t), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dp[3], 1.5 * (5 * t**2 - 1), rtol=0, atol=1e-14)
+    # endpoint values P_k(1) = 1, P_k(-1) = (-1)**k
+    assert np.all(p[:, -1] == 1.0)
+    np.testing.assert_allclose(p[:, 0], [1.0, -1.0, 1.0, -1.0], rtol=0, atol=0)
+    p, dp = oracle._legendre_table(np.array([0.3]), 0)
+    assert p.shape == (1, 1) and p[0, 0] == 1.0 and dp[0, 0] == 0.0
+
+
 def test_one_legendre_table_per_cross_validate(monkeypatch):
     calls = []
-    table = oracle.kernels.legendre_table
+    table = oracle._legendre_table
 
     def counted(t, lmax):
         calls.append(lmax)
         return table(t, lmax)
 
-    monkeypatch.setattr(oracle.kernels, "legendre_table", counted)
+    monkeypatch.setattr(oracle, "_legendre_table", counted)
     rep = cross_validate(preset("annulus", [0.3, 0.8, -1.5]), 3, 8)
     assert rep.ok
     assert calls == [8]
