@@ -22,7 +22,6 @@ from .operator import (
     InversionResult,
     InversionSettings,
     Spectrum,
-    TruncatedOperator,
     apply_operator,
     decay_constant,
     dual_route,
@@ -67,7 +66,6 @@ __all__ = [
     "QuadratureRule",
     "RadialProfile",
     "Spectrum",
-    "TruncatedOperator",
     "apply_operator",
     "brute_force_entry",
     "build_family",

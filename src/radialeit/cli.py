@@ -17,11 +17,11 @@ Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
 with ``repr``, i.e. shortest round-trip form; the JSON metadata carries a
 timestamp, which is the only field that varies between identical runs.  Each
-subcommand hands its records over as columns, and ``_emit`` formats each
-column once: the JSON is byte for byte ``json.dumps(doc, indent=2)`` and the
-CSV the same as written cell by cell, without walking every cell in Python's
-pure-Python JSON encoder.  ``main`` builds its argument parser once per
-process.
+subcommand returns its metadata, records (as columns), summary and verdict;
+``main`` alone writes them and maps the verdict to the exit code.  ``_emit``
+formats each column once: the JSON is byte for byte ``json.dumps(doc,
+indent=2)`` and the CSV as written cell by cell.  ``main`` builds its
+argument parser once per process.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ EXIT_UNSUPPORTED = 3
 
 class ConfigError(Exception):
     """Bad flags or malformed input files; maps to exit code 2."""
+
+
+class UnsupportedError(Exception):
+    """A verification the dimension does not support; maps to exit code 3."""
 
 
 # --------------------------------------------------------------------------
@@ -138,11 +142,11 @@ def _check_profile_size(args, profile: profiles.RadialProfile, d: int) -> None:
             k = min(k, args.K)
         if len(sizes) == 1:
             k = min(k, sizes[0] - 1)
-        nodes = sum((k + m - 1 + d) // 2 + 2 for m in sizes)  # one Gauss rule per piece
+        nodes = sum(profiles.piece_rule_size(k, m - 1, d) for m in sizes)  # one rule per piece
         steps += (k + 1) * nodes
     elif args.command == "verify":
         # one Gauss rule per piece, exact for power 2L - 2, times 2L - 1 powers
-        steps += (2 * L - 1) * sum((m + 2 * L - 3 + d) // 2 + 2 for m in sizes)
+        steps += (2 * L - 1) * sum(profiles.piece_rule_size(2 * L - 2, m - 1, d) for m in sizes)
     if steps > MAX_PROFILE_STEPS or nodes > MAX_PROJECTION_NODES:
         raise ConfigError(
             f"a profile of {len(sizes)} pieces and {sum(sizes)} coefficients is too large "
@@ -286,7 +290,7 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
 # subcommands
 
 
-def _cmd_eigvals(args) -> int:
+def _cmd_eigvals(args):
     profile, d = _resolve_profile(args)
     report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
     decay = operator.verify_decay_bound(report.moment)
@@ -310,18 +314,16 @@ def _cmd_eigvals(args) -> int:
         "series_tail_bound": float(report.tail_bounds.max()),
     }
     meta = {
-        "command": "eigvals",
         "dimension": d,
         "L": args.L,
         "coeff_degree": report.coeff_degree,
         "tol_dual": args.tol_dual,
         "profile": profiles.profile_to_dict(profile),
     }
-    _emit(args, meta, columns, summary)
-    return EXIT_OK if (report.ok and decay.ok) else EXIT_CHECK_FAILED
+    return meta, columns, summary, report.ok and decay.ok
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args):
     d, kmax = args.dim, args.K
     family = jacobi.build_family(d, kmax)
     rule = gauss_legendre(kmax + d)  # covers degree 2*kmax + d - 1
@@ -366,43 +368,30 @@ def _cmd_basis(args) -> int:
         "pass": passed,
     }
     summary = {"all_ok": all(passed)}
-    meta = {
-        "command": "basis",
-        "dimension": d,
-        "K": kmax,
-        "tol_basis": tol,
-    }
-    _emit(args, meta, columns, summary)
-    return EXIT_OK if summary["all_ok"] else EXIT_CHECK_FAILED
+    meta = {"dimension": d, "K": kmax, "tol_basis": tol}
+    return meta, columns, summary, summary["all_ok"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     profile, d = _resolve_profile(args)
     if d not in (2, 3):
-        print(
-            f"error: brute-force verification needs explicit harmonics, which are "
-            f"only available for d = 2 and d = 3 (got d = {d})",
-            file=sys.stderr,
+        raise UnsupportedError(
+            f"brute-force verification needs explicit harmonics, which are "
+            f"only available for d = 2 and d = 3 (got d = {d})"
         )
-        return EXIT_UNSUPPORTED
     report = cross_validate(profile, d, args.L)
-    # the upper triangle row by row; fmax is Python's max(1.0, x), NaN included
+    # the upper triangle row by row
     i, j = np.triu_indices(len(report.labels))
-    diag = i == j
     entry = report.entries[i, j]
-    reference = np.where(diag, report.reference[i], 0.0)
-    abs_error = np.abs(entry - reference)
-    tol = np.where(
-        diag, report.tol_diag * np.fmax(1.0, np.abs(reference)), report.tol_offdiag
-    )
+    reference = np.where(i == j, report.reference[i], 0.0)
     labels = np.array(report.labels)
     columns = {
         "h1": labels[i],
         "h2": labels[j],
         "entry": entry,
         "reference": reference,
-        "abs_error": abs_error,
-        "pass": abs_error <= tol,
+        "abs_error": np.abs(entry - reference),
+        "pass": report.passes[i, j],
     }
     summary = {
         "max_offdiag": report.max_offdiag,
@@ -412,47 +401,35 @@ def _cmd_verify(args) -> int:
         "ok": report.ok,
     }
     meta = {
-        "command": "verify",
         "dimension": d,
         "L": args.L,
         "tol_offdiag": report.tol_offdiag,
         "tol_diag": report.tol_diag,
         "profile": profiles.profile_to_dict(profile),
     }
-    _emit(args, meta, columns, summary)
-    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
+    return meta, columns, summary, report.ok
 
 
-def _cmd_truncate(args) -> int:
+def _cmd_truncate(args):
     profile, d = _resolve_profile(args)
-    if args.N > args.L:
-        raise ConfigError(f"--N must lie in 0..L={args.L}, got {args.N}")
-    spectrum = operator.spectrum_moment(profile, d, args.L)
-    reports = [
-        operator.truncation_error(operator.truncate(spectrum, cutoff))
-        for cutoff in range(args.N + 1)
-    ]
+    n = min(10, args.L) if args.N is None else args.N
+    if n > args.L:
+        raise ConfigError(f"--N must lie in 0..L={args.L}, got {n}")
+    report = operator.truncation_error(operator.spectrum_moment(profile, d, args.L), n)
     columns = {
-        "cutoff": [rep.cutoff for rep in reports],
-        "tail_norm": [rep.tail_norm for rep in reports],
-        "apriori_bound": [rep.apriori_bound for rep in reports],
-        "pass": [rep.ok for rep in reports],
+        "cutoff": np.arange(n + 1),
+        "tail_norm": report.tail_norms,
+        "apriori_bound": report.apriori_bounds,
+        "pass": report.passes,
     }
-    monotone = all(b.tail_norm <= a.tail_norm for a, b in zip(reports, reports[1:]))
-    bounded = all(columns["pass"])
-    summary = {"monotone": monotone, "all_bounded": bounded, "ok": monotone and bounded}
-    meta = {
-        "command": "truncate",
-        "dimension": d,
-        "L": args.L,
-        "N": args.N,
-        "profile": profiles.profile_to_dict(profile),
+    summary = {
+        "monotone": report.monotone, "all_bounded": bool(report.passes.all()), "ok": report.ok
     }
-    _emit(args, meta, columns, summary)
-    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
+    meta = {"dimension": d, "L": args.L, "N": n, "profile": profiles.profile_to_dict(profile)}
+    return meta, columns, summary, report.ok
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args):
     if args.spectrum is not None:
         if args.preset is not None or args.profile is not None:
             raise ConfigError("--spectrum cannot be combined with --preset/--profile")
@@ -462,9 +439,10 @@ def _cmd_invert(args) -> int:
     else:
         profile, d = _resolve_profile(args)
         spectrum = operator.spectrum_moment(profile, d, args.L)
+    k = min(5, 2 * spectrum.max_index - 1) if args.K is None else args.K
     try:
         settings = operator.InversionSettings(rel_cutoff=args.tau, ridge=args.alpha)
-        result = operator.invert(spectrum, args.K, settings)
+        result = operator.invert(spectrum, k, settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     coeffs = result.expansion.coeffs
@@ -475,16 +453,14 @@ def _cmd_invert(args) -> int:
         "residual_norm": result.residual_norm,
     }
     meta = {
-        "command": "invert",
         "dimension": spectrum.d,
         "L": spectrum.max_index,
-        "K": args.K,
+        "K": k,
         "tau": args.tau,
         "alpha": args.alpha,
         "spectrum_source": spectrum.source,
     }
-    _emit(args, meta, columns, summary)
-    return EXIT_OK
+    return meta, columns, summary, True
 
 
 # --------------------------------------------------------------------------
@@ -497,10 +473,11 @@ def _cmd_invert(args) -> int:
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
 # 1.9 s and 125 MB; basis --K 1500 3.3 s and 125 MB; truncate --L 30000
-# --N 30000 0.8 s and 60 MB; verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s
-# for a profile of 1,000 pieces: the oracle's cost is linear in the piece
-# count); invert --L 1500 --K 2999 3.6 s and 240 MB (the SVD of the L x K
-# forward matrix; a --spectrum file may hold as many degrees).
+# --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
+# spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
+# 1,000 pieces: the oracle's cost is linear in the piece count); invert
+# --L 1500 --K 2999 3.6 s and 240 MB (the SVD of the L x K forward matrix; a
+# --spectrum file may hold as many degrees).
 MAX_DIM = 520
 MAX_L = 30_000
 MAX_BASIS_K = 1_500
@@ -606,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--L", type=_at_least(1, high=MAX_L), default=50, help="spectrum length")
     p.add_argument(
-        "--N", type=_at_least(0, high=MAX_L), default=10, help="largest cutoff to report"
+        "--N", type=_at_least(0, high=MAX_L), help="largest cutoff to report (default min(10, L))"
     )
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_truncate)
@@ -619,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="spectrum length (profile input)",
     )
-    p.add_argument("--K", type=int, default=5, help="number of coefficients to recover")
+    p.add_argument("--K", type=int, help="coefficients to recover (default min(5, 2L - 1))")
     p.add_argument("--spectrum", help="two-column (ell,lambda) CSV file")
     p.add_argument("--tau", type=float, default=1e-10, help="relative SVD cutoff")
     p.add_argument("--alpha", type=float, default=0.0, help="ridge weight")
@@ -643,10 +620,12 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return EXIT_OK if code == 0 else EXIT_CONFIG
     try:
-        return args.handler(args)
-    except (ConfigError, profiles.BasisOverflowError) as exc:
+        meta, columns, summary, ok = args.handler(args)
+        _emit(args, {"command": args.command, **meta}, columns, summary)
+    except (ConfigError, profiles.BasisOverflowError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedError) else EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -27,15 +27,17 @@ is summed only up to the expansion's last non-zero coefficient: the
 projection of a one-piece profile of degree m is exactly 0 past a_m, so its
 eigenvalues cost m + 1 terms per degree.
 
-On top of that sit the decay estimate per degree, finite-rank truncation with
-its error split, and a regularized least-squares inversion from observed
-eigenvalues back to basis coefficients.
+On top of that sit the decay estimate per degree, finite-rank truncation and
+a regularized least-squares inversion from observed eigenvalues back to basis
+coefficients.  ``truncation_error`` bounds every cutoff N in one pass by the
+decay bound at the first dropped degree, ell = N + 1; a truncated operator is
+a ``Spectrum`` with 0 above the cutoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,7 +59,6 @@ __all__ = [
     "InversionResult",
     "InversionSettings",
     "Spectrum",
-    "TruncatedOperator",
     "TruncationErrorReport",
     "apply_operator",
     "cut_estimate",
@@ -444,11 +445,16 @@ class DecayBoundReport:
         return not self.violations
 
 
+def _decay_bounds(spectrum: Spectrum, max_degree: int) -> np.ndarray:
+    """C_d ||eta|| ell**(-1/2) for ell = 1..max_degree."""
+    ells = np.arange(1, max_degree + 1, dtype=float)
+    return decay_constant(spectrum.d) * spectrum.eta_norm / np.sqrt(ells)
+
+
 def verify_decay_bound(spectrum: Spectrum) -> DecayBoundReport:
     """Check every eigenvalue in the spectrum against the decay bound."""
-    ells = np.arange(1, spectrum.max_index + 1, dtype=float)
     values = np.abs(spectrum.eigenvalues)
-    bounds = decay_constant(spectrum.d) * spectrum.eta_norm / np.sqrt(ells)
+    bounds = _decay_bounds(spectrum, spectrum.max_index)
     bad = np.nonzero(values > bounds)[0]
     return DecayBoundReport(
         d=spectrum.d,
@@ -549,56 +555,52 @@ def apply_operator(spectrum: Spectrum, boundary: BoundaryField) -> BoundaryField
     )
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """The operator with all degrees above ``cutoff`` dropped."""
-
-    spectrum: Spectrum
-    cutoff: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.cutoff <= self.spectrum.max_index:
-            raise ValueError(
-                f"cutoff must lie in 0..{self.spectrum.max_index}, got {self.cutoff}"
-            )
-
-    def apply(self, boundary: BoundaryField) -> BoundaryField:
-        """Like the full operator, but degree blocks above the cutoff go to 0."""
-        out = apply_operator(self.spectrum, boundary)
-        blocks = {
-            ell: (blk if ell <= self.cutoff else np.zeros_like(blk))
-            for ell, blk in out.blocks.items()
-        }
-        return BoundaryField(d=out.d, blocks=blocks)
-
-
-def truncate(spectrum: Spectrum, cutoff: int) -> TruncatedOperator:
-    return TruncatedOperator(spectrum=spectrum, cutoff=cutoff)
+def truncate(spectrum: Spectrum, cutoff: int) -> Spectrum:
+    """The operator with all degrees above ``cutoff`` dropped: the same
+    spectrum with those eigenvalues set to 0, so ``apply_operator`` sends
+    their blocks to 0."""
+    if not 0 <= cutoff <= spectrum.max_index:
+        raise ValueError(f"cutoff must lie in 0..{spectrum.max_index}, got {cutoff}")
+    vals = spectrum.eigenvalues.copy()
+    vals[cutoff:] = 0.0
+    return replace(spectrum, eigenvalues=vals)
 
 
 @dataclass(frozen=True)
 class TruncationErrorReport:
-    """Operator-norm truncation error (within the represented range) next to
-    its a-priori bound C_d ||eta|| (cutoff + 1)**(-1/2)."""
+    """Operator-norm truncation error (within the represented range) at every
+    cutoff N = 0..max_cutoff, index N, next to its a-priori bound: the decay
+    bound at the first dropped degree, C_d ||eta|| (N + 1)**(-1/2)."""
 
-    cutoff: int
-    max_index: int
-    tail_norm: float
-    apriori_bound: float
+    tail_norms: np.ndarray  # max over ell > N of |lambda_ell|; 0 past the top degree
+    apriori_bounds: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.tail_norms.flags.writeable = False
+        self.apriori_bounds.flags.writeable = False
+
+    @property
+    def passes(self) -> np.ndarray:
+        return self.tail_norms <= self.apriori_bounds
+
+    @property
+    def monotone(self) -> bool:
+        return bool(np.all(self.tail_norms[1:] <= self.tail_norms[:-1]))
 
     @property
     def ok(self) -> bool:
-        return self.tail_norm <= self.apriori_bound
+        return self.monotone and bool(self.passes.all())
 
 
-def truncation_error(op: TruncatedOperator) -> TruncationErrorReport:
-    spec = op.spectrum
-    tail = spec.eigenvalues[op.cutoff :]
-    tail_norm = float(np.abs(tail).max()) if tail.size else 0.0
-    bound = decay_constant(spec.d) * spec.eta_norm / math.sqrt(op.cutoff + 1.0)
-    return TruncationErrorReport(
-        cutoff=op.cutoff, max_index=spec.max_index, tail_norm=tail_norm, apriori_bound=bound
-    )
+def truncation_error(spectrum: Spectrum, max_cutoff: int) -> TruncationErrorReport:
+    """Truncation error and its bound at every cutoff 0..max_cutoff, in one
+    pass: the tail norms are one running max of |lambda| from the top degree
+    down, and the bounds the decay bounds of degrees 1..max_cutoff + 1."""
+    if not 0 <= max_cutoff <= spectrum.max_index:
+        raise ValueError(f"max_cutoff must lie in 0..{spectrum.max_index}, got {max_cutoff}")
+    tails = np.maximum.accumulate(np.abs(spectrum.eigenvalues[::-1]))[::-1]
+    tails = np.append(tails, 0.0)[: max_cutoff + 1]
+    return TruncationErrorReport(tails, _decay_bounds(spectrum, max_cutoff + 1))
 
 
 def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .numerics import gauss_legendre
-from .profiles import RadialProfile
+from .profiles import RadialProfile, piece_rule_size
 
 __all__ = [
     "CrossValidationReport",
@@ -185,7 +185,7 @@ def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarra
     powers = np.arange(max_power + 1)
     moments = np.zeros(max_power + 1)
     for lo, hi, c in profile.intervals():
-        rule = gauss_legendre(((c.size - 1) + max_power + d) // 2 + 2)
+        rule = gauss_legendre(piece_rule_size(max_power, c.size - 1, d))
         r = lo + (hi - lo) * rule.nodes
         w = (hi - lo) * rule.weights
         moments += (w * npoly.polyval(r, c) * r ** (d - 1)) @ r[:, None] ** powers
@@ -286,24 +286,29 @@ class CrossValidationReport:
     def __post_init__(self) -> None:
         self.entries.flags.writeable = False
         self.reference.flags.writeable = False
+        errors = np.abs(self.entries)
+        diag = np.abs(np.diag(self.entries) - self.reference)
+        np.fill_diagonal(errors, diag / np.maximum(1.0, np.abs(self.reference)))
+        object.__setattr__(self, "_errors", errors)
+
+    @property
+    def passes(self) -> np.ndarray:
+        """The entry-wise gate: |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on
+        the diagonal, |e_ij| <= tol_offdiag off it."""
+        on_diag = np.eye(len(self.labels), dtype=bool)
+        return self._errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
 
     @property
     def max_offdiag(self) -> float:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.abs(off).max()) if self.entries.shape[0] > 1 else 0.0
+        return float(np.where(np.eye(len(self.labels), dtype=bool), 0.0, self._errors).max())
 
     @property
     def max_diag_scaled(self) -> float:
-        err = np.abs(np.diag(self.entries) - self.reference)
-        return float((err / np.maximum(1.0, np.abs(self.reference))).max())
+        return float(np.diag(self._errors).max())
 
     @property
     def ok(self) -> bool:
-        return (
-            self.max_offdiag <= self.tol_offdiag
-            and self.max_diag_scaled <= self.tol_diag
-            and self.identity_scaled_defect <= self.tol_identity
-        )
+        return bool(self.passes.all()) and self.identity_scaled_defect <= self.tol_identity
 
 
 def cross_validate(

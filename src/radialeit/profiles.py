@@ -33,6 +33,7 @@ __all__ = [
     "moment_integral",
     "norm_ball",
     "norm_ball_profile",
+    "piece_rule_size",
     "preset",
     "profile_from_dict",
     "profile_to_dict",
@@ -222,6 +223,14 @@ def norm_ball_profile(profile: RadialProfile, d: int) -> float:
     return norms[d]
 
 
+def piece_rule_size(degree: int, piece_degree: int, d: int) -> int:
+    """Gauss-Legendre points for one piece, exact with room to spare for a
+    polynomial of ``degree`` times a piece of ``piece_degree`` times the ball
+    weight r**(d-1).  Projection, the oracle's radial moments and the CLI's
+    size estimates all take their rule sizes from here."""
+    return (degree + piece_degree + d) // 2 + 2
+
+
 class BasisOverflowError(ValueError):
     """The orthonormal basis leaves the float range at the quadrature nodes."""
 
@@ -251,8 +260,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     family = jacobi.build_family(d, degree)
     nodes, integrands = [], []
     for lo, hi, c in profile.intervals():
-        npts = (degree + (c.size - 1) + d) // 2 + 2
-        rule = gauss_legendre(npts)
+        rule = gauss_legendre(piece_rule_size(degree, c.size - 1, d))
         r = lo + (hi - lo) * rule.nodes
         nodes.append(r)
         integrands.append((hi - lo) * rule.weights * npoly.polyval(r, c) * r ** (d - 1))

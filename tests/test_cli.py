@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radialeit import cli, oracle
+from radialeit import cli, oracle, profiles
 from radialeit.cli import main
 from radialeit.operator import eigenvalue_moment
 from radialeit.profiles import preset
@@ -292,6 +292,35 @@ def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
     assert extras["gradient_identity_scaled_defect"] > 1e-3
 
 
+def test_verify_pass_column_is_the_report_gate(capsys):
+    argv = ("verify", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "6")
+    code, out, _ = run_cli(capsys, *argv)
+    rows, extras = parse_csv(out)
+    report = oracle.cross_validate(preset("annulus", [0.3, 0.8, 1.0]), 3, 6)
+    i, j = np.triu_indices(len(report.labels))
+    assert [r["pass"] == "true" for r in rows] == report.passes[i, j].tolist()
+    assert code == 0 and extras["ok"] is report.ok is True
+
+
+def test_verify_fails_a_wrong_diagonal_entry_in_its_row(capsys, monkeypatch):
+    # one diagonal entry past tol_diag: its row, ok and the exit code all fail
+    assemble = oracle._assemble
+
+    def skewed(profile, hs, forms):
+        entries = assemble(profile, hs, forms)
+        entries[3, 3] *= 1.0 + 1e-6
+        return entries
+
+    monkeypatch.setattr(oracle, "_assemble", skewed)
+    argv = ("verify", "--dim", "2", "--preset", "annulus:0.3,0.8,1", "--L", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    rows, extras = parse_csv(out)
+    failed = [(r["h1"], r["h2"]) for r in rows if r["pass"] == "false"]
+    assert failed == [("sin2", "sin2")]
+    assert extras["ok"] is False and extras["max_diag_scaled"] > 1e-8
+    assert code == 1
+
+
 def test_verify_unsupported_dimension(capsys):
     code, _, err = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1")
     assert code == 3
@@ -310,6 +339,18 @@ def test_truncate(capsys):
     rows, extras = parse_csv(out)
     assert [float(r["tail_norm"]) for r in rows] == [1.0, 0.5, 1.0 / 3.0, 0.25]
     assert extras["monotone"] is True and extras["ok"] is True
+
+
+def test_truncate_default_cutoff_follows_L(capsys):
+    # without --N the largest cutoff is min(10, L), echoed in meta
+    base = ("truncate", "--dim", "2", "--preset", "constant:1")
+    code, out, _ = run_cli(capsys, *base, "--L", "5")
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["meta.N"] == 5 and len(rows) == 6
+    assert float(rows[-1]["tail_norm"]) == 0.0 and extras["ok"] is True
+    code, out, _ = run_cli(capsys, *base, "--L", "30")
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["meta.N"] == 10 and len(rows) == 11
 
 
 def test_truncate_rejects_bad_cutoff(capsys):
@@ -360,6 +401,25 @@ def test_spectrum_header_after_comments(tmp_path, capsys):
     path.write_text("\n".join(["# note", "ell,lambda", *data[:5], "six,-0.1", *data[6:]]) + "\n")
     code, _, err = run_cli(capsys, *args)
     assert code == 2 and "line 8" in err
+
+
+def test_invert_default_K_follows_the_spectrum_length(tmp_path, capsys):
+    # without --K at most 2L - 1 coefficients are recovered, echoed in meta
+    base = ("invert", "--dim", "2", "--preset", "constant:1")
+    code, out, _ = run_cli(capsys, *base, "--L", "2")
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["meta.K"] == 3 and len(rows) == 3
+    assert extras["effective_rank"] == 2  # lambda_1 reads a_0 only: 2 equations
+    two = tmp_path / "two.csv"
+    two.write_text("1,-1.0\n2,-0.5\n")
+    code, out, _ = run_cli(capsys, "invert", "--spectrum", str(two), "--dim", "2")
+    rows, extras = parse_csv(out)
+    assert code == 0 and extras["meta.K"] == 3 and len(rows) == 3
+    code, out, _ = run_cli(capsys, *base, "--L", "10")
+    assert code == 0 and parse_csv(out)[1]["meta.K"] == 5
+    # an explicit --K keeps its range check
+    code, _, err = run_cli(capsys, *base, "--L", "2", "--K", "4")
+    assert code == 2 and "num_coeffs must lie in 1..3" in err
 
 
 def test_invert_input_validation(tmp_path, capsys):
@@ -478,6 +538,27 @@ def test_config_errors(tmp_path, capsys):
     many.write_text(json.dumps({"breakpoints": [i / n for i in range(n + 1)], "pieces": [[1.0]] * n}))
     code, _, err = run_cli(capsys, "verify", "--dim", "2", "--profile", str(many), "--L", "1")
     assert code == 2 and f"{n} pieces" in err
+
+
+def test_size_gate_counts_the_nodes_project_uses(tmp_path, capsys, monkeypatch):
+    # at an explicit --K below the cut, the gate's projection node count is
+    # the sum of the rule sizes project asks gauss_legendre for
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps({"breakpoints": [0.0, 0.3, 0.7, 1.0],
+                                "pieces": [[1.0], [0.5, -2.0, 1.0], [0.0, 0.0, 0.0, 3.0]]}))
+    for source in (("--preset", "annulus:0.3,0.8,1"), ("--profile", str(path))):
+        argv = ("eigvals", "--dim", "3", *source, "--L", "200", "--K", "17")
+        sizes = []
+        gauss = profiles.gauss_legendre
+        with monkeypatch.context() as m:
+            m.setattr(profiles, "gauss_legendre", lambda n: sizes.append(n) or gauss(n))
+            # a series cut short at K = 17 may disagree with the moment route
+            assert run_cli(capsys, *argv)[0] in (0, 1)
+        assert len(sizes) == 3  # one rule per piece
+        with monkeypatch.context() as m:
+            m.setattr(cli, "MAX_PROJECTION_NODES", 0)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and f" and {sum(sizes)} projection nodes " in err
 
 
 def _strict_json(text):

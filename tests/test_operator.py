@@ -532,10 +532,10 @@ def test_field_validation():
 def test_truncation_error_constant_profile():
     # eta = 1, cutoff 3, spectrum to 10: the tail starts at |lambda_4| = 1/4
     spec = spectrum_moment(preset("constant", [1.0]), 2, 10)
-    rep = truncation_error(truncate(spec, 3))
-    assert rep.tail_norm == 0.25
+    rep = truncation_error(spec, 3)
+    assert rep.tail_norms[3] == 0.25
     assert rep.ok
-    assert truncation_error(truncate(spec, 10)).tail_norm == 0.0
+    assert truncation_error(spec, 10).tail_norms[10] == 0.0
     with pytest.raises(ValueError):
         truncate(spec, 11)
     with pytest.raises(ValueError):
@@ -544,9 +544,8 @@ def test_truncation_error_constant_profile():
 
 def test_truncated_apply_zeroes_high_degrees():
     spec = spectrum_moment(preset("constant", [1.0]), 2, 8)
-    op = truncate(spec, 2)
     field = BoundaryField(d=2, blocks={1: np.ones(2), 2: np.ones(2), 5: np.ones(2)})
-    out = op.apply(field)
+    out = apply_operator(truncate(spec, 2), field)
     assert_allclose(out.block(1), -np.ones(2), rtol=0, atol=0)
     assert np.all(out.block(5) == 0.0)
     assert out.degrees == (1, 2, 5)
@@ -554,8 +553,44 @@ def test_truncated_apply_zeroes_high_degrees():
 
 def test_tail_norm_is_non_increasing_in_cutoff():
     spec = spectrum_moment(preset("annulus", [0.3, 0.8, -1.5]), 2, 40)
-    tails = [truncation_error(truncate(spec, n)).tail_norm for n in range(21)]
+    tails = truncation_error(spec, 20).tail_norms
     assert all(tails[i + 1] <= tails[i] for i in range(20))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("L", [1, 10, 150])
+def test_truncation_report_is_the_per_cutoff_formula(corpus, d, L):
+    # one pass over every cutoff gives, bit for bit, the tail max and the decay
+    # bound at the first dropped degree, each taken cutoff by cutoff
+    for name, prof in corpus:
+        spec = spectrum_moment(prof, d, L)
+        rep = truncation_error(spec, L)
+        bound = decay_constant(d) * spec.eta_norm
+        for n in range(L + 1):
+            tail = np.abs(spec.eigenvalues[n:])
+            assert rep.tail_norms[n] == (float(tail.max()) if tail.size else 0.0), (name, n)
+            assert rep.apriori_bounds[n] == bound / math.sqrt(n + 1.0), (name, n)
+        assert rep.apriori_bounds[:L].tobytes() == verify_decay_bound(spec).bounds.tobytes()
+        assert rep.passes.tolist() == [t <= b for t, b in zip(rep.tail_norms, rep.apriori_bounds)]
+        assert rep.ok == (rep.monotone and all(rep.passes))
+        assert not (rep.tail_norms.flags.writeable or rep.apriori_bounds.flags.writeable)
+    short = truncation_error(spec, L // 2)
+    assert short.tail_norms.tolist() == rep.tail_norms[: L // 2 + 1].tolist()
+    with pytest.raises(ValueError):
+        truncation_error(spec, L + 1)
+    with pytest.raises(ValueError):
+        truncation_error(spec, -1)
+
+
+def test_truncate_keeps_the_spectrum_but_zeroes_degrees_past_the_cutoff():
+    spec = spectrum_moment(preset("annulus", [0.3, 0.8, -1.5]), 3, 6)
+    cut = truncate(spec, 4)
+    assert isinstance(cut, Spectrum)
+    assert (cut.d, cut.source, cut.eta_norm) == (spec.d, spec.source, spec.eta_norm)
+    assert cut.eigenvalues[:4].tolist() == spec.eigenvalues[:4].tolist()
+    assert cut.eigenvalues[4:].tolist() == [0.0, 0.0]
+    assert truncate(spec, 6).eigenvalues.tolist() == spec.eigenvalues.tolist()
+    assert np.all(truncate(spec, 0).eigenvalues == 0.0)
 
 
 # ---------------------------------------------------------------------------

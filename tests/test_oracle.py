@@ -168,6 +168,34 @@ def test_cross_validation_annulus():
         assert rep.reference[0] == pytest.approx(-(1.0 - 2.0**-d), abs=1e-12)
 
 
+def test_cross_validation_gate_is_one_entry_wise_matrix(corpus):
+    # ok, max_offdiag and max_diag_scaled all read the matrix that passes gates
+    for name, prof in corpus:
+        for d, max_degree in ((2, 1), (2, 6), (3, 5)):
+            rep = cross_validate(prof, d, max_degree)
+            n = len(rep.labels)
+            scale = np.maximum(1.0, np.abs(rep.reference))
+            diag_err = np.abs(np.diag(rep.entries) - rep.reference) / scale
+            assert rep.passes.shape == (n, n)
+            assert np.diag(rep.passes).tolist() == (diag_err <= rep.tol_diag).tolist()
+            off = ~np.eye(n, dtype=bool)
+            assert rep.passes[off].tolist() == (np.abs(rep.entries[off]) <= rep.tol_offdiag).tolist()
+            assert rep.ok == (rep.passes.all() and rep.identity_scaled_defect <= rep.tol_identity)
+            assert rep.max_diag_scaled == diag_err.max()
+            assert rep.max_offdiag == (np.abs(rep.entries[off]).max() if n > 1 else 0.0), name
+    # a diagonal entry past tol_diag fails in its own cell and in ok
+    rep = cross_validate(preset("constant", [1.0]), 2, 3)
+    entries = rep.entries.copy()
+    entries[2, 2] *= 1.0 + 1e-6
+    bad = oracle.CrossValidationReport(
+        d=2, labels=rep.labels, degrees=rep.degrees, entries=entries, reference=rep.reference,
+        tol_offdiag=rep.tol_offdiag, tol_diag=rep.tol_diag, identity_defect=rep.identity_defect,
+        identity_scaled_defect=rep.identity_scaled_defect,
+    )
+    assert np.argwhere(~bad.passes).tolist() == [[2, 2]]
+    assert not bad.ok and rep.ok
+
+
 def test_cross_validation_detects_wrong_reference():
     # sanity: the comparison is not vacuous
     prof = preset("constant", [1.0])
