@@ -19,9 +19,11 @@ with ``repr``, i.e. shortest round-trip form; the JSON metadata carries a
 timestamp, which is the only field that varies between identical runs.  Each
 subcommand returns its metadata, records (as columns), summary and verdict;
 ``main`` alone writes them and maps the verdict to the exit code.  ``_emit``
-formats each column once: the JSON is byte for byte ``json.dumps(doc,
+formats each column once and everything else with ``_json_text``, which
+takes NumPy values as they are: the JSON is byte for byte ``json.dumps(doc,
 indent=2)`` and the CSV as written cell by cell.  ``main`` builds its
-argument parser once per process.
+argument parser once per process, and ``verify`` reads its row layout from
+the oracle's per-(d, L) plan.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import jacobi, operator, profiles
 from .numerics import gauss_legendre
-from .oracle import cross_validate
+from .oracle import _sphere_plan, cross_validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -195,22 +197,6 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
 # output handling
 
 
-def _plain(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
 # json.dumps's spelling of the floats that float.__repr__ writes as nan/inf
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -239,9 +225,39 @@ def _cells(values, json_out: bool) -> list[str]:
     raise TypeError(f"cannot serialise a column of {type(first).__name__}")
 
 
-def _json_value(value) -> str:
-    """json.dumps(value, indent=2) as it reads one level deep in a document."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+def _json_text(value, level: int | None = None) -> str:
+    """The bytes of ``json.dumps(value, indent=2)`` as they read ``level`` deep
+    in a document, or of ``json.dumps(value)`` if ``level`` is None.  Leaves
+    may be plain or NumPy scalars (floats as ``float.__repr__``, non-finite
+    ones spelled NaN/Infinity/-Infinity as json.dumps does) or strings;
+    containers dicts with string keys, lists, tuples or NumPy arrays."""
+    if isinstance(value, (float, np.floating)):  # the most common leaf first
+        text = float.__repr__(float(value))
+        return _JSON_CONSTANTS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    inner = None if level is None else level + 1
+    if isinstance(value, dict):
+        # the encoder raises TypeError on a key that is not a string
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot serialise {type(value).__name__}")
+    if not items:
+        return brackets
+    if level is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + "  " * inner
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
@@ -249,12 +265,12 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
     1-d array or list with one value per record.
 
     The bytes equal those of ``json.dumps(doc, indent=2)`` (JSON) or of the
-    record-by-record CSV writer, but each column is formatted once and the
-    JSON records come from one per-record template: the generic encoder
-    would walk every cell in pure Python.
+    record-by-record CSV writer, but each column is formatted once, the JSON
+    records come from one per-record template, and meta, summary and the CSV
+    ``# key = value`` lines are written by ``_json_text``: with an indent,
+    json.dumps runs its pure-Python encoder, which would walk every value.
+    ``meta`` and ``summary`` may hold NumPy scalars and arrays as they are.
     """
-    meta = _plain(meta)
-    summary = _plain(summary)
     json_out = args.format == "json"
     keys = list(columns)
     rows = list(zip(*(_cells(columns[k], json_out) for k in keys), strict=True))
@@ -262,12 +278,12 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
         meta = {**meta, "timestamp": datetime.now(timezone.utc).isoformat()}
         records = "[]"
         if rows:
-            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+            fields = ",\n".join(f"      {_json_text(k).replace('%', '%%')}: %s" for k in keys)
             template = "    {\n" + fields + "\n    }"
             records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
         text = (
-            f'{{\n  "meta": {_json_value(meta)},\n  "records": {records},\n'
-            f'  "summary": {_json_value(summary)}\n}}\n'
+            f'{{\n  "meta": {_json_text(meta, 1)},\n  "records": {records},\n'
+            f'  "summary": {_json_text(summary, 1)}\n}}\n'
         )
     else:
         lines = []
@@ -275,7 +291,7 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
             lines.append(",".join(keys))
             lines.extend(map(",".join, rows))
         for key, value in {**summary, **{f"meta.{k}": v for k, v in meta.items()}}.items():
-            lines.append(f"# {key} = {json.dumps(value)}")
+            lines.append(f"# {key} = {_json_text(value)}")
         text = "\n".join(lines) + "\n"
     if args.out:
         try:
@@ -380,14 +396,13 @@ def _cmd_verify(args):
             f"only available for d = 2 and d = 3 (got d = {d})"
         )
     report = cross_validate(profile, d, args.L)
-    # the upper triangle row by row
-    i, j = np.triu_indices(len(report.labels))
+    plan = _sphere_plan(d, args.L)  # the upper triangle row by row
+    i, j = plan.rows, plan.cols
     entry = report.entries[i, j]
-    reference = np.where(i == j, report.reference[i], 0.0)
-    labels = np.array(report.labels)
+    reference = np.where(plan.on_diag, report.reference[i], 0.0)
     columns = {
-        "h1": labels[i],
-        "h2": labels[j],
+        "h1": plan.h1,
+        "h2": plan.h2,
         "entry": entry,
         "reference": reference,
         "abs_error": np.abs(entry - reference),

@@ -242,6 +242,20 @@ def _row_length(block: _RowBlock, count: int) -> int:
     return int(block.starts[count] - block.starts[count - 1])
 
 
+def _longest_row(d: int, max_index: int) -> int:
+    """The length of row max_index, the longest a request for degrees
+    1..max_index reads.  It comes from the row's block if that is held, read
+    without making it the most recent (past the cap, a request's ascending
+    read would then drop it before reaching it, and build it twice), and
+    otherwise from that row built alone: a row's cut does not depend on its
+    block."""
+    b = (max_index - 1) // _ROW_BLOCK
+    block = _weight_blocks.get((d, b))
+    if block is None:
+        return _row_length(_row_block(d, max_index, max_index), 1)
+    return _row_length(block, max_index - b * _ROW_BLOCK)
+
+
 def _cut_rows(
     block: _RowBlock, count: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,8 +391,7 @@ def dual_route(
 
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    last = (max_index - 1) // _ROW_BLOCK  # the block of the longest row
-    top = _row_length(_weight_block(d, last), max_index - last * _ROW_BLOCK) - 1
+    top = _longest_row(d, max_index) - 1
     coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
     series, tails = _series_spectrum(project(profile, d, coeff_degree), _weight_band(d, max_index))
     moment = spectrum_moment(profile, d, max_index)

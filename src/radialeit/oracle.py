@@ -17,15 +17,19 @@ sphere integral (see ``brute_force_entry``), so the whole matrix is
 
 with m_p the integral of eta(r) r**(d-1) r**p (one Gauss rule per piece), and
 V and D the harmonics' value and theta-derivative rows on one angular rule
-with weights W, exact for the largest degree sum.  ``cross_validate`` builds
-it over all harmonics at once; ``brute_force_entry`` and ``gradient_identity``
-run the same code on their two harmonics.
+with weights W, exact for the largest degree sum.  ``brute_force_entry`` and
+``gradient_identity`` build the sphere half of their two harmonics on every
+call.  ``cross_validate`` forms it over all harmonics up to a degree, and that
+half does not depend on eta: it is built once per (d, max_degree) and process
+(``_sphere_plan``, the last 32 settings kept), so a call then computes only the
+radial moments, one product with the angular factor and its reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -192,13 +196,18 @@ def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarra
     return moments
 
 
-def _assemble(profile: RadialProfile, hs, forms) -> np.ndarray:
-    """The brute-force matrix of the harmonics hs, given their ``_sphere_forms``
-    (see ``brute_force_entry``)."""
+def _form_factors(hs, forms) -> tuple[np.ndarray, np.ndarray]:
+    """The moment index l_i + l_j - 2 and the angular factor
+    prod + grad / (l l^T) of every pair of harmonics, from their
+    ``_sphere_forms`` (see ``brute_force_entry``)."""
     degrees = np.array([h.degree for h in hs])
-    grad, prod = forms[0], forms[1]
-    moments = _radial_moments(profile, hs[0].d, 2 * int(degrees.max()) - 2)
-    return -moments[degrees[:, None] + degrees - 2] * (prod + grad / np.outer(degrees, degrees))
+    return degrees[:, None] + degrees - 2, forms[1] + forms[0] / np.outer(degrees, degrees)
+
+
+def _entries(profile: RadialProfile, d: int, index: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """The brute-force matrix -m[index] * angular: the only part that depends
+    on the profile."""
+    return -_radial_moments(profile, d, int(index.max()))[index] * angular
 
 
 def _identity_defect(d: int, degrees: np.ndarray, forms) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +236,7 @@ def brute_force_entry(
     integral up to roundoff.
     """
     hs = (h1, h2)
-    return float(_assemble(profile, hs, _sphere_forms(hs))[0, 1])
+    return float(_entries(profile, h1.d, *_form_factors(hs, _sphere_forms(hs)))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -270,7 +279,12 @@ def gradient_identity(
 class CrossValidationReport:
     """Brute-force matrix of the form against the predicted diagonal, plus the
     largest surface-gradient identity defect over all ordered pairs, absolute
-    and scaled (the scaled one is gated)."""
+    and scaled (the scaled one is gated).
+
+    The gate and its maxima are computed once, when the report is made:
+    ``passes`` is |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on the diagonal
+    and |e_ij| <= tol_offdiag off it, ``ok`` is all of it and the scaled
+    identity defect within tol_identity.  Its arrays are read-only."""
 
     d: int
     labels: tuple[str, ...]
@@ -282,33 +296,77 @@ class CrossValidationReport:
     identity_defect: float
     identity_scaled_defect: float
     tol_identity: float = _TOL_IDENTITY
+    passes: np.ndarray = field(init=False, repr=False, compare=False)
+    max_offdiag: float = field(init=False, compare=False)
+    max_diag_scaled: float = field(init=False, compare=False)
+    ok: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.entries.flags.writeable = False
-        self.reference.flags.writeable = False
+        on_diag = np.eye(len(self.labels), dtype=bool)
         errors = np.abs(self.entries)
         diag = np.abs(np.diag(self.entries) - self.reference)
         np.fill_diagonal(errors, diag / np.maximum(1.0, np.abs(self.reference)))
-        object.__setattr__(self, "_errors", errors)
+        passes = errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
+        for arr in (self.entries, self.reference, passes):
+            arr.flags.writeable = False
+        put = functools.partial(object.__setattr__, self)
+        put("passes", passes)
+        put("max_offdiag", float(np.where(on_diag, 0.0, errors).max()))
+        put("max_diag_scaled", float(np.diag(errors).max()))
+        put("ok", bool(passes.all() and self.identity_scaled_defect <= self.tol_identity))
 
-    @property
-    def passes(self) -> np.ndarray:
-        """The entry-wise gate: |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on
-        the diagonal, |e_ij| <= tol_offdiag off it."""
-        on_diag = np.eye(len(self.labels), dtype=bool)
-        return self._errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
 
-    @property
-    def max_offdiag(self) -> float:
-        return float(np.where(np.eye(len(self.labels), dtype=bool), 0.0, self._errors).max())
+@dataclass(frozen=True)
+class _SpherePlan:
+    """Everything ``cross_validate`` needs that does not depend on eta, for all
+    harmonics up to one degree in one dimension (arrays read-only)."""
 
-    @property
-    def max_diag_scaled(self) -> float:
-        return float(np.diag(self._errors).max())
+    labels: tuple[str, ...]
+    degrees: tuple[int, ...]
+    reference_index: np.ndarray  # degree - 1 per harmonic
+    moment_index: np.ndarray  # l_i + l_j - 2
+    angular: np.ndarray  # prod + grad / (l l^T)
+    identity_defect: float  # largest over all ordered pairs
+    identity_scaled_defect: float
+    # the upper triangle row by row (the order verify writes it in)
+    rows: np.ndarray
+    cols: np.ndarray
+    h1: tuple[str, ...]  # labels[rows]
+    h2: tuple[str, ...]  # labels[cols]
+    on_diag: np.ndarray  # rows == cols
 
-    @property
-    def ok(self) -> bool:
-        return bool(self.passes.all()) and self.identity_scaled_defect <= self.tol_identity
+
+@functools.lru_cache(maxsize=32)
+def _sphere_plan(d: int, max_degree: int) -> _SpherePlan:
+    """The sphere half of ``cross_validate`` at (d, max_degree), built once per
+    process for each of the 32 most recently used settings: from the same
+    ``_sphere_forms`` as the single-pair functions.  The largest plan verify
+    asks for (d = 2, max_degree = 90) holds about 1.1 MB, and the 32 largest
+    together about 23 MB."""
+    hs = harmonics_up_to(d, max_degree)
+    forms = _sphere_forms(hs)
+    degrees = np.array([h.degree for h in hs])
+    moment_index, angular = _form_factors(hs, forms)
+    defect, scaled = _identity_defect(d, degrees, forms)
+    rows, cols = np.triu_indices(len(hs))
+    labels = tuple(h.label for h in hs)
+    plan = _SpherePlan(
+        labels=labels,
+        degrees=tuple(degrees.tolist()),
+        reference_index=degrees - 1,
+        moment_index=moment_index,
+        angular=angular,
+        identity_defect=float(defect.max()),
+        identity_scaled_defect=float(scaled.max()),
+        rows=rows,
+        cols=cols,
+        h1=tuple(labels[i] for i in rows.tolist()),
+        h2=tuple(labels[j] for j in cols.tolist()),
+        on_diag=rows == cols,
+    )
+    for arr in (plan.reference_index, moment_index, angular, rows, cols, plan.on_diag):
+        arr.flags.writeable = False
+    return plan
 
 
 def cross_validate(
@@ -321,28 +379,26 @@ def cross_validate(
     """Assemble the full brute-force matrix over all explicit harmonics up to
     max_degree and compare with the moment-route eigenvalues.
 
-    The sphere integrals of all pairs come from one angular rule and the
-    radial moments from one rule per piece; ``identity_defect`` and
-    ``identity_scaled_defect`` are the largest ``gradient_identity`` defects
-    over all ordered pairs, read from the same sphere integrals.
+    The sphere integrals of all pairs come from one angular rule, built once
+    per (d, max_degree) (``_sphere_plan``), and the radial moments from one
+    rule per piece; ``identity_defect`` and ``identity_scaled_defect`` are the
+    largest ``gradient_identity`` defects over all ordered pairs, read from the
+    same sphere integrals.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
     """
     from .operator import spectrum_moment
 
-    hs = harmonics_up_to(d, max_degree)
-    degrees = np.array([h.degree for h in hs])
-    forms = _sphere_forms(hs)
-    defect, scaled = _identity_defect(d, degrees, forms)
+    plan = _sphere_plan(d, max_degree)
     return CrossValidationReport(
         d=d,
-        labels=tuple(h.label for h in hs),
-        degrees=tuple(h.degree for h in hs),
-        entries=_assemble(profile, hs, forms),
-        reference=spectrum_moment(profile, d, max_degree).eigenvalues[degrees - 1],
+        labels=plan.labels,
+        degrees=plan.degrees,
+        entries=_entries(profile, d, plan.moment_index, plan.angular),
+        reference=spectrum_moment(profile, d, max_degree).eigenvalues[plan.reference_index],
         tol_offdiag=tol_offdiag,
         tol_diag=tol_diag,
-        identity_defect=float(defect.max()),
-        identity_scaled_defect=float(scaled.max()),
+        identity_defect=plan.identity_defect,
+        identity_scaled_defect=plan.identity_scaled_defect,
     )

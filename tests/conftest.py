@@ -1,7 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from radialeit import RadialProfile, preset
+from radialeit import RadialProfile, oracle, preset
+
+# the benchmark's exact-rational reference, which imports nothing from radialeit
+_spec = importlib.util.spec_from_file_location(
+    "radialeit_exact_reference", Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+)
+_exact = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_exact)
 
 
 def _build_corpus() -> list[tuple[str, RadialProfile]]:
@@ -35,3 +45,16 @@ def _build_corpus() -> list[tuple[str, RadialProfile]]:
 @pytest.fixture(scope="session")
 def corpus() -> list[tuple[str, RadialProfile]]:
     return _build_corpus()
+
+
+@pytest.fixture(scope="session")
+def exact():
+    return _exact
+
+
+@pytest.fixture(autouse=True)
+def _fresh_sphere_plans():
+    # a plan built while a test monkeypatches the oracle must not reach a later test
+    oracle._sphere_plan.cache_clear()
+    yield
+    oracle._sphere_plan.cache_clear()

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialeit import cli, oracle, profiles
 from radialeit.cli import main
@@ -286,6 +288,7 @@ def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
     monkeypatch.setattr(
         oracle, "_identity_defect", lambda d, degrees, forms: defect(d + 1, degrees, forms)
     )
+    oracle._sphere_plan.cache_clear()  # the plan of (3, 40) holds the defect
     code, out, _ = run_cli(capsys, *argv)
     _, extras = parse_csv(out)
     assert code == 1 and extras["ok"] is False
@@ -304,14 +307,14 @@ def test_verify_pass_column_is_the_report_gate(capsys):
 
 def test_verify_fails_a_wrong_diagonal_entry_in_its_row(capsys, monkeypatch):
     # one diagonal entry past tol_diag: its row, ok and the exit code all fail
-    assemble = oracle._assemble
+    entries_of = oracle._entries
 
-    def skewed(profile, hs, forms):
-        entries = assemble(profile, hs, forms)
+    def skewed(profile, d, index, angular):
+        entries = entries_of(profile, d, index, angular)
         entries[3, 3] *= 1.0 + 1e-6
         return entries
 
-    monkeypatch.setattr(oracle, "_assemble", skewed)
+    monkeypatch.setattr(oracle, "_entries", skewed)
     argv = ("verify", "--dim", "2", "--preset", "annulus:0.3,0.8,1", "--L", "3")
     code, out, _ = run_cli(capsys, *argv)
     rows, extras = parse_csv(out)
@@ -686,6 +689,62 @@ def test_emit_matches_the_record_by_record_writer(capsys, fmt):
         stamp = json.loads(out)["meta"]["timestamp"] if fmt == "json" else None
         plain = {k: np.asarray(v).tolist() for k, v in columns.items()}
         assert out == _reference_emit(fmt, meta, plain, summary, stamp)
+
+
+def _python(value):
+    """value with every NumPy array and scalar made the plain value json.dumps takes."""
+    if isinstance(value, np.ndarray):
+        return _python(value.tolist())
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [_python(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _python(v) for k, v in value.items()}
+    return value
+
+
+_texts = st.one_of(st.text(), st.sampled_from(["", "\u00e9\u2028", '"\\%s\t', "\x00\x7f\U0001f600"]))
+_leaves = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and +-inf included
+    _texts,
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2)
+    ),
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json_values)
+def test_json_text_matches_json_dumps(value):
+    plain = _python(value)
+    assert cli._json_text(value) == json.dumps(plain)
+    assert cli._json_text(value, 0) == json.dumps(plain, indent=2)
+    # two levels deep in a document
+    assert cli._json_text(value, 2) == json.dumps(plain, indent=2).replace("\n", "\n    ")
+
+
+def test_json_text_refuses_other_types():
+    # keys must be strings (json.dumps would turn 1 into "1")
+    for value in (object(), None, {1: 2}, {"a": [1, {2.0: "b"}]}, {1, 2}):
+        with pytest.raises(TypeError):
+            cli._json_text(value, 1)
 
 
 _EVERY_SUBCOMMAND = [

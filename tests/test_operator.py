@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import math
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,19 +218,9 @@ def test_cut_spectrum_lies_within_its_tail_bound(corpus):
             assert np.all(np.abs(cut - uncut) <= rep.tail_bounds + 8 * 2.0**-53 * scale)
 
 
-def _exact_module():
-    # the benchmark's exact-rational reference, which imports nothing from radialeit
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
-    spec = importlib.util.spec_from_file_location("radialeit_exact_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_one_piece_series_matches_exact_eigenvalues(corpus):
+def test_one_piece_series_matches_exact_eigenvalues(corpus, exact):
     # a one-piece profile's coefficients past its degree are exact zeros, so the
     # series route carries no projection rounding beyond them
-    exact = _exact_module()
     L = 400
     for name, prof in corpus:
         if len(prof.pieces) > 1:
@@ -347,6 +335,29 @@ def test_weight_bands_are_read_only_and_capped(monkeypatch):
     assert list(operator._weight_blocks) == [(2, 2)]
     assert _held() <= cap
     assert built.count((2, 1, 256)) == 1  # held blocks are read, not rebuilt
+
+
+def test_dual_route_past_the_cap_builds_each_block_once(monkeypatch):
+    # the longest row is read without making its block the most recent, so the
+    # ascending read past the cap does not drop that block and build it again
+    prof = preset("annulus", [0.3, 0.8, 1.0])
+    built = _counted_row_blocks(monkeypatch)
+    blocks = [(2, 256 * b + 1, 256 * (b + 1)) for b in range(12)]
+    want = dual_route(prof, 2, 3000)  # an empty store: the longest row alone, then each block
+    assert built == [(2, 3000, 3000)] + blocks
+    assert dual_route(prof, 2, 3000).coeff_degree == want.coeff_degree  # from the held block
+    assert len(built) == 13
+    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 16)  # less than one block near L = 3000
+    operator._weight_blocks.clear()
+    del built[:]
+    for _ in range(2):  # from an empty store, then with only the last block held
+        got = dual_route(prof, 2, 3000)
+        assert got.coeff_degree == want.coeff_degree
+        for a, b in ((got.series.eigenvalues, want.series.eigenvalues),
+                     (got.moment.eigenvalues, want.moment.eigenvalues),
+                     (got.tail_bounds, want.tail_bounds)):
+            assert a.tobytes() == b.tobytes()
+    assert built == [(2, 3000, 3000)] + blocks + blocks
 
 
 def test_past_the_cap_one_block_at_a_time(monkeypatch):

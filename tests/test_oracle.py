@@ -1,6 +1,5 @@
-import importlib.util
+import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +15,6 @@ from radialeit.oracle import (
 )
 from radialeit.oracle import _angular_rule
 from radialeit.profiles import RadialProfile, preset
-
-# the benchmark's exact-rational reference; it imports nothing from radialeit
-_spec = importlib.util.spec_from_file_location(
-    "exact", Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
-)
-exact = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(exact)
 
 
 def test_harmonic_construction():
@@ -204,7 +196,7 @@ def test_cross_validation_detects_wrong_reference():
     assert np.abs(np.diag(rep.entries) - shifted).max() > 0.4
 
 
-def test_oracle_matches_exact_rationals(corpus):
+def test_oracle_matches_exact_rationals(corpus, exact):
     # against moments in exact rationals that share no code with the library
     for name, prof in corpus:
         ref = exact.ExactProfile(prof.breakpoints, prof.pieces)
@@ -229,7 +221,8 @@ def test_single_pair_functions_read_the_pair_matrix():
         for h1 in hs:
             for h2 in hs:
                 forms = oracle._sphere_forms((h1, h2))
-                assert brute_force_entry(prof, h1, h2) == oracle._assemble(prof, (h1, h2), forms)[0, 1]
+                pair = oracle._entries(prof, d, *oracle._form_factors((h1, h2), forms))
+                assert brute_force_entry(prof, h1, h2) == pair[0, 1]
                 degrees = np.array([h1.degree, h2.degree])
                 defect, scaled = oracle._identity_defect(d, degrees, forms)
                 rep = gradient_identity(h1, h2)
@@ -262,6 +255,83 @@ def test_one_legendre_table_per_cross_validate(monkeypatch):
     rep = cross_validate(preset("annulus", [0.3, 0.8, -1.5]), 3, 8)
     assert rep.ok
     assert calls == [8]
+
+
+def _counted(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def _same_report(a, b):
+    for f in dataclasses.fields(oracle.CrossValidationReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y and type(x) is type(y), f.name
+
+
+def test_sphere_half_is_built_once_per_setting(monkeypatch):
+    # cold: one sphere half (and in d = 3 one Legendre table); warm, for any
+    # profile: neither, and the same report bit for bit
+    profs = preset("annulus", [0.3, 0.8, -1.5]), preset("polynomial", [0.2, -1.0, 0.0, 0.5])
+    for d in (2, 3):
+        calls = _counted(monkeypatch, "_sphere_forms", "_legendre_table")
+        cold = cross_validate(profs[0], d, 8)
+        built = {"_sphere_forms": 1, "_legendre_table": d - 2}
+        assert calls == built
+        _same_report(cross_validate(profs[0], d, 8), cold)
+        other = cross_validate(profs[1], d, 8)
+        assert calls == built
+        oracle._sphere_plan.cache_clear()
+        _same_report(cross_validate(profs[1], d, 8), other)
+        monkeypatch.undo()
+
+
+def test_sphere_plan_and_report_are_read_only():
+    plan = oracle._sphere_plan(2, 4)
+    rep = cross_validate(preset("constant", [1.0]), 2, 4)
+    arrays = (plan.reference_index, plan.moment_index, plan.angular, plan.rows, plan.cols,
+              plan.on_diag, rep.entries, rep.reference, rep.passes)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.angular = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.ok = True
+
+
+def test_pair_functions_agree_with_the_report():
+    # the pair functions build their own, smaller angular rule, so they agree
+    # to rounding but not bit for bit: entries to 1e-15, angular factors (up
+    # to 2.5, off the diagonal rounding noise of that size) to 4e-15;
+    # the identity defects are themselves rounding noise of each rule (up to
+    # 7.5e-14 absolute in d = 3), so their maxima agree only to that size
+    prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
+    for d in (2, 3):
+        hs = harmonics_up_to(d, 5)
+        rep = cross_validate(prof, d, 5)
+        plan = oracle._sphere_plan(d, 5)
+        defect = scaled = 0.0
+        for i, h1 in enumerate(hs):
+            for j, h2 in enumerate(hs):
+                assert abs(brute_force_entry(prof, h1, h2) - rep.entries[i, j]) <= 1e-15
+                pair = gradient_identity(h1, h2)
+                angular = pair.rhs + pair.lhs / (h1.degree * h2.degree)
+                assert abs(angular - plan.angular[i, j]) <= 4e-15
+                defect, scaled = max(defect, pair.defect), max(scaled, pair.scaled_defect)
+        assert abs(defect - rep.identity_defect) <= 1e-13
+        assert abs(scaled - rep.identity_scaled_defect) <= 1e-14
 
 
 def test_many_pieces_verify_at_the_largest_degree():
