@@ -11,12 +11,10 @@ from .jacobi import (
     JacobiExpansion,
     JacobiFamily,
     build_family,
-    evaluate,
-    evaluate_direct,
     evaluate_table,
     monomial_coefficients,
 )
-from .numerics import QuadratureRule, gauss_legendre, log_factorial_ratio, log_gamma
+from .numerics import QuadratureRule, gauss_legendre
 from .operator import (
     BoundaryField,
     InversionResult,
@@ -74,8 +72,6 @@ __all__ = [
     "dual_route",
     "eigenvalue_moment",
     "eigenvalue_series",
-    "evaluate",
-    "evaluate_direct",
     "evaluate_table",
     "forward_matrix",
     "gauss_legendre",
@@ -83,8 +79,6 @@ __all__ = [
     "harmonic_space_dim",
     "harmonics_up_to",
     "invert",
-    "log_factorial_ratio",
-    "log_gamma",
     "moment_integral",
     "monomial_coefficients",
     "norm_ball",

@@ -8,13 +8,11 @@ i.e. the orthonormalised Jacobi polynomials with parameters (d-1, 0) mapped
 to the unit interval.  Degree-graded tables come from one three-term
 recurrence in ``r``, a few in-place NumPy operations per degree over all
 points, run a block of degrees at a time (``evaluate_blocks``) or whole
-(``evaluate_table``, the one-block case); an exact rational evaluation of the
-explicit monomial sum is kept alongside as a low-degree oracle.  A set of
-basis coefficients is a ``JacobiExpansion``, profile projections and monomial
-expansions alike.  The expansion of r**k in the basis uses exact integer
-ratios, rounded once per coefficient; each expansion is built once per
-process per (d, k) (up to a fixed number of rows) and every caller shares the
-same read-only row.
+(``evaluate_table``, the one-block case).  A set of basis coefficients is a
+``JacobiExpansion``, profile projections and monomial expansions alike.  The
+expansion of r**k in the basis uses exact integer ratios, rounded once per
+coefficient; each expansion is built once per process per (d, k) (up to a
+fixed number of rows) and every caller shares the same read-only row.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -32,18 +29,10 @@ __all__ = [
     "JacobiExpansion",
     "JacobiFamily",
     "build_family",
-    "evaluate",
     "evaluate_blocks",
-    "evaluate_direct",
     "evaluate_table",
-    "leading_coefficient",
     "monomial_coefficients",
 ]
-
-# Past this degree the explicit alternating sum has binomial factors around
-# 1e9 and exact rational evaluation gets slow; the recurrence is the intended
-# evaluator anyway.
-_DIRECT_DEGREE_CAP = 20
 
 # Memoized monomial rows: enough for basis checks up to K = 150 in a dozen
 # dimensions, and at most about 25 MB even when every row is the longest the
@@ -149,51 +138,6 @@ def _blocks(family: JacobiFamily, num: int, r: np.ndarray, height: int):
             prev, cur = cur, np.divide(tmp, c[k - 1], out=row)
         yield start, block
         prev, cur = prev.copy(), cur.copy()  # the next block overwrites the buffer
-
-
-def evaluate(family: JacobiFamily, k: int, r):
-    """P_k at the given points (scalar in, scalar out)."""
-    table = evaluate_table(family, r, max_degree=int(k))
-    vals = table[int(k)]
-    if np.ndim(r) == 0:
-        return float(vals[0])
-    return vals
-
-
-def evaluate_direct(d: int, k: int, r):
-    """P_k from its explicit alternating monomial sum, in exact arithmetic.
-
-    Every float point is converted to the rational it represents, the integer
-    coefficient sum is run over the rationals, and only the final value is
-    rounded, so this is an oracle for the recurrence rather than a second
-    victim of cancellation.  Degrees above 20 are rejected.
-    """
-    d = _check_dimension(d)
-    if not 0 <= k <= _DIRECT_DEGREE_CAP:
-        raise ValueError(f"direct evaluation supports 0 <= k <= {_DIRECT_DEGREE_CAP}, got {k}")
-    pts = _as_points(r)
-    coeffs = [
-        (-1) ** q * math.comb(k, q) * math.comb(k + q + d - 1, k) for q in range(k + 1)
-    ]
-    scale = math.sqrt(2 * k + d)
-    out = np.empty(pts.size)
-    for i, x in enumerate(pts):
-        xf = Fraction(float(x))
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * xf + c
-        out[i] = scale * float(acc)
-    if np.ndim(r) == 0:
-        return float(out[0])
-    return out
-
-
-def leading_coefficient(d: int, k: int) -> float:
-    """Coefficient of r**k in P_k: sqrt(2k + d) * C(2k + d - 1, k) * (-1)**k."""
-    d = _check_dimension(d)
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    return (-1.0) ** k * math.sqrt(2 * k + d) * float(math.comb(2 * k + d - 1, k))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .jacobi import JacobiExpansion, _check_dimension
-from .numerics import log_factorial_ratio, log_gamma
 from .profiles import (
     RadialProfile,
     log_surface_area,
@@ -133,7 +132,9 @@ class Spectrum:
 # with R(ell, 0) = 1 and R(ell, k+1) = R(ell, k) (n - k)/(n + d + k + 1), so
 # R(ell, k) = (n+d)! n! / ((n+d+k)! (n-k)!).  Each row is built by this ratio
 # recurrence on its own (a cumulative product along k, never across rows), so a
-# row's bits do not depend on which other rows are built with it.
+# row's bits do not depend on which other rows are built with it.  The check of
+# the paper's bound on R (``verify_factorial_ratio_bound``) reads the same
+# ratios (``_ratios``) and sums their logs along k.
 #
 # The ratio |w(ell, j+1)/w(ell, j)| = sqrt((2j+2+d)/(2j+d)) (n-j)/(n+d+j+1) =: rho_j
 # falls with j, so once rho_{k+1} < 1,
@@ -165,6 +166,15 @@ def cut_estimate(d: int, ell: int) -> int:
     return int(1.1 * math.sqrt((4.0 * ell - 2 + d) / 2 * 53 * math.log(2))) + 8
 
 
+def _ratios(d: int, n: np.ndarray, width: int) -> np.ndarray:
+    """R(ell, j+1) / R(ell, j) = (n - j)/(n + d + j + 1) for j = 0..width,
+    one row per n = 2 ell - 2 (a float array)."""
+    j = np.arange(width + 1.0)
+    ratio = np.subtract.outer(n, j)
+    ratio /= np.add.outer(n, j + (d + 1.0))
+    return ratio
+
+
 def _row_block(d: int, first: int, last: int) -> _RowBlock:
     """Rows first..last, each built by its own cumulative product along k,
     padded to a common width and cut at k*(ell)."""
@@ -174,9 +184,7 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
     full = 2 * last - 1  # columns k = 0..n of the longest row
     width = min(cut_estimate(d, last), full)
     while True:
-        j = np.arange(width + 1.0)
-        ratio = np.subtract.outer(n, j)
-        ratio /= np.add.outer(n, j + (d + 1.0))  # R(ell, j+1) / R(ell, j)
+        ratio = _ratios(d, n, width)
         r = np.ones((ell.size, width + 1))
         np.cumprod(ratio[:, :width], axis=1, out=r[:, 1:])
         # at column k: ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2, and
@@ -423,7 +431,7 @@ def decay_constant(d: int) -> float:
     (finite up to d = 520; inf above)."""
     d = _check_dimension(d)
     log_c = math.log(d) + d / 4.0 * (2.0 - math.log(math.pi))
-    log_c += 0.5 * (math.log(2.0) + log_gamma(d / 2.0))
+    log_c += 0.5 * (math.log(2.0) + math.lgamma(d / 2.0))
     return math.exp(log_c) if log_c < _LOG_MAX else math.inf
 
 
@@ -493,20 +501,39 @@ class FactorialRatioBoundReport:
         return not self.violations
 
 
+def _log_ratio_rows(d: int, first: int, last: int) -> np.ndarray:
+    """log R(ell, k), ell = first..last by k = 0..2*last - 2: along each row the
+    cumulative sum of the logs of its ``_ratios``, -inf past k = 2*ell - 2."""
+    n = 2.0 * np.arange(first, last + 1) - 2.0
+    ratio = _ratios(d, n, 2 * last - 3)
+    logs = np.full(ratio.shape, -np.inf)
+    np.log(ratio, out=logs, where=np.arange(2 * last - 2) < n[:, None])  # ratio 0 at j = n
+    out = np.zeros((n.size, 2 * last - 1))
+    np.cumsum(logs, axis=1, out=out[:, 1:])
+    return out
+
+
 def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundReport:
     """Sweep ell = 1..max_index, k = 0..2*ell-2, comparing in log space."""
+    d = _check_dimension(d)
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    rows, k = np.nonzero(np.arange(2 * max_index - 1) <= 2 * np.arange(max_index)[:, None])
-    ell = rows + 1
-    excess = log_factorial_ratio(ell, k, d) + 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
-    bad = excess > 0.0
+    pairs, worst, violations = 0, -math.inf, []
+    for first in range(1, max_index + 1, _ROW_BLOCK):
+        last = min(first + _ROW_BLOCK - 1, max_index)
+        ell = np.arange(first, last + 1)[:, None]
+        k = np.arange(2 * last - 1)
+        excess = _log_ratio_rows(d, first, last) + 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
+        pairs += int(np.isfinite(excess).sum())
+        worst = max(worst, float(excess.max()))
+        rows, cols = np.nonzero(excess > 0.0)
+        violations += zip((rows + first).tolist(), cols.tolist())
     return FactorialRatioBoundReport(
         d=d,
         max_index=max_index,
-        pairs_checked=excess.size,
-        max_excess=float(excess.max()),
-        violations=tuple(zip(ell[bad].tolist(), k[bad].tolist())),
+        pairs_checked=pairs,
+        max_excess=worst,
+        violations=tuple(violations),
     )
 
 

@@ -324,6 +324,18 @@ def test_verify_fails_a_wrong_diagonal_entry_in_its_row(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_integrates_the_squared_profile_once(capsys, monkeypatch):
+    # the CLI's norm check and the moment spectrum both ask for the ball norm;
+    # the second ask reads the profile's memo, so each piece is squared once
+    polymul, squared = profiles.npoly.polymul, []
+    monkeypatch.setattr(
+        profiles.npoly, "polymul", lambda a, b: squared.append(1) or polymul(a, b)
+    )
+    argv = ("verify", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "4")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(squared) == 3  # three pieces
+
+
 def test_verify_unsupported_dimension(capsys):
     code, _, err = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1")
     assert code == 3

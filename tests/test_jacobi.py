@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from radialeit.jacobi import (
-    build_family,
-    evaluate,
-    evaluate_direct,
-    evaluate_table,
-    leading_coefficient,
-    monomial_coefficients,
-)
+from radialeit.jacobi import JacobiExpansion, build_family, evaluate_table, monomial_coefficients
 from radialeit.numerics import gauss_legendre
 
 DIMS = (2, 3, 4, 5)
@@ -88,40 +81,35 @@ def test_evaluate_matches_direct_sum():
     # the exact-rational direct sum is the oracle for the recurrence
     r = np.linspace(0.0, 1.0, 23)
     for d in (2, 3, 5):
-        fam = build_family(d, 15)
+        t = evaluate_table(build_family(d, 15), r)
         for k in range(16):
-            got = evaluate(fam, k, r)
-            want = evaluate_direct(d, k, r)
-            assert np.abs(got - want).max() <= 1e-10
+            assert np.abs(t[k] - _direct_sum(d, k, r)).max() <= 1e-10
 
 
 def test_direct_value_k2_d2():
     # P_2 = sqrt(6) (1 - 6r + 6r**2) in d=2; at r=0.5 that is -sqrt(6)/2
-    fam = build_family(2, 2)
     want = -math.sqrt(6.0) / 2.0
-    assert abs(evaluate_direct(2, 2, 0.5) - want) < 1e-13
-    assert abs(evaluate(fam, 2, 0.5) - evaluate_direct(2, 2, 0.5)) <= 1e-11
+    assert abs(_direct_sum(2, 2, 0.5)[0] - want) < 1e-13
+    assert abs(evaluate_table(build_family(2, 2), 0.5)[2, 0] - want) <= 1e-11
 
 
 def test_scalar_in_scalar_out():
-    fam = build_family(3, 4)
-    assert isinstance(evaluate(fam, 3, 0.25), float)
-    assert evaluate(fam, 3, np.array([0.25])).shape == (1,)
-    assert isinstance(evaluate_direct(3, 3, 0.25), float)
+    exp = JacobiExpansion(d=3, coeffs=np.array([0.5, -1.0, 0.25]))
+    assert isinstance(exp.evaluate(0.25), float)
+    assert exp.evaluate(np.array([0.25])).shape == (1,)
+    assert evaluate_table(build_family(3, 4), 0.25).shape == (5, 1)
 
 
 def test_evaluation_rejects_bad_input():
     fam = build_family(2, 10)
     with pytest.raises(ValueError):
-        evaluate(fam, 11, 0.5)
+        evaluate_table(fam, 0.5, max_degree=11)
     with pytest.raises(ValueError):
-        evaluate(fam, 2, 1.5)
+        evaluate_table(fam, 1.5)
     with pytest.raises(ValueError):
-        evaluate(fam, 2, -0.1)
+        evaluate_table(fam, -0.1)
     with pytest.raises(ValueError):
-        evaluate_direct(2, 21, 0.5)  # beyond the oracle's cap
-    with pytest.raises(ValueError):
-        evaluate_direct(1, 2, 0.5)
+        evaluate_table(fam, np.ones((2, 2)) / 2)  # points must be 1-d
 
 
 def test_orthonormality_moderate_degree():
@@ -146,6 +134,25 @@ def test_monomial_coefficient_pins():
     assert got.shape == (3,)
 
 
+def _direct_sum(d, k, r):
+    # reference: P_k from its explicit alternating monomial sum, each float
+    # point taken as the rational it represents and the sum run exactly, so
+    # only the final value is rounded (slow past degree 20)
+    coeffs = [(-1) ** q * math.comb(k, q) * math.comb(k + q + d - 1, k) for q in range(k + 1)]
+    out = []
+    for x in np.atleast_1d(r):
+        xf, acc = Fraction(float(x)), Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * xf + c
+        out.append(math.sqrt(2 * k + d) * float(acc))
+    return np.array(out)
+
+
+def _leading_coefficient(d, k):
+    # coefficient of r**k in P_k: sqrt(2k + d) * C(2k + d - 1, k) * (-1)**k
+    return (-1.0) ** k * math.sqrt(2 * k + d) * float(math.comb(2 * k + d - 1, k))
+
+
 def _monomial_coefficients_by_factorials(d, k):
     # reference: every ratio as a fresh exact Fraction of factorials, rounded once
     num = math.factorial(k + d - 1) * math.factorial(k)
@@ -167,7 +174,7 @@ def test_monomial_recurrence_matches_factorials():
 
 
 def _monomial_coefficient_by_explicit_sum(d, k, q):
-    # <r**k, P_q> from P_q's explicit monomial sum (as in evaluate_direct), each
+    # <r**k, P_q> from P_q's explicit monomial sum (as in _direct_sum), each
     # term integrated against r**(k + d - 1) exactly, and rounded once
     s = sum(
         Fraction((-1) ** j * math.comb(q, j) * math.comb(q + j + d - 1, q), k + j + d)
@@ -191,7 +198,7 @@ def test_top_coefficient_inverts_leading_term():
     for d in DIMS:
         for k in (0, 1, 5, 17, 40):
             top = monomial_coefficients(d, k).coeffs[k]
-            assert abs(top * leading_coefficient(d, k) - 1.0) <= 1e-12
+            assert abs(top * _leading_coefficient(d, k) - 1.0) <= 1e-12
 
 
 def test_reconstruction():

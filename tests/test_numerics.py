@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from radialeit.numerics import QuadratureRule, gauss_legendre, log_factorial_ratio, log_gamma
+from radialeit.numerics import QuadratureRule, gauss_legendre
+from radialeit.operator import _log_ratio_rows, verify_factorial_ratio_bound
 
 
 # ---------------------------------------------------------------------------
@@ -81,43 +82,27 @@ def test_rule_arrays_frozen():
 
 
 # ---------------------------------------------------------------------------
-# log gamma
-
-
-def test_log_gamma_against_exact_factorials():
-    for n in range(1, 171):
-        exact = math.log(math.factorial(n - 1))
-        assert abs(log_gamma(n) - exact) <= 1e-12 * max(1.0, abs(exact))
-
-
-def test_log_gamma_known_values():
-    assert abs(log_gamma(5.0) - 3.1780538303479458) < 1e-14  # ln 24
-    assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-14
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-
-
-def test_log_gamma_rejects_bad_arguments():
-    for z in (0.0, -1.0, -0.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            log_gamma(z)
-
-
-# ---------------------------------------------------------------------------
 # factorial ratio
+#
+# R(ell, k) = (n+d)! n! / ((n+d+k)! (n-k)!), n = 2 ell - 2, comes from one ratio
+# recurrence, shared by the series weights and the bound check; the check reads
+# log R as a cumulative sum of the logs of those ratios.
+
+
+def _log_ratio(ell, k, d):
+    return _log_ratio_rows(d, ell, ell)[0, k]
 
 
 def test_ratio_is_zero_at_k_zero():
-    # both lgamma differences cancel termwise, so this is exact
     for ell in (1, 2, 17, 200):
         for d in (2, 3, 6):
-            assert log_factorial_ratio(ell, 0, d) == 0.0
+            assert _log_ratio(ell, 0, d) == 0.0
 
 
 def test_ratio_known_values():
     # ell=2, d=2: (2+2)! 2! / ((2+2+2)! 0!) = 24*2/720 = 1/15
-    assert abs(math.exp(log_factorial_ratio(2, 2, 2)) - 1.0 / 15.0) < 1e-15
-    assert abs(log_factorial_ratio(15, 10, 3) - (-4.447690298997898)) < 1e-12
+    assert abs(math.exp(_log_ratio(2, 2, 2)) - 1.0 / 15.0) < 1e-15
+    assert abs(_log_ratio(15, 10, 3) - (-4.447690298997898)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,36 +119,38 @@ def test_ratio_against_exact_integers(ell, d, data):
         math.factorial(n + d + k) * math.factorial(n - k),
     )
     want = math.log(exact)
-    got = log_factorial_ratio(ell, k, d)
+    got = _log_ratio(ell, k, d)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("d", [2, 3, 100])
+def test_ratio_row_at_ell_2000_against_exact_integers(d):
+    # R(2000, k) falls past the float range, so the exact reference is
+    # log(n! / (n-k)!) - log((n+d+k)! / (n+d)!), each of an integer
+    ell, n = 2000, 3998
+    row = _log_ratio_rows(d, ell, ell)[0]
+    assert row.shape == (n + 1,)
+    num = den = 1
+    for k in range(n + 1):
+        want = math.log(num) - math.log(den)
+        assert abs(row[k] - want) <= 1e-11 * max(1.0, abs(want)), k
+        num, den = num * (n - k), den * (n + d + k + 1)
+
+
 def test_ratio_arrays_match_scalar_calls():
-    ell, k = np.nonzero(np.arange(119) <= 2 * np.arange(60)[:, None])
-    ell += 1
+    # each row is its own cumulative sum, so a block of rows holds the same
+    # bits as each row built alone; past k = 2 ell - 2 the ratio R is 0
     for d in range(2, 7):
-        got = log_factorial_ratio(ell, k, d)
-        assert got.shape == ell.shape
-        assert got.tolist() == [log_factorial_ratio(int(e), int(j), d) for e, j in zip(ell, k)]
-        # a column of degrees broadcasts against a row of k
-        grid = log_factorial_ratio(np.arange(30, 61)[:, None], np.arange(59), d)
-        assert grid.shape == (31, 59)
-        assert grid[5, 17] == log_factorial_ratio(35, 17, d)
-    assert type(log_factorial_ratio(np.int64(4), 3, 2)) is float
+        grid = _log_ratio_rows(d, 30, 60)
+        assert grid.shape == (31, 119)
+        for i, ell in enumerate(range(30, 61)):
+            n = 2 * ell - 2
+            assert grid[i, : n + 1].tobytes() == _log_ratio_rows(d, ell, ell)[0].tobytes()
+            assert np.all(grid[i, n + 1 :] == -np.inf)
 
 
 def test_ratio_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        log_factorial_ratio(0, 0, 2)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(3, -1, 2)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(3, 5, 2)  # k > 2*ell - 2
-    with pytest.raises(ValueError):
-        log_factorial_ratio(3, 1, 1)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(np.array([3, 0]), 0, 2)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(np.array([3, 3]), np.array([4, 5]), 2)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(np.array([3.0]), 1, 2)  # degrees must be integers
+    # the bound check validates its dimension and range before reading ratios
+    for d, max_index in ((1, 3), (2.5, 3), (np.float64(3.0), 3), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            verify_factorial_ratio_bound(d, max_index)

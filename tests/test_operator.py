@@ -513,6 +513,16 @@ def test_factorial_ratio_bound_sweep():
         assert rep.max_excess == 0.0  # attained exactly at k = 0
 
 
+def test_factorial_ratio_bound_fails_inflated_ratios(monkeypatch):
+    # the check reads the series' own ratios: 1% too large, and R(ell, k)
+    # breaks the bound
+    ratios = operator._ratios
+    monkeypatch.setattr(operator, "_ratios", lambda d, n, width: ratios(d, n, width) * 1.01)
+    rep = verify_factorial_ratio_bound(3, 60)
+    assert rep.ok is False and rep.violations and rep.max_excess > 0.0
+    assert rep.pairs_checked == 60 * 60
+
+
 # ---------------------------------------------------------------------------
 # applying and truncating
 
