@@ -16,13 +16,12 @@ k at which a rigorous bound on the dropped weights' norm is at most 2**-53
 times the leading weight; what the cut drops from an eigenvalue is bounded
 by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
 and ``dual_route`` reports this tail bound per degree.  The rows are kept in
-fixed read-only blocks of 256 degrees, each built whole, and all blocks of all
-dimensions share one cap on the weights held, the least recently used block
-dropped first.  ``spectrum_series`` and ``forward_matrix`` read these blocks
-one at a time, so a request past the cap holds at most the cap plus one block;
-``eigenvalue_series`` builds its one row the same way.  Row lengths never fall
-with ell, so ``dual_route`` reads the cut of its last degree first and
-projects the profile only to that degree, the largest cut it reads.  A row
+fixed read-only blocks of 256 degrees, each built whole, and the ten most
+recently used blocks of all dimensions are held (a ``functools.lru_cache``).
+``spectrum_series`` and ``forward_matrix`` read these blocks one at a time from
+the last one down; ``eigenvalue_series`` builds its one row the same way.  Row
+lengths never fall with ell, so the first block read holds the longest row, and
+``dual_route`` projects the profile only to that row's cut.  A row
 is summed only up to the expansion's last non-zero coefficient: the
 projection of a one-piece profile of degree m is exactly 0 past a_m, so its
 eigenvalues cost m + 1 terms per degree.
@@ -36,6 +35,7 @@ a ``Spectrum`` with 0 above the cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +48,7 @@ from .profiles import (
     moment_integral,
     norm_ball,
     norm_ball_profile,
+    project,
 )
 
 __all__ = [
@@ -212,56 +213,34 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
 
 # Rows depend on (d, ell) alone.  Block b of dimension d holds rows
 # 256 b + 1 .. 256 (b + 1) and is always built whole, so a request for L degrees
-# reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  All blocks share
-# one store of at most _BAND_CAP weights (32 MB), and the least recently used
-# block is dropped first.  A request reads its blocks one at a time, so one that
-# needs more than the cap holds at most the cap plus the block in use.
-_BAND_CAP = 1 << 22
-_weight_blocks: dict[tuple[int, int], _RowBlock] = {}  # least recently used first
-
-
+# reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  Ten blocks hold
+# at most about 32 MB (400,000 weights each up to L = 30,000).  A request reads
+# its blocks one at a time, so it holds at most the cache plus the block in use,
+# from the last one down, so its longest row is read before anything drops it.
+@functools.lru_cache(maxsize=10)
 def _weight_block(d: int, b: int) -> _RowBlock:
-    """Block b of dimension d, now the most recently used; building it first
-    drops the least recently used blocks until it fits under the cap."""
-    block = _weight_blocks.pop((d, b), None)
-    if block is None:
-        block = _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
-        held = block.weights.size + sum(blk.weights.size for blk in _weight_blocks.values())
-        for key in list(_weight_blocks):
-            if held <= _BAND_CAP:
-                break
-            held -= _weight_blocks.pop(key).weights.size
-    _weight_blocks[d, b] = block
-    return block
+    return _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
 
 
 def _weight_band(d: int, max_index: int):
     """Yield (block, number of its rows in degrees 1..max_index) for each
-    block the degrees reach, in order, one at a time."""
-    for b in range(-(-max_index // _ROW_BLOCK)):
+    block the degrees reach, from the last one down, one at a time."""
+    d = _check_dimension(d)
+    for b in reversed(range(-(-max_index // _ROW_BLOCK))):
         yield _weight_block(d, b), min(_ROW_BLOCK, max_index - b * _ROW_BLOCK)
 
 
 def _row_length(block: _RowBlock, count: int) -> int:
     """The number of weights in the block's row ``count`` (from 1).  Row
     lengths never fall with ell: every ratio (n - j)/(n + d + j + 1) grows
-    with n, so a tail test that passes at ell + 1 passes at ell.  The last
-    row a request reads is therefore its longest."""
+    with n, so a tail test that passes at ell + 1 passes at ell.  The first
+    row a request reads, its last degree, is therefore its longest."""
     return int(block.starts[count] - block.starts[count - 1])
 
 
 def _longest_row(d: int, max_index: int) -> int:
-    """The length of row max_index, the longest a request for degrees
-    1..max_index reads.  It comes from the row's block if that is held, read
-    without making it the most recent (past the cap, a request's ascending
-    read would then drop it before reaching it, and build it twice), and
-    otherwise from that row built alone: a row's cut does not depend on its
-    block."""
-    b = (max_index - 1) // _ROW_BLOCK
-    block = _weight_blocks.get((d, b))
-    if block is None:
-        return _row_length(_row_block(d, max_index, max_index), 1)
-    return _row_length(block, max_index - b * _ROW_BLOCK)
+    """The length of row max_index, the longest of degrees 1..max_index."""
+    return _row_length(*next(_weight_band(d, max_index)))
 
 
 def _cut_rows(
@@ -299,24 +278,26 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     """
     if ell < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
-    return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
+    d = _check_dimension(expansion.d)
+    return float(_row_sums(_row_block(d, ell, ell), 1, expansion.coeffs)[0])
 
 
-def _series_spectrum(expansion: JacobiExpansion, band) -> tuple[Spectrum, np.ndarray]:
-    # the spectrum from the rows of a _weight_band, and their tail bounds; the
-    # last row read is the longest
+def _series_spectrum(expansion: JacobiExpansion, max_index: int) -> tuple[Spectrum, np.ndarray]:
+    # the spectrum of degrees 1..max_index and its tail bounds, read from the
+    # last block down; the first row read is the longest
     sums, tails = [], []
-    for block, count in band:
+    for block, count in _weight_band(expansion.d, max_index):
+        if not sums:
+            truncated = _row_length(block, count) > expansion.coeffs.size
         sums.append(_row_sums(block, count, expansion.coeffs))
         tails.append(block.tails[:count])
-    truncated = _row_length(block, count) > expansion.coeffs.size
     spectrum = Spectrum(
         d=expansion.d,
-        eigenvalues=np.concatenate(sums),
+        eigenvalues=np.concatenate(sums[::-1]),
         source="series-truncated" if truncated else "series",
         eta_norm=norm_ball(expansion),
     )
-    return spectrum, np.concatenate(tails)
+    return spectrum, np.concatenate(tails[::-1])
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
@@ -327,7 +308,7 @@ def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    return _series_spectrum(expansion, _weight_band(expansion.d, max_index))[0]
+    return _series_spectrum(expansion, max_index)[0]
 
 
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
@@ -395,13 +376,11 @@ def dual_route(
     series reads no coefficient above it, so a larger ``coeff_degree`` is cut
     down to it.
     """
-    from .profiles import project  # local import keeps module deps one-way
-
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     top = _longest_row(d, max_index) - 1
     coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
-    series, tails = _series_spectrum(project(profile, d, coeff_degree), _weight_band(d, max_index))
+    series, tails = _series_spectrum(project(profile, d, coeff_degree), max_index)
     moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)

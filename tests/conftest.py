@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialeit import RadialProfile, oracle, preset
+from radialeit import RadialProfile, operator, oracle, preset
 
 # the benchmark's exact-rational reference, which imports nothing from radialeit
 _spec = importlib.util.spec_from_file_location(
@@ -53,8 +53,12 @@ def exact():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_sphere_plans():
-    # a plan built while a test monkeypatches the oracle must not reach a later test
-    oracle._sphere_plan.cache_clear()
+def _fresh_caches():
+    # a plan or weight block built while a test monkeypatches the oracle or the
+    # series weights must not reach a later test
+    caches = (oracle._sphere_plan, operator._weight_block)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    oracle._sphere_plan.cache_clear()
+    for cache in caches:
+        cache.cache_clear()

@@ -481,11 +481,21 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(capsys, "eigvals", "--profile", str(bad))[0] == 2
     both = ("--preset", "constant:1", "--profile", str(bad))
     assert run_cli(capsys, "eigvals", "--dim", "2", *both)[0] == 2
+    # malformed files are bad input too, not a failed check: invalid UTF-8, JSON
+    # nested past the parser's recursion limit and a CSV field past csv's limit
+    for content in (b'{"pieces": [[1.0\xff]]}', b"[" * 100_000):
+        bad.write_bytes(content)
+        code, _, err = run_cli(capsys, "eigvals", "--dim", "2", "--profile", str(bad))
+        assert code == 2 and err.startswith("error:")
+    observed = tmp_path / "observed.csv"
+    for content in (b"1,-1.0\n2,-0.5\xff\n", b"1," + b"1" * 131_073 + b"\n"):
+        observed.write_bytes(content)
+        code, _, err = run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "2", "--K", "1")
+        assert code == 2 and err.startswith("error:")
     # dimensions below 2 and a negative series degree
     assert run_cli(capsys, "basis", "--dim", "1")[0] == 2
     for cmd in ("eigvals", "truncate", "invert", "verify"):
         assert run_cli(capsys, cmd, "--preset", "constant:1", "--dim", "1")[0] == 2
-    observed = tmp_path / "observed.csv"
     observed.write_text("1,-1.0\n2,-0.5\n")
     assert run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "1", "--K", "1")[0] == 2
     observed.write_text("1,nan\n2,-0.5\n")  # non-finite spectrum values

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -122,11 +123,12 @@ def test_dual_route_report():
 
 
 def _band_rows(d, L):
-    # the weight rows 1..L as (weights, tail bound) pairs
+    # the weight rows 1..L as (weights, tail bound) pairs; the band yields its
+    # blocks from the last one down
     rows = []
     for block, count in operator._weight_band(d, L):
-        for i in range(count):
-            rows.append((block.weights[block.starts[i] : block.starts[i + 1]], block.tails[i]))
+        rows[:0] = [(block.weights[block.starts[i] : block.starts[i + 1]], block.tails[i])
+                    for i in range(count)]
     return rows
 
 
@@ -260,13 +262,9 @@ def test_dual_route_projects_to_the_cut():
     assert dual_route(prof, 3, 400, coeff_degree=10**6).coeff_degree == kstar
 
 
-def _held():
-    return sum(block.weights.size for block in operator._weight_blocks.values())
-
-
 def _counted_row_blocks(monkeypatch):
     # an empty store, and the (d, first, last) of every block built from now on
-    monkeypatch.setattr(operator, "_weight_blocks", {})
+    operator._weight_block.cache_clear()
     built = []
     real = operator._row_block
 
@@ -276,6 +274,12 @@ def _counted_row_blocks(monkeypatch):
 
     monkeypatch.setattr(operator, "_row_block", counted)
     return built
+
+
+def _store_of(monkeypatch, blocks):
+    # an empty store that holds the given number of blocks
+    store = functools.lru_cache(maxsize=blocks)(operator._weight_block.__wrapped__)
+    monkeypatch.setattr(operator, "_weight_block", store)
 
 
 def test_series_weights_built_once_per_dimension(monkeypatch):
@@ -289,14 +293,14 @@ def test_series_weights_built_once_per_dimension(monkeypatch):
 
     first = series(40, 78)
     assert built == [(7, 1, 256)]
-    block = operator._weight_blocks[7, 0]
+    block = operator._weight_block(7, 0)
     for L, K in ((20, 10), (40, 78), (40, 5), (1, 0), (256, 510)):  # inside the block, any K
         series(L, K)
     assert series(40, 78).tobytes() == first.tobytes()
     assert len(built) == 1
-    grown = series(600, 1198)  # only the new blocks are built, and the old one stays
-    assert built[1:] == [(7, 257, 512), (7, 513, 768)]
-    assert operator._weight_blocks[7, 0] is block
+    grown = series(600, 1198)  # only the new blocks are built, the last first, and the old one stays
+    assert built[1:] == [(7, 513, 768), (7, 257, 512)]
+    assert operator._weight_block(7, 0) is block
     assert grown[:40].tobytes() == first.tobytes()  # a row does not depend on L
     assert series(300, 598).tobytes() == grown[:300].tobytes()
     assert len(built) == 3
@@ -312,68 +316,57 @@ def test_series_sweep_builds_each_block_once(monkeypatch):
 
 
 def test_weight_bands_are_read_only_and_capped(monkeypatch):
-    size = {(d, b): operator._row_block(d, 256 * b + 1, 256 * (b + 1)).weights.size
-            for d, b in ((2, 0), (2, 1), (3, 0))}
     built = _counted_row_blocks(monkeypatch)
-    cap = size[2, 0] + size[2, 1]
-    monkeypatch.setattr(operator, "_BAND_CAP", cap)
+    _store_of(monkeypatch, 2)
     coeffs = np.ones(1599)
     spectrum_series(JacobiExpansion(2, coeffs), 10)
     spectrum_series(JacobiExpansion(3, coeffs), 10)
-    block = operator._weight_blocks[2, 0]
+    block = operator._weight_block(2, 0)  # reading (2, 0) makes (3, 0) the oldest
     for arr in (block.weights, block.starts, block.tails):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    spectrum_series(JacobiExpansion(2, coeffs), 10)  # reading (2, 0) makes (3, 0) the oldest
     spectrum_series(JacobiExpansion(2, coeffs), 300)  # so (2, 1) pushes out (3, 0)
-    assert list(operator._weight_blocks) == [(2, 0), (2, 1)]
-    assert operator._weight_blocks[2, 0] is block
-    assert _held() <= cap
-    # three blocks used, each larger than the last: the oldest go until the rest fit
-    spectrum_series(JacobiExpansion(2, coeffs), 700)
-    assert list(operator._weight_blocks) == [(2, 2)]
-    assert _held() <= cap
-    assert built.count((2, 1, 256)) == 1  # held blocks are read, not rebuilt
+    assert operator._weight_block(2, 0) is block
+    assert built == [(2, 1, 256), (3, 1, 256), (2, 257, 512)]  # held blocks are read, not rebuilt
+    spectrum_series(JacobiExpansion(3, coeffs), 10)
+    assert built[3:] == [(3, 1, 256)]
+    assert operator._weight_block.cache_info().currsize == 2
 
 
 def test_dual_route_past_the_cap_builds_each_block_once(monkeypatch):
-    # the longest row is read without making its block the most recent, so the
-    # ascending read past the cap does not drop that block and build it again
+    # the band is read from its last block down, so the block of the longest
+    # row, which dual_route reads first, is the next one summed: even a store
+    # of one block builds each block once, and never a row alone
     prof = preset("annulus", [0.3, 0.8, 1.0])
     built = _counted_row_blocks(monkeypatch)
-    blocks = [(2, 256 * b + 1, 256 * (b + 1)) for b in range(12)]
-    want = dual_route(prof, 2, 3000)  # an empty store: the longest row alone, then each block
-    assert built == [(2, 3000, 3000)] + blocks
-    assert dual_route(prof, 2, 3000).coeff_degree == want.coeff_degree  # from the held block
-    assert len(built) == 13
-    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 16)  # less than one block near L = 3000
-    operator._weight_blocks.clear()
+    blocks = [(2, 256 * b + 1, 256 * (b + 1)) for b in reversed(range(12))]
+    want = dual_route(prof, 2, 3000)
+    assert built == blocks
+    _store_of(monkeypatch, 1)
     del built[:]
-    for _ in range(2):  # from an empty store, then with only the last block held
+    for _ in range(2):  # from an empty store, then with only the first block held
         got = dual_route(prof, 2, 3000)
         assert got.coeff_degree == want.coeff_degree
         for a, b in ((got.series.eigenvalues, want.series.eigenvalues),
                      (got.moment.eigenvalues, want.moment.eigenvalues),
                      (got.tail_bounds, want.tail_bounds)):
             assert a.tobytes() == b.tobytes()
-    assert built == [(2, 3000, 3000)] + blocks + blocks
+    assert built == blocks + blocks
 
 
 def test_past_the_cap_one_block_at_a_time(monkeypatch):
     # a request past the cap reads its blocks one at a time: whenever a block
-    # is built or summed, the weights still alive (in the store or held by the
-    # caller) are at most the cap plus one block
+    # is built or summed, the blocks still alive (in the store or held by the
+    # caller) are at most the store's two, besides the one being built
     built = _counted_row_blocks(monkeypatch)
-    cap = sum(operator._row_block(3, 256 * b + 1, 256 * (b + 1)).weights.size for b in (0, 1))
-    monkeypatch.setattr(operator, "_BAND_CAP", cap)
+    _store_of(monkeypatch, 2)
     alive = []  # weakrefs to the weights of every block built
-    seen = []  # (weights alive, largest block alive) at each build and sum
+    seen = []  # blocks alive at each build and sum
     build, row_sums = operator._row_block, operator._row_sums
 
     def observe():
-        sizes = [w().size for w in alive if w() is not None]
-        seen.append((sum(sizes), max(sizes, default=0)))
+        seen.append(sum(w() is not None for w in alive))
 
     def counted_build(d, first, last):
         observe()
@@ -392,8 +385,8 @@ def test_past_the_cap_one_block_at_a_time(monkeypatch):
     want = spectrum_series(exp, L).eigenvalues
     dual_route(preset("annulus", [0.3, 0.8, 1.0]), 3, L)
     assert len(built) >= 12 and len(seen) >= 24
-    assert all(total <= cap + largest for total, largest in seen)
-    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 22)  # the same rows under any cap
+    assert max(seen) <= 2
+    _store_of(monkeypatch, 10)  # the same rows under any cap
     assert spectrum_series(exp, L).eigenvalues.tobytes() == want.tobytes()
 
 
@@ -410,10 +403,9 @@ def test_row_lengths_never_fall(d):
         assert lengths == sorted(lengths), d
 
 
-def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):
+def test_series_spectrum_at_ten_thousand_degrees_stays_small():
     # the cut rows hold about 6M weights (48 MB) at L = 10**4; the full
     # triangle would be 10**8
-    monkeypatch.setattr(operator, "_weight_blocks", {})
     exp = JacobiExpansion(3, np.ones(1000))
     tracemalloc.start()
     try:
@@ -423,7 +415,8 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small(monkeypatch):
         tracemalloc.stop()
     assert spec.source == "series"
     assert peak < 64e6
-    assert 0 < _held() <= operator._BAND_CAP  # over the cap: the oldest blocks go
+    info = operator._weight_block.cache_info()
+    assert info.currsize == info.maxsize < 40  # past the cap: the oldest blocks go
 
 
 def test_single_eigenvalue_builds_one_weight_row():
@@ -451,7 +444,7 @@ def test_moment_spectrum_matches_per_degree_moments(corpus):
             assert eigenvalue_moment(prof, d, np.arange(1, 41)).tolist() == want
 
 
-def test_route_input_validation():
+def test_route_input_validation(monkeypatch):
     exp = JacobiExpansion(2, np.array([1.0]))
     with pytest.raises(ValueError):
         eigenvalue_series(exp, 0)
@@ -459,6 +452,23 @@ def test_route_input_validation():
         eigenvalue_moment(preset("constant", [1.0]), 2, 0)
     with pytest.raises(ValueError):
         spectrum_series(exp, 0)
+    # a dimension that is not an integer >= 2 is refused before any block is
+    # built or stored
+    built = _counted_row_blocks(monkeypatch)
+    coeffs = np.ones(3)
+    external = Spectrum(d=1, eigenvalues=np.array([-1.0, -0.5]), source="external", eta_norm=0.0)
+    calls = [
+        lambda: forward_matrix(2.5, 3, 2),
+        lambda: forward_matrix(1, 3, 2),
+        lambda: eigenvalue_series(JacobiExpansion(0, coeffs), 3),
+        lambda: spectrum_series(JacobiExpansion(0, coeffs), 3),
+        lambda: invert(external, 1),
+        lambda: dual_route(preset("constant", [1.0]), 2.5, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension"):
+            call()
+    assert built == [] and operator._weight_block.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
