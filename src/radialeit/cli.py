@@ -487,7 +487,7 @@ def _cmd_invert(args):
 # truncate and invert stays finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 1.7 s and 100 MB; basis --K 1500 3.3 s and 125 MB; truncate --L 30000
+# 1.7 s and 110 MB; basis --K 1500 3.3 s and 125 MB; truncate --L 30000
 # --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
 # spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
 # 1,000 pieces: the oracle's cost is linear in the piece count); invert
@@ -509,7 +509,7 @@ MAX_INVERT_L = 1_500
 # verify's radial moments 1.  The projection also holds about 0.6 KB per node.
 # A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
 # 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
-# series weights at L = 30,000, 1.7 s and 100 MB) or MAX_PROJECTION_NODES
+# series weights at L = 30,000, 1.7 s and 110 MB) or MAX_PROJECTION_NODES
 # (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
 # are built.  The largest accepted runs then measured 2.8 s and 130 MB
 # (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert

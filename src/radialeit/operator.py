@@ -16,12 +16,13 @@ k at which a rigorous bound on the dropped weights' norm is at most 2**-53
 times the leading weight; what the cut drops from an eigenvalue is bounded
 by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
 and ``dual_route`` reports this tail bound per degree.  The rows are kept in
-fixed read-only blocks of 256 degrees, each built whole, and the ten most
-recently used blocks of all dimensions are held (a ``functools.lru_cache``).
-``spectrum_series`` and ``forward_matrix`` read these blocks one at a time from
-the last one down; ``eigenvalue_series`` builds its one row the same way.  Row
-lengths never fall with ell, so the first block read holds the longest row, and
-``dual_route`` projects the profile only to that row's cut.  A row
+fixed read-only blocks of 256 degrees, each built whole, and all blocks of all
+dimensions share one cap on the weights held, the least recently used block
+dropped first.  ``spectrum_series`` and ``forward_matrix`` read these blocks
+one at a time from the last one down, so a request past the cap holds at most
+the cap plus one block; ``eigenvalue_series`` builds its one row the same way.
+Row lengths never fall with ell, so the first block read holds the longest
+row, and ``dual_route`` projects the profile only to that row's cut.  A row
 is summed only up to the expansion's last non-zero coefficient: the
 projection of a one-piece profile of degree m is exactly 0 past a_m, so its
 eigenvalues cost m + 1 terms per degree.
@@ -35,7 +36,6 @@ a ``Spectrum`` with 0 above the cutoff.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -213,18 +213,34 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
 
 # Rows depend on (d, ell) alone.  Block b of dimension d holds rows
 # 256 b + 1 .. 256 (b + 1) and is always built whole, so a request for L degrees
-# reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  Ten blocks hold
-# at most about 32 MB (400,000 weights each up to L = 30,000).  A request reads
-# its blocks one at a time, so it holds at most the cache plus the block in use,
-# from the last one down, so its longest row is read before anything drops it.
-@functools.lru_cache(maxsize=10)
+# reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  All blocks share
+# one store of at most _BAND_CAP weights (32 MB), and the least recently used
+# block is dropped first.  A request reads its blocks one at a time, so one that
+# needs more than the cap holds at most the cap plus the block in use.
+_BAND_CAP = 1 << 22
+_weight_blocks: dict[tuple[int, int], _RowBlock] = {}  # least recently used first
+
+
 def _weight_block(d: int, b: int) -> _RowBlock:
-    return _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
+    """Block b of dimension d, now the most recently used; building it first
+    drops the least recently used blocks until it fits under the cap."""
+    block = _weight_blocks.pop((d, b), None)
+    if block is None:
+        block = _row_block(d, b * _ROW_BLOCK + 1, (b + 1) * _ROW_BLOCK)
+        held = block.weights.size + sum(blk.weights.size for blk in _weight_blocks.values())
+        for key in list(_weight_blocks):
+            if held <= _BAND_CAP:
+                break
+            held -= _weight_blocks.pop(key).weights.size
+    _weight_blocks[d, b] = block
+    return block
 
 
 def _weight_band(d: int, max_index: int):
     """Yield (block, number of its rows in degrees 1..max_index) for each
-    block the degrees reach, from the last one down, one at a time."""
+    block the degrees reach, one at a time, from the last one down: the
+    first row read is the longest, and nothing drops its block before it is
+    summed."""
     d = _check_dimension(d)
     for b in reversed(range(-(-max_index // _ROW_BLOCK))):
         yield _weight_block(d, b), min(_ROW_BLOCK, max_index - b * _ROW_BLOCK)
@@ -236,11 +252,6 @@ def _row_length(block: _RowBlock, count: int) -> int:
     with n, so a tail test that passes at ell + 1 passes at ell.  The first
     row a request reads, its last degree, is therefore its longest."""
     return int(block.starts[count] - block.starts[count - 1])
-
-
-def _longest_row(d: int, max_index: int) -> int:
-    """The length of row max_index, the longest of degrees 1..max_index."""
-    return _row_length(*next(_weight_band(d, max_index)))
 
 
 def _cut_rows(
@@ -378,7 +389,7 @@ def dual_route(
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    top = _longest_row(d, max_index) - 1
+    top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
     coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
     series, tails = _series_spectrum(project(profile, d, coeff_degree), max_index)
     moment = spectrum_moment(profile, d, max_index)

@@ -56,9 +56,8 @@ def exact():
 def _fresh_caches():
     # a plan or weight block built while a test monkeypatches the oracle or the
     # series weights must not reach a later test
-    caches = (oracle._sphere_plan, operator._weight_block)
-    for cache in caches:
-        cache.cache_clear()
+    oracle._sphere_plan.cache_clear()
+    operator._weight_blocks.clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    oracle._sphere_plan.cache_clear()
+    operator._weight_blocks.clear()

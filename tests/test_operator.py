@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -262,9 +261,13 @@ def test_dual_route_projects_to_the_cut():
     assert dual_route(prof, 3, 400, coeff_degree=10**6).coeff_degree == kstar
 
 
+def _held():
+    return sum(block.weights.size for block in operator._weight_blocks.values())
+
+
 def _counted_row_blocks(monkeypatch):
     # an empty store, and the (d, first, last) of every block built from now on
-    operator._weight_block.cache_clear()
+    operator._weight_blocks.clear()
     built = []
     real = operator._row_block
 
@@ -274,12 +277,6 @@ def _counted_row_blocks(monkeypatch):
 
     monkeypatch.setattr(operator, "_row_block", counted)
     return built
-
-
-def _store_of(monkeypatch, blocks):
-    # an empty store that holds the given number of blocks
-    store = functools.lru_cache(maxsize=blocks)(operator._weight_block.__wrapped__)
-    monkeypatch.setattr(operator, "_weight_block", store)
 
 
 def test_series_weights_built_once_per_dimension(monkeypatch):
@@ -293,14 +290,14 @@ def test_series_weights_built_once_per_dimension(monkeypatch):
 
     first = series(40, 78)
     assert built == [(7, 1, 256)]
-    block = operator._weight_block(7, 0)
+    block = operator._weight_blocks[7, 0]
     for L, K in ((20, 10), (40, 78), (40, 5), (1, 0), (256, 510)):  # inside the block, any K
         series(L, K)
     assert series(40, 78).tobytes() == first.tobytes()
     assert len(built) == 1
     grown = series(600, 1198)  # only the new blocks are built, the last first, and the old one stays
     assert built[1:] == [(7, 513, 768), (7, 257, 512)]
-    assert operator._weight_block(7, 0) is block
+    assert operator._weight_blocks[7, 0] is block
     assert grown[:40].tobytes() == first.tobytes()  # a row does not depend on L
     assert series(300, 598).tobytes() == grown[:300].tobytes()
     assert len(built) == 3
@@ -316,36 +313,49 @@ def test_series_sweep_builds_each_block_once(monkeypatch):
 
 
 def test_weight_bands_are_read_only_and_capped(monkeypatch):
+    size = {(d, b): operator._row_block(d, 256 * b + 1, 256 * (b + 1)).weights.size
+            for d, b in ((2, 0), (2, 1), (3, 0))}
     built = _counted_row_blocks(monkeypatch)
-    _store_of(monkeypatch, 2)
+    cap = size[2, 0] + size[2, 1]
+    monkeypatch.setattr(operator, "_BAND_CAP", cap)
     coeffs = np.ones(1599)
     spectrum_series(JacobiExpansion(2, coeffs), 10)
     spectrum_series(JacobiExpansion(3, coeffs), 10)
-    block = operator._weight_block(2, 0)  # reading (2, 0) makes (3, 0) the oldest
+    block = operator._weight_blocks[2, 0]
     for arr in (block.weights, block.starts, block.tails):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    spectrum_series(JacobiExpansion(2, coeffs), 300)  # so (2, 1) pushes out (3, 0)
-    assert operator._weight_block(2, 0) is block
+    spectrum_series(JacobiExpansion(2, coeffs), 10)  # reading (2, 0) makes (3, 0) the oldest
+    spectrum_series(JacobiExpansion(2, coeffs), 300)  # so (2, 1), read first, pushes out (3, 0)
+    assert list(operator._weight_blocks) == [(2, 1), (2, 0)]
+    assert operator._weight_blocks[2, 0] is block
+    assert _held() <= cap
     assert built == [(2, 1, 256), (3, 1, 256), (2, 257, 512)]  # held blocks are read, not rebuilt
-    spectrum_series(JacobiExpansion(3, coeffs), 10)
-    assert built[3:] == [(3, 1, 256)]
-    assert operator._weight_block.cache_info().currsize == 2
+    # three blocks used, each larger than the last, read from the last one down:
+    # each block built drops the oldest until it fits, so the request rebuilds
+    # the two it dropped and ends holding the lowest blocks that fit
+    spectrum_series(JacobiExpansion(2, coeffs), 700)
+    assert built[3:] == [(2, 513, 768), (2, 257, 512), (2, 1, 256)]
+    assert list(operator._weight_blocks) == [(2, 1), (2, 0)]
+    assert _held() <= cap
 
 
 def test_dual_route_past_the_cap_builds_each_block_once(monkeypatch):
     # the band is read from its last block down, so the block of the longest
-    # row, which dual_route reads first, is the next one summed: even a store
-    # of one block builds each block once, and never a row alone
+    # row, which dual_route reads first, is the next one summed: even under a
+    # cap below one block each block is built once, and never a row alone
     prof = preset("annulus", [0.3, 0.8, 1.0])
     built = _counted_row_blocks(monkeypatch)
     blocks = [(2, 256 * b + 1, 256 * (b + 1)) for b in reversed(range(12))]
-    want = dual_route(prof, 2, 3000)
+    want = dual_route(prof, 2, 3000)  # an empty store: each block, the last first
     assert built == blocks
-    _store_of(monkeypatch, 1)
+    assert dual_route(prof, 2, 3000).coeff_degree == want.coeff_degree  # from the held blocks
+    assert len(built) == 12
+    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 16)  # less than one block near L = 3000
+    operator._weight_blocks.clear()
     del built[:]
-    for _ in range(2):  # from an empty store, then with only the first block held
+    for _ in range(2):  # from an empty store, then with only the lowest block held
         got = dual_route(prof, 2, 3000)
         assert got.coeff_degree == want.coeff_degree
         for a, b in ((got.series.eigenvalues, want.series.eigenvalues),
@@ -357,16 +367,18 @@ def test_dual_route_past_the_cap_builds_each_block_once(monkeypatch):
 
 def test_past_the_cap_one_block_at_a_time(monkeypatch):
     # a request past the cap reads its blocks one at a time: whenever a block
-    # is built or summed, the blocks still alive (in the store or held by the
-    # caller) are at most the store's two, besides the one being built
+    # is built or summed, the weights still alive (in the store or held by the
+    # caller) are at most the cap plus one block
     built = _counted_row_blocks(monkeypatch)
-    _store_of(monkeypatch, 2)
+    cap = sum(operator._row_block(3, 256 * b + 1, 256 * (b + 1)).weights.size for b in (0, 1))
+    monkeypatch.setattr(operator, "_BAND_CAP", cap)
     alive = []  # weakrefs to the weights of every block built
-    seen = []  # blocks alive at each build and sum
+    seen = []  # (weights alive, largest block alive) at each build and sum
     build, row_sums = operator._row_block, operator._row_sums
 
     def observe():
-        seen.append(sum(w() is not None for w in alive))
+        sizes = [w().size for w in alive if w() is not None]
+        seen.append((sum(sizes), max(sizes, default=0)))
 
     def counted_build(d, first, last):
         observe()
@@ -385,8 +397,8 @@ def test_past_the_cap_one_block_at_a_time(monkeypatch):
     want = spectrum_series(exp, L).eigenvalues
     dual_route(preset("annulus", [0.3, 0.8, 1.0]), 3, L)
     assert len(built) >= 12 and len(seen) >= 24
-    assert max(seen) <= 2
-    _store_of(monkeypatch, 10)  # the same rows under any cap
+    assert all(total <= cap + largest for total, largest in seen)
+    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 22)  # the same rows under any cap
     assert spectrum_series(exp, L).eigenvalues.tobytes() == want.tobytes()
 
 
@@ -415,8 +427,7 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small():
         tracemalloc.stop()
     assert spec.source == "series"
     assert peak < 64e6
-    info = operator._weight_block.cache_info()
-    assert info.currsize == info.maxsize < 40  # past the cap: the oldest blocks go
+    assert 0 < _held() <= operator._BAND_CAP  # over the cap: the oldest blocks go
 
 
 def test_single_eigenvalue_builds_one_weight_row():
@@ -468,7 +479,7 @@ def test_route_input_validation(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="dimension"):
             call()
-    assert built == [] and operator._weight_block.cache_info().currsize == 0
+    assert built == [] and not operator._weight_blocks
 
 
 # ---------------------------------------------------------------------------
