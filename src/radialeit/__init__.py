@@ -37,7 +37,6 @@ from .operator import (
 )
 from .oracle import (
     ExplicitHarmonic,
-    brute_force_entry,
     cross_validate,
     gradient_identity,
     harmonics_up_to,
@@ -49,7 +48,6 @@ from .profiles import (
     norm_ball_profile,
     preset,
     project,
-    surface_area,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +63,6 @@ __all__ = [
     "RadialProfile",
     "Spectrum",
     "apply_operator",
-    "brute_force_entry",
     "build_family",
     "cross_validate",
     "decay_constant",
@@ -87,7 +84,6 @@ __all__ = [
     "project",
     "spectrum_moment",
     "spectrum_series",
-    "surface_area",
     "truncate",
     "truncation_error",
     "verify_decay_bound",

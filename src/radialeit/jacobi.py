@@ -92,13 +92,10 @@ def _as_points(r) -> np.ndarray:
     return pts
 
 
-def evaluate_table(family: JacobiFamily, r, max_degree: int | None = None) -> np.ndarray:
-    """Table of basis values, shape (max_degree + 1, len(r)): the one-block
-    case of ``evaluate_blocks``."""
-    kmax = family.max_degree if max_degree is None else int(max_degree)
-    if not 0 <= kmax <= family.max_degree:
-        raise ValueError(f"degree {kmax} outside the family's range 0..{family.max_degree}")
-    return next(_blocks(family, kmax + 1, _as_points(r), kmax + 1))[1]
+def evaluate_table(family: JacobiFamily, r) -> np.ndarray:
+    """Table of basis values, shape (family.max_degree + 1, len(r)): the
+    one-block case of ``evaluate_blocks``."""
+    return next(_blocks(family, _as_points(r), family.max_degree + 1))[1]
 
 
 def evaluate_blocks(family: JacobiFamily, r, height: int):
@@ -110,19 +107,20 @@ def evaluate_blocks(family: JacobiFamily, r, height: int):
     buffer, so use each before asking for the next."""
     if not isinstance(height, (int, np.integer)) or height < 1:
         raise ValueError(f"block height must be an integer >= 1, got {height!r}")
-    return _blocks(family, family.max_degree + 1, _as_points(r), int(height))
+    return _blocks(family, _as_points(r), int(height))
 
 
-def _blocks(family: JacobiFamily, num: int, r: np.ndarray, height: int):
-    # degrees 0..num - 1 by r P_k = a_k P_{k-1} + b_k P_k + c_k P_{k+1},
+def _blocks(family: JacobiFamily, r: np.ndarray, height: int):
+    # degrees 0..max_degree by r P_k = a_k P_{k-1} + b_k P_k + c_k P_{k+1},
     # P_{-1} = 0 and P_0 = sqrt(d)
+    num = family.max_degree + 1
     starts = list(range(0, num, height))
     if len(starts) > 1 and num - starts[-1] == 1:
         starts.pop()
     buf = np.empty((min(height + 1, num), r.size), dtype=float)
     tmp, term = np.empty(r.size), np.empty(r.size)
     prev, cur = np.zeros(r.size), np.full(r.size, math.sqrt(family.d))  # P_{-1}, P_0
-    a, b, c = (x[:num].tolist() for x in (family.rec_a, family.rec_b, family.rec_c))
+    a, b, c = (x.tolist() for x in (family.rec_a, family.rec_b, family.rec_c))
     for start, stop in zip(starts, starts[1:] + [num]):
         block = buf[: stop - start]
         for row, k in zip(block, range(start, stop)):
@@ -154,6 +152,7 @@ class JacobiExpansion:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs.flags.writeable = False
+        object.__setattr__(self, "d", _check_dimension(self.d))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

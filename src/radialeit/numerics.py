@@ -8,20 +8,13 @@ both read one ratio recurrence in ``radialeit.operator``.
 Rules are memoized per order: ``gauss_legendre(n)`` builds each order once per
 process (up to a fixed number of distinct orders) and hands every caller the
 same ``QuadratureRule``.  Sharing is safe because the rule is frozen and its
-arrays are read-only.  The package's other module-level caches, each shared
-read-only in the same way, are the series weights in ``radialeit.operator``
-(fixed blocks of rows under one cap on the weights held, read one block at a
-time, the least recently used block dropped first), and, each a
-``functools.lru_cache``, the exact monomial expansions per ``(d, k)``
-(``jacobi.monomial_coefficients``, each a ``JacobiExpansion``) and the
-oracle's angular plans per ``(d, L)``.
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,14 +44,6 @@ class QuadratureRule:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Apply the rule to a vectorised integrand."""
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
 def gauss_legendre(n: int) -> QuadratureRule:

@@ -116,6 +116,7 @@ class Spectrum:
         if not (math.isfinite(self.eta_norm) and self.eta_norm >= 0.0):
             raise ValueError(f"eta_norm must be finite and >= 0, got {self.eta_norm!r}")
         vals.flags.writeable = False
+        object.__setattr__(self, "d", _check_dimension(self.d))
         object.__setattr__(self, "eigenvalues", vals)
 
     @property
@@ -289,8 +290,7 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     """
     if ell < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
-    d = _check_dimension(expansion.d)
-    return float(_row_sums(_row_block(d, ell, ell), 1, expansion.coeffs)[0])
+    return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
 
 
 def _series_spectrum(expansion: JacobiExpansion, max_index: int) -> tuple[Spectrum, np.ndarray]:
@@ -326,6 +326,7 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
     """Degree-ell eigenvalue as a single weighted moment of the profile:
     -(2*ell + d - 2)/ell * integral_0^1 profile(r) r**(2*ell - 2) r**(d-1) dr.
     ``ell`` may be an integer array of degrees; all moments come from one call."""
+    d = _check_dimension(d)
     if np.min(ell) < 1:
         raise ValueError(f"degree must be >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
@@ -560,15 +561,8 @@ class BoundaryField:
         object.__setattr__(self, "blocks", clean)
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.blocks))
-
-    @property
     def max_degree(self) -> int:
         return max(self.blocks, default=0)
-
-    def block(self, ell: int) -> np.ndarray:
-        return self.blocks[ell]
 
 
 def apply_operator(spectrum: Spectrum, boundary: BoundaryField) -> BoundaryField:

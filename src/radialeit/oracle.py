@@ -11,16 +11,15 @@ from the oracle's own Legendre recurrence (``_legendre_table``), so agreement
 is evidence, not tautology.
 
 For radial eta the integral of a pair splits into a radial moment and a
-sphere integral (see ``brute_force_entry``), so the whole matrix is
+sphere integral (see ``_form_factors``), so the whole matrix is
 
     -m[l_i + l_j - 2] * (V W V^T + D W D^T / (l l^T))
 
 with m_p the integral of eta(r) r**(d-1) r**p (one Gauss rule per piece), and
 V and D the harmonics' value and theta-derivative rows on one angular rule
-with weights W, exact for the largest degree sum.  ``brute_force_entry`` and
-``gradient_identity`` build the sphere half of their two harmonics on every
-call.  ``cross_validate`` forms it over all harmonics up to a degree, and that
-half does not depend on eta: it is built once per (d, max_degree) and process
+with weights W, exact for the largest degree sum.  ``cross_validate`` forms
+the sphere half over all harmonics up to a degree, and that half does not
+depend on eta: it is built once per (d, max_degree) and process
 (``_sphere_plan``, the last 32 settings kept), so a call then computes only the
 radial moments, one product with the angular factor and its reference.
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,7 +41,6 @@ __all__ = [
     "CrossValidationReport",
     "ExplicitHarmonic",
     "GradientIdentityReport",
-    "brute_force_entry",
     "cross_validate",
     "gradient_identity",
     "harmonics_up_to",
@@ -49,6 +48,13 @@ __all__ = [
 
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
 _TOL_IDENTITY = 1e-10  # surface-gradient identity, on the scaled defect
+
+
+def _kinds(d: int) -> tuple[str, ...]:
+    """The kinds of explicit harmonic in dimension d, an integer 2 or 3."""
+    if not isinstance(d, (int, np.integer)) or d not in _KINDS:
+        raise ValueError(f"explicit harmonics exist only for d in (2, 3), got {d}")
+    return _KINDS[d]
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,7 @@ class ExplicitHarmonic:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.d not in _KINDS:
-            raise ValueError(f"explicit harmonics exist only for d in (2, 3), got {self.d}")
-        if self.kind not in _KINDS[self.d]:
+        if self.kind not in _kinds(self.d):
             raise ValueError(f"kind {self.kind!r} invalid for d={self.d}")
         if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
             raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
@@ -79,14 +83,6 @@ class ExplicitHarmonic:
         if self.d == 2:
             return 1.0 / math.sqrt(math.pi)
         return math.sqrt((2 * self.degree + 1) / (4.0 * math.pi))
-
-    def value(self, theta) -> np.ndarray:
-        """Harmonic at polar angle theta (colatitude for d = 3)."""
-        return _harmonic_rows((self,), np.atleast_1d(np.asarray(theta, dtype=float)))[0][0]
-
-    def theta_derivative(self, theta) -> np.ndarray:
-        """d/dtheta of the harmonic at polar angle theta."""
-        return _harmonic_rows((self,), np.atleast_1d(np.asarray(theta, dtype=float)))[1][0]
 
 
 def _harmonic_rows(hs, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +133,13 @@ def _legendre_table(t: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
 
 def harmonics_up_to(d: int, max_degree: int) -> list[ExplicitHarmonic]:
     """All explicit harmonics with 1 <= degree <= max_degree, degree-major."""
+    kinds = _kinds(d)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     return [
         ExplicitHarmonic(d=d, degree=ell, kind=kind)
         for ell in range(1, max_degree + 1)
-        for kind in _KINDS[d]
+        for kind in kinds
     ]
 
 
@@ -199,7 +196,16 @@ def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarra
 def _form_factors(hs, forms) -> tuple[np.ndarray, np.ndarray]:
     """The moment index l_i + l_j - 2 and the angular factor
     prod + grad / (l l^T) of every pair of harmonics, from their
-    ``_sphere_forms`` (see ``brute_force_entry``)."""
+    ``_sphere_forms``.
+
+    The harmonic extension of a degree-ell harmonic f is r**ell f / ell (unit
+    Neumann data), so the gradients' dot product at (r, theta) is
+    r**(l1+l2-2) (f1 f2 + f1' f2' / (l1 l2)); integrated against
+    -eta(r) r**(d-1), it is the radial moment of r**(l1+l2-2) (per-piece
+    Gauss-Legendre) times the sphere integral of the angular factor (the
+    angular rule).  All rules are of sufficient order, so each entry is the
+    integral up to roundoff.
+    """
     degrees = np.array([h.degree for h in hs])
     return degrees[:, None] + degrees - 2, forms[1] + forms[0] / np.outer(degrees, degrees)
 
@@ -222,23 +228,6 @@ def _identity_defect(d: int, degrees: np.ndarray, forms) -> tuple[np.ndarray, np
     return defect, defect / np.maximum(1.0, abs_lhs + factor * abs_rhs)
 
 
-def brute_force_entry(
-    profile: RadialProfile, h1: ExplicitHarmonic, h2: ExplicitHarmonic
-) -> float:
-    """<(F eta) h1, h2> assembled directly from the defining integral.
-
-    The harmonic extension of a degree-ell harmonic f is r**ell f / ell (unit
-    Neumann data), so the gradients' dot product at (r, theta) is
-    r**(l1+l2-2) (f1 f2 + f1' f2' / (l1 l2)); integrated against
-    -eta(r) r**(d-1), it is the radial moment of r**(l1+l2-2) (per-piece
-    Gauss-Legendre) times the sphere integral of the angular factor (the
-    angular rule).  All rules are of sufficient order, so the result is the
-    integral up to roundoff.
-    """
-    hs = (h1, h2)
-    return float(_entries(profile, h1.d, *_form_factors(hs, _sphere_forms(hs)))[0, 1])
-
-
 @dataclass(frozen=True)
 class GradientIdentityReport:
     """Surface-gradient identity for a pair of explicit harmonics:
@@ -251,16 +240,14 @@ class GradientIdentityReport:
     rhs: float
     defect: float
     scaled_defect: float  # the gated one: see _identity_defect
-    tol: float
+    tol: ClassVar[float] = _TOL_IDENTITY
 
     @property
     def ok(self) -> bool:
         return self.scaled_defect <= self.tol
 
 
-def gradient_identity(
-    h1: ExplicitHarmonic, h2: ExplicitHarmonic, tol: float = _TOL_IDENTITY
-) -> GradientIdentityReport:
+def gradient_identity(h1: ExplicitHarmonic, h2: ExplicitHarmonic) -> GradientIdentityReport:
     """Quadrature check of the surface-gradient identity for one pair."""
     forms = _sphere_forms((h1, h2))
     defect, scaled = _identity_defect(h1.d, np.array([h1.degree, h2.degree]), forms)
@@ -271,7 +258,6 @@ def gradient_identity(
         rhs=float(forms[1][0, 1]),
         defect=float(defect[0, 1]),
         scaled_defect=float(scaled[0, 1]),
-        tol=tol,
     )
 
 
@@ -295,7 +281,7 @@ class CrossValidationReport:
     tol_diag: float
     identity_defect: float
     identity_scaled_defect: float
-    tol_identity: float = _TOL_IDENTITY
+    tol_identity: ClassVar[float] = _TOL_IDENTITY
     passes: np.ndarray = field(init=False, repr=False, compare=False)
     max_offdiag: float = field(init=False, compare=False)
     max_diag_scaled: float = field(init=False, compare=False)
@@ -340,7 +326,7 @@ class _SpherePlan:
 def _sphere_plan(d: int, max_degree: int) -> _SpherePlan:
     """The sphere half of ``cross_validate`` at (d, max_degree), built once per
     process for each of the 32 most recently used settings: from the same
-    ``_sphere_forms`` as the single-pair functions.  The largest plan verify
+    ``_sphere_forms`` as ``gradient_identity``.  The largest plan verify
     asks for (d = 2, max_degree = 90) holds about 1.1 MB, and the 32 largest
     together about 23 MB."""
     hs = harmonics_up_to(d, max_degree)

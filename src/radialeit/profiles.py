@@ -38,7 +38,6 @@ __all__ = [
     "profile_from_dict",
     "profile_to_dict",
     "project",
-    "surface_area",
 ]
 
 MAX_PIECE_DEGREE = 32
@@ -84,10 +83,6 @@ class RadialProfile:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_ball_norms", {})  # d -> norm_ball_profile(self, d)
-
-    @property
-    def max_piece_degree(self) -> int:
-        return max(p.size - 1 for p in self.pieces)
 
     def intervals(self) -> Iterator[tuple[float, float, np.ndarray]]:
         """Yield (lo, hi, coefficients) for each piece."""
@@ -172,14 +167,11 @@ def profile_from_dict(doc: dict) -> tuple[RadialProfile, int | None]:
     return RadialProfile(breakpoints, pieces), d
 
 
-def profile_to_dict(profile: RadialProfile, d: int | None = None) -> dict:
-    doc: dict = {
+def profile_to_dict(profile: RadialProfile) -> dict:
+    return {
         "breakpoints": [float(b) for b in profile.breakpoints],
         "pieces": [[float(c) for c in p] for p in profile.pieces],
     }
-    if d is not None:
-        doc["dimension"] = int(d)
-    return doc
 
 
 def log_surface_area(d: int) -> float:
@@ -187,11 +179,6 @@ def log_surface_area(d: int) -> float:
     where the measure itself underflows from d = 438 on."""
     d = jacobi._check_dimension(d)
     return math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
-
-
-def surface_area(d: int) -> float:
-    """Surface measure of the unit sphere in R**d (2*pi, 4*pi, 2*pi**2, ...)."""
-    return math.exp(log_surface_area(d))
 
 
 def _piece_integral(coeffs: np.ndarray, lo: float, hi: float, power) -> np.ndarray:

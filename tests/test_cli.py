@@ -220,9 +220,9 @@ def test_basis_runs_one_basis_table(capsys, monkeypatch):
     table = cli.jacobi.evaluate_table
     points = []
 
-    def counted(family, r, max_degree=None):
+    def counted(family, r):
         points.append(len(r))
-        return table(family, r, max_degree)
+        return table(family, r)
 
     monkeypatch.setattr(cli.jacobi, "evaluate_table", counted)
     for K in (0, 20):

@@ -103,8 +103,6 @@ def test_scalar_in_scalar_out():
 def test_evaluation_rejects_bad_input():
     fam = build_family(2, 10)
     with pytest.raises(ValueError):
-        evaluate_table(fam, 0.5, max_degree=11)
-    with pytest.raises(ValueError):
         evaluate_table(fam, 1.5)
     with pytest.raises(ValueError):
         evaluate_table(fam, -0.1)

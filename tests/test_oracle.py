@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from radialeit import oracle
 from radialeit.oracle import (
     ExplicitHarmonic,
-    brute_force_entry,
     cross_validate,
     gradient_identity,
     harmonics_up_to,
@@ -28,6 +27,25 @@ def test_harmonic_construction():
         ExplicitHarmonic(3, 0, "zonal")
 
 
+def test_unsupported_dimensions_are_refused_before_any_plan():
+    # a float 2.0 is refused too, as the routes refuse it, before a sphere
+    # plan is built or cached
+    prof = preset("constant", [1.0])
+    calls = (
+        lambda: harmonics_up_to(4, 3),
+        lambda: harmonics_up_to(2.5, 3),
+        lambda: ExplicitHarmonic(2.0, 1, "cos"),
+        lambda: cross_validate(prof, 1, 3),
+        lambda: cross_validate(prof, 4, 3),
+        lambda: cross_validate(prof, 2.0, 3),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="explicit harmonics exist only for d in"):
+            call()
+    assert oracle._sphere_plan.cache_info().currsize == 0
+    assert [h.label for h in harmonics_up_to(np.int64(3), 2)] == ["zonal1", "zonal2"]
+
+
 def test_enumeration_order():
     hs = harmonics_up_to(2, 2)
     assert [h.label for h in hs] == ["cos1", "sin1", "cos2", "sin2"]
@@ -38,11 +56,11 @@ def test_harmonics_are_orthonormal_on_the_sphere():
     for d, lmax in ((2, 10), (3, 8)):
         hs = harmonics_up_to(d, lmax)
         theta, w = _angular_rule(d, 2 * lmax)
-        for i, h1 in enumerate(hs):
-            v1 = h1.value(theta)
-            for h2 in hs[i:]:
-                got = float(w @ (v1 * h2.value(theta)))
-                want = 1.0 if h1 is h2 else 0.0
+        values = oracle._harmonic_rows(hs, theta)[0]
+        for i, v1 in enumerate(values):
+            for j in range(i, len(hs)):
+                got = float(w @ (v1 * values[j]))
+                want = 1.0 if i == j else 0.0
                 assert abs(got - want) < 1e-12
 
 
@@ -55,8 +73,9 @@ def test_theta_derivative_matches_finite_differences():
         ExplicitHarmonic(2, 7, "sin"),
         ExplicitHarmonic(3, 5, "zonal"),
     ):
-        fd = (h.value(pts + eps) - h.value(pts - eps)) / (2 * eps)
-        assert np.abs(h.theta_derivative(pts) - fd).max() < 1e-5
+        plus, minus = (oracle._harmonic_rows((h,), pts + s)[0][0] for s in (eps, -eps))
+        fd = (plus - minus) / (2 * eps)
+        assert np.abs(oracle._harmonic_rows((h,), pts)[1][0] - fd).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -102,44 +121,30 @@ def test_constant_profile_entries_match_minus_one_over_ell():
     # no eigenvalue formula involved: the integral itself must come out at -1/ell
     prof = preset("constant", [1.0])
     for d in (2, 3):
-        for h in harmonics_up_to(d, 5):
-            got = brute_force_entry(prof, h, h)
-            assert abs(got + 1.0 / h.degree) < 1e-13, h.label
+        entries = cross_validate(prof, d, 5).entries
+        for i, h in enumerate(harmonics_up_to(d, 5)):
+            assert abs(entries[i, i] + 1.0 / h.degree) < 1e-13, h.label
 
 
 def test_cross_entries_vanish():
+    # among them cos3-sin3 (same degree, different branch), cos3-cos5 and zonal2-zonal4
     prof = preset("annulus", [0.3, 0.8, -1.5])
-    c3, s3, c5 = (
-        ExplicitHarmonic(2, 3, "cos"),
-        ExplicitHarmonic(2, 3, "sin"),
-        ExplicitHarmonic(2, 5, "cos"),
-    )
-    assert abs(brute_force_entry(prof, c3, s3)) < 1e-14  # same degree, different branch
-    assert abs(brute_force_entry(prof, c3, c5)) < 1e-14
-    z2, z4 = ExplicitHarmonic(3, 2, "zonal"), ExplicitHarmonic(3, 4, "zonal")
-    assert abs(brute_force_entry(prof, z2, z4)) < 1e-14
+    for d in (2, 3):
+        entries = cross_validate(prof, d, 5).entries
+        assert np.abs(entries - np.diag(np.diag(entries))).max() < 1e-14, d
 
 
 def test_same_degree_branches_agree():
     # the eigenvalue must not depend on which harmonic of the eigenspace is used
     prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
+    diag = np.diag(cross_validate(prof, 2, 7).entries)  # cos1, sin1, cos2, ...
     for ell in (1, 4, 7):
-        c = brute_force_entry(prof, ExplicitHarmonic(2, ell, "cos"), ExplicitHarmonic(2, ell, "cos"))
-        s = brute_force_entry(prof, ExplicitHarmonic(2, ell, "sin"), ExplicitHarmonic(2, ell, "sin"))
-        assert abs(c - s) < 1e-13
+        assert abs(diag[2 * ell - 2] - diag[2 * ell - 1]) < 1e-13
 
 
 def test_zero_profile_annihilates():
-    prof = preset("constant", [0.0])
-    h = ExplicitHarmonic(2, 2, "cos")
-    assert brute_force_entry(prof, h, h) == 0.0
-
-
-def test_entry_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        brute_force_entry(
-            preset("constant", [1.0]), ExplicitHarmonic(2, 1, "cos"), ExplicitHarmonic(3, 1, "zonal")
-        )
+    entries = cross_validate(preset("constant", [0.0]), 2, 2).entries
+    assert np.all(entries == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +219,13 @@ def test_oracle_matches_exact_rationals(corpus, exact):
 
 
 def test_single_pair_functions_read_the_pair_matrix():
-    # each is the matrix code applied to its two harmonics: (h1, h2) is entry [0, 1]
-    prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
+    # gradient_identity is the matrix code applied to its two harmonics: (h1, h2)
+    # is entry [0, 1]
     for d in (2, 3):
         hs = harmonics_up_to(d, 6)
         for h1 in hs:
             for h2 in hs:
                 forms = oracle._sphere_forms((h1, h2))
-                pair = oracle._entries(prof, d, *oracle._form_factors((h1, h2), forms))
-                assert brute_force_entry(prof, h1, h2) == pair[0, 1]
                 degrees = np.array([h1.degree, h2.degree])
                 defect, scaled = oracle._identity_defect(d, degrees, forms)
                 rep = gradient_identity(h1, h2)
@@ -312,11 +315,11 @@ def test_sphere_plan_and_report_are_read_only():
 
 
 def test_pair_functions_agree_with_the_report():
-    # the pair functions build their own, smaller angular rule, so they agree
-    # to rounding but not bit for bit: entries to 1e-15, angular factors (up
-    # to 2.5, off the diagonal rounding noise of that size) to 4e-15;
-    # the identity defects are themselves rounding noise of each rule (up to
-    # 7.5e-14 absolute in d = 3), so their maxima agree only to that size
+    # gradient_identity builds its own, smaller angular rule, so it agrees
+    # to rounding but not bit for bit: angular factors (up to 2.5, off the
+    # diagonal rounding noise of that size) to 4e-15; the identity defects
+    # are themselves rounding noise of each rule (up to 7.5e-14 absolute in
+    # d = 3), so their maxima agree only to that size
     prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
     for d in (2, 3):
         hs = harmonics_up_to(d, 5)
@@ -325,7 +328,6 @@ def test_pair_functions_agree_with_the_report():
         defect = scaled = 0.0
         for i, h1 in enumerate(hs):
             for j, h2 in enumerate(hs):
-                assert abs(brute_force_entry(prof, h1, h2) - rep.entries[i, j]) <= 1e-15
                 pair = gradient_identity(h1, h2)
                 angular = pair.rhs + pair.lhs / (h1.degree * h2.degree)
                 assert abs(angular - plan.angular[i, j]) <= 4e-15
