@@ -19,9 +19,10 @@ with ``repr``, i.e. shortest round-trip form; the JSON metadata carries a
 timestamp, which is the only field that varies between identical runs.  Each
 subcommand returns its metadata, records (as columns), summary and verdict;
 ``main`` alone writes them and maps the verdict to the exit code.  ``_emit``
-formats each column once and everything else with ``_json_text``, which
-takes NumPy values as they are: the JSON is byte for byte ``json.dumps(doc,
-indent=2)`` and the CSV as written cell by cell.  ``main`` builds its
+formats each record column once and writes metadata and summary with the
+standard library's JSON encoder, NumPy values taken as they are: the JSON is
+byte for byte ``json.dumps(doc, indent=2)``, the CSV as written cell by cell
+and each ``# key = value`` value ``json.dumps(value)``.  ``main`` builds its
 argument parser once per process, and ``verify`` reads its row layout from
 the oracle's per-(d, L) plan.
 """
@@ -114,11 +115,8 @@ def _read_profile_file(args) -> tuple[profiles.RadialProfile, int]:
         profile, d_doc = profiles.profile_from_dict(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if d_doc is not None:
-        try:
-            _dimension(str(d_doc))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"the profile file's dimension {exc}") from None
+    if d_doc is not None and d_doc > MAX_DIM:
+        raise ConfigError(f"the profile file's dimension must be in 2..{MAX_DIM}, got {d_doc}")
     if args.dim is not None and d_doc is not None and args.dim != d_doc:
         raise ConfigError(
             f"--dim {args.dim} contradicts the profile file's dimension {d_doc}"
@@ -225,39 +223,17 @@ def _cells(values, json_out: bool) -> list[str]:
     raise TypeError(f"cannot serialise a column of {type(first).__name__}")
 
 
-def _json_text(value, level: int | None = None) -> str:
-    """The bytes of ``json.dumps(value, indent=2)`` as they read ``level`` deep
-    in a document, or of ``json.dumps(value)`` if ``level`` is None.  Leaves
-    may be plain or NumPy scalars (floats as ``float.__repr__``, non-finite
-    ones spelled NaN/Infinity/-Infinity as json.dumps does) or strings;
-    containers dicts with string keys, lists, tuples or NumPy arrays."""
-    if isinstance(value, (float, np.floating)):  # the most common leaf first
-        text = float.__repr__(float(value))
-        return _JSON_CONSTANTS.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return int.__repr__(int(value))
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    inner = None if level is None else level + 1
-    if isinstance(value, dict):
-        # the encoder raises TypeError on a key that is not a string
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"cannot serialise {type(value).__name__}")
-    if not items:
-        return brackets
-    if level is None:
-        return brackets[0] + ", ".join(items) + brackets[1]
-    pad = "\n" + "  " * inner
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+def _plain(value):
+    """``default`` of the encoders below: a NumPy array or scalar as the plain
+    value it holds (np.float64 is a float, which the encoder writes itself)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialise {type(value).__name__}")
+
+
+# json.dumps(value, indent=2) and json.dumps(value), NumPy values taken as they are
+_indented = json.JSONEncoder(indent=2, default=_plain).encode
+_compact = json.JSONEncoder(default=_plain).encode
 
 
 def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
@@ -265,11 +241,12 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
     1-d array or list with one value per record.
 
     The bytes equal those of ``json.dumps(doc, indent=2)`` (JSON) or of the
-    record-by-record CSV writer, but each column is formatted once, the JSON
-    records come from one per-record template, and meta, summary and the CSV
-    ``# key = value`` lines are written by ``_json_text``: with an indent,
-    json.dumps runs its pure-Python encoder, which would walk every value.
-    ``meta`` and ``summary`` may hold NumPy scalars and arrays as they are.
+    record-by-record CSV writer, but each column is formatted once and the
+    JSON records come from one per-record template: with an indent, json.dumps
+    runs its pure-Python encoder, which would walk every value.  Meta and
+    summary, which are small, go through the standard encoder (indented one
+    level deep in JSON, compact on the CSV ``# key = value`` lines) and may
+    hold NumPy scalars and arrays as they are.
     """
     json_out = args.format == "json"
     keys = list(columns)
@@ -278,20 +255,18 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
         meta = {**meta, "timestamp": datetime.now(timezone.utc).isoformat()}
         records = "[]"
         if rows:
-            fields = ",\n".join(f"      {_json_text(k).replace('%', '%%')}: %s" for k in keys)
+            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
             template = "    {\n" + fields + "\n    }"
             records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
-        text = (
-            f'{{\n  "meta": {_json_text(meta, 1)},\n  "records": {records},\n'
-            f'  "summary": {_json_text(summary, 1)}\n}}\n'
-        )
+        meta, summary = (_indented(x).replace("\n", "\n  ") for x in (meta, summary))
+        text = f'{{\n  "meta": {meta},\n  "records": {records},\n  "summary": {summary}\n}}\n'
     else:
         lines = []
         if rows:
             lines.append(",".join(keys))
             lines.extend(map(",".join, rows))
         for key, value in {**summary, **{f"meta.{k}": v for k, v in meta.items()}}.items():
-            lines.append(f"# {key} = {_json_text(value)}")
+            lines.append(f"# {key} = {_compact(value)}")
         text = "\n".join(lines) + "\n"
     if args.out:
         try:

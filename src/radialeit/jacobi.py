@@ -60,17 +60,24 @@ class JacobiFamily:
             arr.flags.writeable = False
 
 
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is a Python or NumPy integer (not a bool) in
+    low..high; every scalar degree, count, cutoff and size is checked here."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    limits = f"be an integer >= {low}" if high is None else f"lie in {low}..{high}"
+    raise ValueError(f"{name} must {limits}, got {value!r}")
+
+
 def _check_dimension(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    return _check_int(d, "dimension", 2)
 
 
 def build_family(d: int, max_degree: int) -> JacobiFamily:
     """Precompute recurrence coefficients for degrees 0..max_degree."""
     d = _check_dimension(d)
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
-        raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+    max_degree = _check_int(max_degree, "max_degree", 0)
     k = np.arange(max_degree + 1, dtype=float)
     m = 2.0 * k + d
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -78,9 +85,7 @@ def build_family(d: int, max_degree: int) -> JacobiFamily:
     rec_a[0] = 0.0
     rec_b = 0.5 * ((d - 1.0) ** 2 / ((m - 1.0) * (m + 1.0)) + 1.0)
     rec_c = -np.sqrt(m / (m + 2.0)) * (k + 1.0) * (k + d) / (m * (m + 1.0))
-    return JacobiFamily(
-        d=d, max_degree=int(max_degree), rec_a=rec_a, rec_b=rec_b, rec_c=rec_c
-    )
+    return JacobiFamily(d=d, max_degree=max_degree, rec_a=rec_a, rec_b=rec_b, rec_c=rec_c)
 
 
 def _as_points(r) -> np.ndarray:
@@ -105,9 +110,7 @@ def evaluate_blocks(family: JacobiFamily, r, height: int):
     before it, because a one-row matrix product is a plain dot, which sums in
     another order than a row of a taller product.  The blocks share one
     buffer, so use each before asking for the next."""
-    if not isinstance(height, (int, np.integer)) or height < 1:
-        raise ValueError(f"block height must be an integer >= 1, got {height!r}")
-    return _blocks(family, _as_points(r), int(height))
+    return _blocks(family, _as_points(r), _check_int(height, "block height", 1))
 
 
 def _blocks(family: JacobiFamily, r: np.ndarray, height: int):
@@ -179,10 +182,7 @@ def monomial_coefficients(d: int, k: int) -> JacobiExpansion:
     and every call with the same arguments returns the same (read-only)
     expansion.
     """
-    d = _check_dimension(d)
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"monomial degree must be an integer >= 0, got {k!r}")
-    return _monomial_row(d, int(k))
+    return _monomial_row(_check_dimension(d), _check_int(k, "monomial degree", 0))
 
 
 @functools.lru_cache(maxsize=_MONOMIAL_ROWS)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jacobi import _check_int
+
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
@@ -52,9 +54,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     Exact for polynomials of degree <= 2n - 1.  Every call with the same
     ``n`` returns the same (read-only) rule object.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"need a positive integer point count, got {n!r}")
-    return _gauss_legendre(int(n))
+    return _gauss_legendre(_check_int(n, "point count", 1))
 
 
 @functools.lru_cache(maxsize=256)

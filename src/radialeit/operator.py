@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .jacobi import JacobiExpansion, _check_dimension
+from .jacobi import JacobiExpansion, _check_dimension, _check_int
 from .profiles import (
     RadialProfile,
     log_surface_area,
@@ -81,9 +81,7 @@ __all__ = [
 def harmonic_space_dim(ell: int, d: int) -> int:
     """Dimension of the space of degree-ell spherical harmonics on S^(d-1)."""
     d = _check_dimension(d)
-    if not isinstance(ell, (int, np.integer)) or ell < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {ell!r}")
-
+    ell = _check_int(ell, "degree", 0)
     below = math.comb(ell + d - 3, d - 1) if ell + d >= 3 else 0
     return math.comb(ell + d - 1, d - 1) - below
 
@@ -124,9 +122,7 @@ class Spectrum:
         return self.eigenvalues.size
 
     def eigenvalue(self, ell: int) -> float:
-        if not 1 <= ell <= self.max_index:
-            raise ValueError(f"degree {ell} outside 1..{self.max_index}")
-        return float(self.eigenvalues[ell - 1])
+        return float(self.eigenvalues[_check_int(ell, "degree", 1, self.max_index) - 1])
 
 
 # Series weights.  The weight of a_k in lambda_ell is
@@ -288,8 +284,7 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     expansion carries fewer, the partial sum is returned (the eigenvalue of
     the truncated profile).
     """
-    if ell < 1:
-        raise ValueError(f"degree must be >= 1, got {ell}")
+    ell = _check_int(ell, "degree", 1)
     return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
 
 
@@ -317,9 +312,7 @@ def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
     Degree ell reads a_k for k <= k*(ell); the source is "series-truncated"
     when the expansion stops short of that for some degree.
     """
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
-    return _series_spectrum(expansion, max_index)[0]
+    return _series_spectrum(expansion, _check_int(max_index, "max_index", 1))[0]
 
 
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
@@ -334,8 +327,7 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
 
 def spectrum_moment(profile: RadialProfile, d: int, max_index: int) -> Spectrum:
     """Eigenvalues for degrees 1..max_index from the moment formula."""
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    max_index = _check_int(max_index, "max_index", 1)
     vals = eigenvalue_moment(profile, d, np.arange(1, max_index + 1))
     return Spectrum(
         d=d, eigenvalues=vals, source="moment", eta_norm=norm_ball_profile(profile, d)
@@ -388,8 +380,9 @@ def dual_route(
     series reads no coefficient above it, so a larger ``coeff_degree`` is cut
     down to it.
     """
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    max_index = _check_int(max_index, "max_index", 1)
+    if coeff_degree is not None:
+        coeff_degree = _check_int(coeff_degree, "coeff_degree", 0)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
     coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
     series, tails = _series_spectrum(project(profile, d, coeff_degree), max_index)
@@ -507,8 +500,7 @@ def _log_ratio_rows(d: int, first: int, last: int) -> np.ndarray:
 def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundReport:
     """Sweep ell = 1..max_index, k = 0..2*ell-2, comparing in log space."""
     d = _check_dimension(d)
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    max_index = _check_int(max_index, "max_index", 1)
     pairs, worst, violations = 0, -math.inf, []
     for first in range(1, max_index + 1, _ROW_BLOCK):
         last = min(first + _ROW_BLOCK - 1, max_index)
@@ -548,16 +540,15 @@ class BoundaryField:
     def __post_init__(self) -> None:
         clean: dict[int, np.ndarray] = {}
         for ell, block in self.blocks.items():
-            if not isinstance(ell, (int, np.integer)) or ell < 1:
-                raise ValueError(f"field degrees must be integers >= 1, got {ell!r}")
+            ell = _check_int(ell, "field degree", 1)
             arr = np.array(block, dtype=float)
-            want = harmonic_space_dim(int(ell), self.d)
+            want = harmonic_space_dim(ell, self.d)
             if arr.ndim != 1 or arr.size != want:
                 raise ValueError(
                     f"degree {ell} block must have length {want}, got shape {arr.shape}"
                 )
             arr.flags.writeable = False
-            clean[int(ell)] = arr
+            clean[ell] = arr
         object.__setattr__(self, "blocks", clean)
 
     @property
@@ -583,8 +574,7 @@ def truncate(spectrum: Spectrum, cutoff: int) -> Spectrum:
     """The operator with all degrees above ``cutoff`` dropped: the same
     spectrum with those eigenvalues set to 0, so ``apply_operator`` sends
     their blocks to 0."""
-    if not 0 <= cutoff <= spectrum.max_index:
-        raise ValueError(f"cutoff must lie in 0..{spectrum.max_index}, got {cutoff}")
+    cutoff = _check_int(cutoff, "cutoff", 0, spectrum.max_index)
     vals = spectrum.eigenvalues.copy()
     vals[cutoff:] = 0.0
     return replace(spectrum, eigenvalues=vals)
@@ -620,8 +610,7 @@ def truncation_error(spectrum: Spectrum, max_cutoff: int) -> TruncationErrorRepo
     """Truncation error and its bound at every cutoff 0..max_cutoff, in one
     pass: the tail norms are one running max of |lambda| from the top degree
     down, and the bounds the decay bounds of degrees 1..max_cutoff + 1."""
-    if not 0 <= max_cutoff <= spectrum.max_index:
-        raise ValueError(f"max_cutoff must lie in 0..{spectrum.max_index}, got {max_cutoff}")
+    max_cutoff = _check_int(max_cutoff, "max_cutoff", 0, spectrum.max_index)
     tails = np.maximum.accumulate(np.abs(spectrum.eigenvalues[::-1]))[::-1]
     tails = np.append(tails, 0.0)[: max_cutoff + 1]
     return TruncationErrorReport(tails, _decay_bounds(spectrum, max_cutoff + 1))
@@ -631,12 +620,8 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
     """Matrix taking basis coefficients a_0..a_{num_coeffs-1} to eigenvalues
     lambda_1..lambda_max_index: the series route's cut rows, so entry (ell, k)
     is 0 for k > k*(ell) (and k*(ell) <= 2*ell - 2)."""
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
-    if not 1 <= num_coeffs <= 2 * max_index - 1:
-        raise ValueError(
-            f"num_coeffs must lie in 1..{2 * max_index - 1} for max_index={max_index}"
-        )
+    max_index = _check_int(max_index, "max_index", 1)
+    num_coeffs = _check_int(num_coeffs, "num_coeffs", 1, 2 * max_index - 1)
     m = np.zeros((max_index, num_coeffs))
     for block, count in _weight_band(d, max_index):
         _, k, weights = _cut_rows(block, count, num_coeffs)

@@ -134,8 +134,8 @@ def _legendre_table(t: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
 def harmonics_up_to(d: int, max_degree: int) -> list[ExplicitHarmonic]:
     """All explicit harmonics with 1 <= degree <= max_degree, degree-major."""
     kinds = _kinds(d)
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    if not isinstance(max_degree, (int, np.integer)) or max_degree < 1:
+        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
     return [
         ExplicitHarmonic(d=d, degree=ell, kind=kind)
         for ell in range(1, max_degree + 1)

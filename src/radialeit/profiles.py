@@ -162,8 +162,7 @@ def profile_from_dict(doc: dict) -> tuple[RadialProfile, int | None]:
         raise ValueError(f"malformed profile document: {exc}") from None
     d = doc.get("dimension")
     if d is not None:
-        if not isinstance(d, int) or d < 2:
-            raise ValueError(f"profile dimension must be an integer >= 2, got {d!r}")
+        d = jacobi._check_int(d, "profile dimension", 2)
     return RadialProfile(breakpoints, pieces), d
 
 
@@ -240,8 +239,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     is projected to degree min(max_degree, m) only (recurrence, rule and all)
     and the coefficients above are exact zeros, not rounding noise.
     """
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
-        raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+    max_degree = jacobi._check_int(max_degree, "max_degree", 0)
     pieces = profile.pieces
     degree = max_degree if len(pieces) > 1 else min(max_degree, pieces[0].size - 1)
     family = jacobi.build_family(d, degree)

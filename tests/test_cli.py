@@ -688,8 +688,17 @@ def _reference_emit(fmt, meta, columns, summary, timestamp):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_matches_the_record_by_record_writer(capsys, fmt):
     profile = {"breakpoints": [0.0, 1.0], "pieces": [[1.5]]}
-    meta = {"command": "t", "dimension": 3, "profile": profile}
-    summary = {"ok": False, "values": [1.0, 2.5], "worst": float("nan")}
+    meta = {"command": "t", "dimension": np.int64(3), "K": 5, "profile": profile, "pair": (1, 2.5)}
+    summary = {
+        "ok": np.bool_(False),
+        "all": True,
+        "values": np.array([1.0, 2.5, -np.inf]),
+        "worst": np.float64("nan"),
+        "best": np.float64(0.1),
+        "plain": float("nan"),
+        "rank": np.int64(-7),
+        "violations": (),
+    }
     floats = [0.1, -0.0, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]
     cases = [
         {
@@ -710,7 +719,7 @@ def test_emit_matches_the_record_by_record_writer(capsys, fmt):
         out = capsys.readouterr().out
         stamp = json.loads(out)["meta"]["timestamp"] if fmt == "json" else None
         plain = {k: np.asarray(v).tolist() for k, v in columns.items()}
-        assert out == _reference_emit(fmt, meta, plain, summary, stamp)
+        assert out == _reference_emit(fmt, _python(meta), plain, _python(summary), stamp)
 
 
 def _python(value):
@@ -754,19 +763,18 @@ _json_values = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(value=_json_values)
-def test_json_text_matches_json_dumps(value):
+def test_emit_encoders_match_json_dumps(value):
+    # the encoders _emit writes meta and summary with take NumPy values as they are
     plain = _python(value)
-    assert cli._json_text(value) == json.dumps(plain)
-    assert cli._json_text(value, 0) == json.dumps(plain, indent=2)
-    # two levels deep in a document
-    assert cli._json_text(value, 2) == json.dumps(plain, indent=2).replace("\n", "\n    ")
+    assert cli._compact(value) == json.dumps(plain)
+    assert cli._indented(value) == json.dumps(plain, indent=2)
 
 
-def test_json_text_refuses_other_types():
-    # keys must be strings (json.dumps would turn 1 into "1")
-    for value in (object(), None, {1: 2}, {"a": [1, {2.0: "b"}]}, {1, 2}):
-        with pytest.raises(TypeError):
-            cli._json_text(value, 1)
+def test_emit_encoders_refuse_other_types():
+    for value in (object(), {1, 2}, {"a": [1, (object(),)]}, [{"b": {2, 3}}]):
+        for encode in (cli._compact, cli._indented):
+            with pytest.raises(TypeError):
+                encode(value)
 
 
 _EVERY_SUBCOMMAND = [

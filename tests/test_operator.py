@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from radialeit import operator
+from radialeit import numerics, operator, oracle
+from radialeit.jacobi import build_family, evaluate_blocks, monomial_coefficients
+from radialeit.numerics import gauss_legendre
 from radialeit.operator import (
     BoundaryField,
     InversionSettings,
@@ -27,6 +29,7 @@ from radialeit.operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
+from radialeit.oracle import cross_validate, harmonics_up_to
 from radialeit.profiles import (
     JacobiExpansion,
     moment_integral,
@@ -484,6 +487,80 @@ def test_route_input_validation(monkeypatch):
         with pytest.raises(ValueError, match="dimension"):
             call()
     assert built == [] and not operator._weight_blocks
+
+
+_E = JacobiExpansion(2, np.ones(5))
+_P = preset("annulus", [0.3, 0.8, 1.0])
+_S = Spectrum(d=2, eigenvalues=[-1.0, -0.5, -0.25, -0.2], source="external", eta_norm=0.0)
+_F = build_family(2, 3)
+_BAD_INTEGERS = {
+    # fractional values
+    "eigenvalue_series-2.5": ("degree", lambda: eigenvalue_series(_E, 2.5)),
+    "spectrum_series-2.0": ("max_index", lambda: spectrum_series(_E, 2.0)),
+    "dual_route-3.0": ("max_index", lambda: dual_route(_P, 2, 3.0)),
+    "forward_matrix-2.5": ("num_coeffs", lambda: forward_matrix(2, 3, 2.5)),
+    "invert-2.5": ("num_coeffs", lambda: invert(_S, 2.5)),
+    "truncate-1.5": ("cutoff", lambda: truncate(_S, 1.5)),
+    "truncation_error-1.5": ("max_cutoff", lambda: truncation_error(_S, 1.5)),
+    "factorial_ratio-2.5": ("max_index", lambda: verify_factorial_ratio_bound(2, 2.5)),
+    "cross_validate-2.5": ("max_degree", lambda: cross_validate(_P, 2, 2.5)),
+    "spectrum_moment-2.0": ("max_index", lambda: spectrum_moment(_P, 2, 2.0)),
+    "harmonics_up_to-2.5": ("max_degree", lambda: harmonics_up_to(2, 2.5)),
+    "gauss_legendre-2.0": ("point count", lambda: gauss_legendre(2.0)),
+    "build_family-1.0": ("max_degree", lambda: build_family(2, 1.0)),
+    "evaluate_blocks-2.0": ("block height", lambda: evaluate_blocks(_F, 0.5, 2.0)),
+    "monomial-1.5": ("monomial degree", lambda: monomial_coefficients(2, 1.5)),
+    "project-2.0": ("max_degree", lambda: project(_P, 2, 2.0)),
+    "coeff_degree-1.5": ("coeff_degree", lambda: dual_route(_P, 2, 3, coeff_degree=1.5)),
+    "harmonic_space_dim-1.0": ("degree", lambda: harmonic_space_dim(1.0, 3)),
+    "eigenvalue-1.0": ("degree", lambda: _S.eigenvalue(1.0)),
+    "field-1.5": ("field degree", lambda: BoundaryField(d=2, blocks={1.5: [1.0, 0.0]})),
+    # bools, which are ints to isinstance
+    "eigenvalue_series-True": ("degree", lambda: eigenvalue_series(_E, True)),
+    "truncate-True": ("cutoff", lambda: truncate(_S, True)),
+    "gauss_legendre-True": ("point count", lambda: gauss_legendre(True)),
+    "build_family-True": ("max_degree", lambda: build_family(2, True)),
+    "harmonic_space_dim-True": ("degree", lambda: harmonic_space_dim(True, 3)),
+    "eigenvalue-True": ("degree", lambda: _S.eigenvalue(True)),
+    "field-True": ("field degree", lambda: BoundaryField(d=2, blocks={True: [1.0, 0.0]})),
+    # negative and out-of-range values
+    "eigenvalue_series-0": ("degree", lambda: eigenvalue_series(_E, 0)),
+    "spectrum_series--1": ("max_index", lambda: spectrum_series(_E, -1)),
+    "dual_route-0": ("max_index", lambda: dual_route(_P, 2, 0)),
+    "coeff_degree--1": ("coeff_degree", lambda: dual_route(_P, 2, 3, coeff_degree=-1)),
+    "forward_matrix-6": ("num_coeffs", lambda: forward_matrix(2, 3, 6)),
+    "forward_matrix-0": ("num_coeffs", lambda: forward_matrix(2, 3, 0)),
+    "forward_matrix-index-0": ("max_index", lambda: forward_matrix(2, 0, 1)),
+    "invert-8": ("num_coeffs", lambda: invert(_S, 8)),
+    "truncate--1": ("cutoff", lambda: truncate(_S, -1)),
+    "truncate-5": ("cutoff", lambda: truncate(_S, 5)),
+    "truncation_error--1": ("max_cutoff", lambda: truncation_error(_S, -1)),
+    "truncation_error-5": ("max_cutoff", lambda: truncation_error(_S, 5)),
+    "factorial_ratio-0": ("max_index", lambda: verify_factorial_ratio_bound(2, 0)),
+    "cross_validate-0": ("max_degree", lambda: cross_validate(_P, 3, 0)),
+    "spectrum_moment-0": ("max_index", lambda: spectrum_moment(_P, 2, 0)),
+    "gauss_legendre-0": ("point count", lambda: gauss_legendre(0)),
+    "build_family--1": ("max_degree", lambda: build_family(2, -1)),
+    "evaluate_blocks-0": ("block height", lambda: evaluate_blocks(_F, 0.5, 0)),
+    "monomial--1": ("monomial degree", lambda: monomial_coefficients(2, -1)),
+    "project--1": ("max_degree", lambda: project(_P, 2, -1)),
+    "harmonic_space_dim--1": ("degree", lambda: harmonic_space_dim(-1, 3)),
+    "eigenvalue-0": ("degree", lambda: _S.eigenvalue(0)),
+    "eigenvalue-5": ("degree", lambda: _S.eigenvalue(5)),
+    "field-0": ("field degree", lambda: BoundaryField(d=2, blocks={0: [1.0]})),
+}
+
+
+@pytest.mark.parametrize("name, call", _BAD_INTEGERS.values(), ids=list(_BAD_INTEGERS))
+def test_bad_integer_arguments_are_refused_before_anything_is_built(name, call):
+    spectrum_series(_E, 300)  # two weight blocks in the store, to see it left as it is
+    blocks = list(operator._weight_blocks.items())
+    rules = numerics._gauss_legendre.cache_info()
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
+    assert list(operator._weight_blocks.items()) == blocks
+    assert numerics._gauss_legendre.cache_info() == rules
+    assert oracle._sphere_plan.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
