@@ -135,11 +135,9 @@ def _check_profile_size(args, profile: profiles.RadialProfile, d: int) -> None:
     steps = _PIECE_STEPS * len(sizes) + _MOMENT_STEPS * L * sum(sizes)
     nodes = 0
     if args.command == "eigvals":
-        # the projection degree: the largest cut k*(ell) over ell <= L, or --K
-        # if smaller; one piece of degree m is projected to degree m at most
+        # the projection degree: the largest cut k*(ell) over ell <= L; one
+        # piece of degree m is projected to degree m at most
         k = min(2 * L - 2, operator.cut_estimate(d, L))
-        if args.K is not None:
-            k = min(k, args.K)
         if len(sizes) == 1:
             k = min(k, sizes[0] - 1)
         nodes = sum(profiles.piece_rule_size(k, m - 1, d) for m in sizes)  # one rule per piece
@@ -283,7 +281,7 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
 
 def _cmd_eigvals(args):
     profile, d = _resolve_profile(args)
-    report = operator.dual_route(profile, d, args.L, coeff_degree=args.K, tol=args.tol_dual)
+    report = operator.dual_route(profile, d, args.L, tol=args.tol_dual)
     decay = operator.verify_decay_bound(report.moment)
     columns = {
         "ell": np.arange(1, args.L + 1),
@@ -301,7 +299,6 @@ def _cmd_eigvals(args):
         "eta_norm": report.moment.eta_norm,
         "decay_constant": operator.decay_constant(d),
         "scaled_sup": decay.scaled_sup,
-        "series_source": report.series.source,
         "series_tail_bound": float(report.tail_bounds.max()),
     }
     meta = {
@@ -412,9 +409,7 @@ def _cmd_truncate(args):
         "apriori_bound": report.apriori_bounds,
         "pass": report.passes,
     }
-    summary = {
-        "monotone": report.monotone, "all_bounded": bool(report.passes.all()), "ok": report.ok
-    }
+    summary = {"ok": report.ok}
     meta = {"dimension": d, "L": args.L, "N": n, "profile": profiles.profile_to_dict(profile)}
     return meta, columns, summary, report.ok
 
@@ -423,10 +418,13 @@ def _cmd_invert(args):
     if args.spectrum is not None:
         if args.preset is not None or args.profile is not None:
             raise ConfigError("--spectrum cannot be combined with --preset/--profile")
+        if args.L is not None:
+            raise ConfigError("--L cannot be combined with --spectrum: the file sets L")
         if args.dim is None:
             raise ConfigError("--dim is required with --spectrum")
         spectrum = _load_spectrum(args.spectrum, args.dim)
     else:
+        args.L = 10 if args.L is None else args.L
         profile, d = _resolve_profile(args)
         spectrum = operator.spectrum_moment(profile, d, args.L)
     k = min(5, 2 * spectrum.max_index - 1) if args.K is None else args.K
@@ -543,9 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--L", type=_at_least(1, high=MAX_L), default=20, help="largest harmonic degree"
     )
-    p.add_argument(
-        "--K", type=_at_least(0), default=None, help="expansion degree for the series route"
-    )
     p.add_argument("--tol-dual", type=_at_least(0.0, float), default=1e-8, dest="tol_dual")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_eigvals)
@@ -583,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--L",
         type=_at_least(1, high=MAX_INVERT_L),
-        default=10,
-        help="spectrum length (profile input)",
+        help="spectrum length (profile input only; default 10)",
     )
     p.add_argument("--K", type=int, help="coefficients to recover (default min(5, 2L - 1))")
     p.add_argument("--spectrum", help="two-column (ell,lambda) CSV file")

@@ -320,8 +320,10 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
     -(2*ell + d - 2)/ell * integral_0^1 profile(r) r**(2*ell - 2) r**(d-1) dr.
     ``ell`` may be an integer array of degrees; all moments come from one call."""
     d = _check_dimension(d)
-    if np.min(ell) < 1:
-        raise ValueError(f"degree must be >= 1, got {ell}")
+    if np.ndim(ell) == 0:
+        ell = _check_int(ell, "degree", 1)
+    elif np.asarray(ell).dtype.kind not in "iu" or np.min(ell) < 1:
+        raise ValueError(f"degree must be integers >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
 
 
@@ -340,9 +342,7 @@ class DualRouteReport:
 
     ``tail_bounds[i]`` bounds the series terms that degree i + 1 drops past
     its cut k*(ell): ||w(ell, >k*)||_2 ||eta||_{L2(ball)} / sqrt(|S^(d-1)|), by
-    Cauchy-Schwarz and Parseval (0 where the row is whole).  It does not cover
-    coefficients that ``coeff_degree`` leaves out; the series source says
-    "series-truncated" then.
+    Cauchy-Schwarz and Parseval (0 where the row is whole).
     """
 
     series: Spectrum
@@ -369,23 +369,17 @@ def dual_route(
     profile: RadialProfile,
     d: int,
     max_index: int,
-    coeff_degree: int | None = None,
     tol: float = 1e-8,
 ) -> DualRouteReport:
     """Compute the spectrum both ways and compare degree by degree.
 
-    ``coeff_degree`` is the expansion degree used for the series route; the
-    default, the largest cut k*(ell) over the requested degrees (at most
-    2*max_index - 2), is the smallest that every degree reads in full.  The
-    series reads no coefficient above it, so a larger ``coeff_degree`` is cut
-    down to it.
+    The series route projects the profile to the largest cut k*(ell) over
+    the requested degrees (at most 2*max_index - 2), the smallest expansion
+    degree that every degree reads in full.
     """
     max_index = _check_int(max_index, "max_index", 1)
-    if coeff_degree is not None:
-        coeff_degree = _check_int(coeff_degree, "coeff_degree", 0)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
-    coeff_degree = top if coeff_degree is None else min(coeff_degree, top)
-    series, tails = _series_spectrum(project(profile, d, coeff_degree), max_index)
+    series, tails = _series_spectrum(project(profile, d, top), max_index)
     moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)
@@ -398,7 +392,7 @@ def dual_route(
         scaled_diffs=diffs,
         tol=tol,
         tail_bounds=tails * scale,
-        coeff_degree=coeff_degree,
+        coeff_degree=top,
     )
 
 
@@ -598,12 +592,8 @@ class TruncationErrorReport:
         return self.tail_norms <= self.apriori_bounds
 
     @property
-    def monotone(self) -> bool:
-        return bool(np.all(self.tail_norms[1:] <= self.tail_norms[:-1]))
-
-    @property
     def ok(self) -> bool:
-        return self.monotone and bool(self.passes.all())
+        return bool(self.passes.all())
 
 
 def truncation_error(spectrum: Spectrum, max_cutoff: int) -> TruncationErrorReport:
@@ -651,7 +641,6 @@ class InversionResult:
     singular_values: np.ndarray
     effective_rank: int
     residual_norm: float
-    settings: InversionSettings
 
     def __post_init__(self) -> None:
         self.singular_values.flags.writeable = False
@@ -682,5 +671,4 @@ def invert(
         singular_values=s,
         effective_rank=int(np.count_nonzero(keep)),
         residual_norm=residual,
-        settings=settings,
     )

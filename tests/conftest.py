@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialeit import RadialProfile, operator, oracle, preset
+from radialeit import JacobiExpansion, RadialProfile, operator, oracle, preset
 
 # the benchmark's exact-rational reference, which imports nothing from radialeit
 _spec = importlib.util.spec_from_file_location(
@@ -61,3 +61,18 @@ def _fresh_caches():
     yield
     oracle._sphere_plan.cache_clear()
     operator._weight_blocks.clear()
+
+
+@pytest.fixture
+def starved_projection(monkeypatch):
+    """``operator.project`` with the coefficients past degree 3 zeroed: a
+    series route that misses most of the profile, which the dual-route gate
+    must catch."""
+    project = operator.project
+
+    def starved(profile, d, max_degree):
+        coeffs = project(profile, d, max_degree).coeffs.copy()
+        coeffs[4:] = 0.0
+        return JacobiExpansion(d, coeffs)
+
+    monkeypatch.setattr(operator, "project", starved)

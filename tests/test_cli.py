@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialeit import cli, oracle, profiles
+from radialeit import cli, operator, oracle, profiles
 from radialeit.cli import main
 from radialeit.operator import eigenvalue_moment
 from radialeit.profiles import preset
@@ -54,13 +54,6 @@ def test_eigvals_csv(capsys):
     assert extras["meta.dimension"] == 2
 
 
-def test_eigvals_ignores_coefficients_past_the_series(capsys):
-    # lambda_ell reads a_k for k <= 2 ell - 2 only: at L = 10 any K >= 18 is complete
-    argv = ("eigvals", "--dim", "3", "--preset", "annulus:0.3,0.8,-1.5", "--L", "10")
-    outs = [parse_csv(run_cli(capsys, *argv, "--K", K)[1])[0] for K in ("18", "3000")]
-    assert outs[0] == outs[1]
-
-
 def test_eigvals_json_structure(capsys):
     code, out, _ = run_cli(
         capsys, "eigvals", "--dim", "3", "--preset", "constant:1", "--L", "4",
@@ -73,6 +66,28 @@ def test_eigvals_json_structure(capsys):
     assert len(doc["records"]) == 4
     assert doc["records"][0]["lambda_moment"] == -1.0
     assert doc["summary"]["dual_ok"] is True
+
+
+def test_eigvals_fails_when_the_routes_disagree(capsys, starved_projection):
+    argv = ("eigvals", "--dim", "2", "--preset", "annulus:0.5,1,1", "--L", "12")
+    code, out, _ = run_cli(capsys, *argv)
+    _, extras = parse_csv(out)
+    assert code == 1 and extras["dual_ok"] is False and extras["decay_ok"] is True
+    assert extras["max_scaled_diff"] > extras["meta.tol_dual"]
+
+
+def test_eigvals_and_truncate_fail_past_the_decay_bound(capsys, monkeypatch):
+    # a decay constant far too small: every eigenvalue lies past its bound
+    monkeypatch.setattr(operator, "decay_constant", lambda d: 1e-30)
+    profile = ("--dim", "3", "--preset", "annulus:0.3,0.8,1")
+    code, out, _ = run_cli(capsys, "eigvals", *profile, "--L", "10")
+    _, extras = parse_csv(out)
+    assert code == 1 and extras["decay_ok"] is False and extras["dual_ok"] is True
+    assert extras["decay_violations"] == list(range(1, 11))
+    code, out, _ = run_cli(capsys, "truncate", *profile, "--L", "10", "--N", "5")
+    rows, extras = parse_csv(out)
+    assert code == 1 and extras["ok"] is False
+    assert [r["pass"] for r in rows] == ["false"] * 6
 
 
 def test_csv_and_json_payloads_match(capsys):
@@ -353,7 +368,8 @@ def test_truncate(capsys):
     assert code == 0
     rows, extras = parse_csv(out)
     assert [float(r["tail_norm"]) for r in rows] == [1.0, 0.5, 1.0 / 3.0, 0.25]
-    assert extras["monotone"] is True and extras["ok"] is True
+    assert [key for key in extras if not key.startswith("meta.")] == ["ok"]
+    assert extras["ok"] is True and all(r["pass"] == "true" for r in rows)
 
 
 def test_truncate_default_cutoff_follows_L(capsys):
@@ -440,6 +456,11 @@ def test_invert_default_K_follows_the_spectrum_length(tmp_path, capsys):
 def test_invert_input_validation(tmp_path, capsys):
     code, _, err = run_cli(capsys, "invert", "--spectrum", "nope.csv", "--preset", "constant:1")
     assert code == 2
+    # a spectrum file sets L, so an explicit --L is refused, not ignored
+    two = tmp_path / "two.csv"
+    two.write_text("1,-1.0\n2,-0.5\n")
+    code, out, err = run_cli(capsys, "invert", "--dim", "2", "--spectrum", str(two), "--L", "40")
+    assert code == 2 and out == "" and "--L" in err
     code, _, err = run_cli(capsys, "invert", "--spectrum", str(tmp_path / "missing.csv"), "--dim", "2")
     assert code == 2
     gap = tmp_path / "gap.csv"
@@ -500,7 +521,8 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "1", "--K", "1")[0] == 2
     observed.write_text("1,nan\n2,-0.5\n")  # non-finite spectrum values
     assert run_cli(capsys, "invert", "--spectrum", str(observed), "--dim", "2", "--K", "1")[0] == 2
-    assert run_cli(capsys, "eigvals", "--dim", "2", "--preset", "constant:1", "--K", "-3")[0] == 2
+    # eigvals always projects to the cut: it takes no series degree
+    assert run_cli(capsys, "eigvals", "--dim", "2", "--preset", "constant:1", "--K", "5")[0] == 2
     # ridge weight and tolerances must be finite and >= 0
     base = ("--dim", "2", "--preset", "constant:1")
     for value in ("nan", "inf", "-1"):
@@ -566,19 +588,19 @@ def test_config_errors(tmp_path, capsys):
 
 
 def test_size_gate_counts_the_nodes_project_uses(tmp_path, capsys, monkeypatch):
-    # at an explicit --K below the cut, the gate's projection node count is
-    # the sum of the rule sizes project asks gauss_legendre for
+    # at an L whose rows are all whole, the gate and project both take degree
+    # 2L - 2, and the gate's projection node count is the sum of the rule
+    # sizes project asks gauss_legendre for
     path = tmp_path / "pieces.json"
     path.write_text(json.dumps({"breakpoints": [0.0, 0.3, 0.7, 1.0],
                                 "pieces": [[1.0], [0.5, -2.0, 1.0], [0.0, 0.0, 0.0, 3.0]]}))
     for source in (("--preset", "annulus:0.3,0.8,1"), ("--profile", str(path))):
-        argv = ("eigvals", "--dim", "3", *source, "--L", "200", "--K", "17")
+        argv = ("eigvals", "--dim", "3", *source, "--L", "10")
         sizes = []
         gauss = profiles.gauss_legendre
         with monkeypatch.context() as m:
             m.setattr(profiles, "gauss_legendre", lambda n: sizes.append(n) or gauss(n))
-            # a series cut short at K = 17 may disagree with the moment route
-            assert run_cli(capsys, *argv)[0] in (0, 1)
+            assert run_cli(capsys, *argv)[0] == 0
         assert len(sizes) == 3  # one rule per piece
         with monkeypatch.context() as m:
             m.setattr(cli, "MAX_PROJECTION_NODES", 0)
@@ -615,13 +637,8 @@ def test_eigvals_reports_the_cut_and_its_tail_bound(capsys):
     rows, extras = parse_csv(out)
     assert "series_tail_bound" not in rows[0]  # a summary key, not a column
     assert 0.0 < extras["series_tail_bound"] < 1e-16
-    assert extras["series_source"] == "series"
     kstar = extras["meta.coeff_degree"]
     assert 150 < kstar < 2 * 400 - 2  # projected to k*(400), not to 2L - 2
-    code, out, _ = run_cli(capsys, *argv, "--K", str(kstar - 1))
-    _, extras = parse_csv(out)
-    assert extras["series_source"] == "series-truncated"
-    assert extras["meta.coeff_degree"] == kstar - 1
 
 
 def test_basis_refuses_a_basis_past_the_float_range(capsys):
@@ -649,7 +666,6 @@ def test_eigvals_one_piece_profile_in_the_largest_dimension(capsys):
         )
         assert code == 0 and err == ""
         assert "# dual_ok = true" in out.splitlines()
-        assert '# series_source = "series"' in out.splitlines()
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

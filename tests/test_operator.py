@@ -112,16 +112,15 @@ def test_spectrum_sources_and_norms():
         mom.eigenvalues[0] = 0.0
 
 
-def test_dual_route_report():
+def test_dual_route_report(starved_projection):
     prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
-    rep = dual_route(prof, 3, 12)
+    rep = dual_route(prof, 3, 12)  # degree 3: nothing past a_3 to zero
     assert rep.ok and rep.max_scaled_diff <= 1e-10
     assert rep.series.source == "series"
     # starving the series route of coefficients must show up, not be hidden
     rough = preset("annulus", [0.5, 1.0, 1.0])
-    starved = dual_route(rough, 2, 12, coeff_degree=3)
-    assert starved.series.source == "series-truncated"
-    assert starved.max_scaled_diff > 1e-8
+    starved = dual_route(rough, 2, 12)
+    assert starved.max_scaled_diff > 1e-8 and not starved.ok
 
 
 def _band_rows(d, L):
@@ -258,10 +257,6 @@ def test_dual_route_projects_to_the_cut():
     whole = [w.size == 2 * ell - 1 for ell, (w, _) in enumerate(_band_rows(3, 400), 1)]
     assert np.all((rep.tail_bounds == 0.0) == np.array(whole))
     assert 0.0 < rep.tail_bounds.max() <= 2.0**-53 * math.sqrt(3.0) * rep.moment.eta_norm
-    # a --K below the cut zeroes the coefficients past it and says so
-    short = dual_route(prof, 3, 400, coeff_degree=kstar - 1)
-    assert short.coeff_degree == kstar - 1 and short.series.source == "series-truncated"
-    assert dual_route(prof, 3, 400, coeff_degree=10**6).coeff_degree == kstar
 
 
 def _held():
@@ -511,13 +506,16 @@ _BAD_INTEGERS = {
     "evaluate_blocks-2.0": ("block height", lambda: evaluate_blocks(_F, 0.5, 2.0)),
     "monomial-1.5": ("monomial degree", lambda: monomial_coefficients(2, 1.5)),
     "project-2.0": ("max_degree", lambda: project(_P, 2, 2.0)),
-    "coeff_degree-1.5": ("coeff_degree", lambda: dual_route(_P, 2, 3, coeff_degree=1.5)),
+    "eigenvalue_moment-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, 2.5)),
+    "eigenvalue_moment-array-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, np.array([2.5]))),
     "harmonic_space_dim-1.0": ("degree", lambda: harmonic_space_dim(1.0, 3)),
     "eigenvalue-1.0": ("degree", lambda: _S.eigenvalue(1.0)),
     "field-1.5": ("field degree", lambda: BoundaryField(d=2, blocks={1.5: [1.0, 0.0]})),
     # bools, which are ints to isinstance
     "eigenvalue_series-True": ("degree", lambda: eigenvalue_series(_E, True)),
     "truncate-True": ("cutoff", lambda: truncate(_S, True)),
+    "eigenvalue_moment-True": ("degree", lambda: eigenvalue_moment(_P, 2, True)),
+    "eigenvalue_moment-array-True": ("degree", lambda: eigenvalue_moment(_P, 2, np.array([True]))),
     "gauss_legendre-True": ("point count", lambda: gauss_legendre(True)),
     "build_family-True": ("max_degree", lambda: build_family(2, True)),
     "harmonic_space_dim-True": ("degree", lambda: harmonic_space_dim(True, 3)),
@@ -527,7 +525,8 @@ _BAD_INTEGERS = {
     "eigenvalue_series-0": ("degree", lambda: eigenvalue_series(_E, 0)),
     "spectrum_series--1": ("max_index", lambda: spectrum_series(_E, -1)),
     "dual_route-0": ("max_index", lambda: dual_route(_P, 2, 0)),
-    "coeff_degree--1": ("coeff_degree", lambda: dual_route(_P, 2, 3, coeff_degree=-1)),
+    "eigenvalue_moment-0": ("degree", lambda: eigenvalue_moment(_P, 2, 0)),
+    "eigenvalue_moment-array-0": ("degree", lambda: eigenvalue_moment(_P, 2, np.arange(3))),
     "forward_matrix-6": ("num_coeffs", lambda: forward_matrix(2, 3, 6)),
     "forward_matrix-0": ("num_coeffs", lambda: forward_matrix(2, 3, 0)),
     "forward_matrix-index-0": ("max_index", lambda: forward_matrix(2, 0, 1)),
@@ -695,7 +694,7 @@ def test_truncation_report_is_the_per_cutoff_formula(corpus, d, L):
             assert rep.apriori_bounds[n] == bound / math.sqrt(n + 1.0), (name, n)
         assert rep.apriori_bounds[:L].tobytes() == verify_decay_bound(spec).bounds.tobytes()
         assert rep.passes.tolist() == [t <= b for t, b in zip(rep.tail_norms, rep.apriori_bounds)]
-        assert rep.ok == (rep.monotone and all(rep.passes))
+        assert rep.ok == all(rep.passes)
         assert not (rep.tail_norms.flags.writeable or rep.apriori_bounds.flags.writeable)
     short = truncation_error(spec, L // 2)
     assert short.tail_norms.tolist() == rep.tail_norms[: L // 2 + 1].tolist()
