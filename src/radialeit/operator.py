@@ -16,11 +16,12 @@ k at which a rigorous bound on the dropped weights' norm is at most 2**-53
 times the leading weight; what the cut drops from an eigenvalue is bounded
 by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
 and ``dual_route`` reports this tail bound per degree.  The rows are kept in
-fixed read-only blocks of 256 degrees, each built whole, and all blocks of all
-dimensions share one cap on the weights held, the least recently used block
-dropped first.  ``spectrum_series`` and ``forward_matrix`` read these blocks
-one at a time from the last one down, so a request past the cap holds at most
-the cap plus one block; ``eigenvalue_series`` builds its one row the same way.
+fixed read-only blocks of 256 degrees, each one dense matrix built whole and
+exactly 0 past each row's cut, and all blocks of all dimensions share one cap
+on the weights held, the least recently used block dropped first.
+``spectrum_series`` sums these rows and ``forward_matrix`` copies them, a block
+at a time from the last one down, so a request past the cap holds at most the
+cap plus one block; ``eigenvalue_series`` builds its one row the same way.
 Row lengths never fall with ell, so the first block read holds the longest
 row, and ``dual_route`` projects the profile only to that row's cut.  A row
 is summed only up to the expansion's last non-zero coefficient: the
@@ -138,7 +139,8 @@ class Spectrum:
 # falls with j, so once rho_{k+1} < 1,
 #     ||w(ell, >k)||_2 <= |w(ell, k+1)| / sqrt(1 - rho_{k+1}**2).
 # Row ell is cut at k*(ell), the smallest k at which this bound is at most
-# 2**-53 |w(ell, 0)| = 2**-53 sqrt(d)/ell; past it the series reads nothing.
+# 2**-53 |w(ell, 0)| = 2**-53 sqrt(d)/ell; past it a block stores exactly 0.0,
+# as wide as its longest row, and the series reads nothing.
 _CUT = 2.0**-53
 # The recurrence rounds R(ell, k) by at most about k ulps; inflating the bound
 # by 1e-12 covers that up to k ~ 9000 (ell ~ 10**6; --L stops at 30,000).
@@ -148,12 +150,12 @@ _ROW_BLOCK = 256  # rows per block
 
 @dataclass(frozen=True)
 class _RowBlock:
-    """Cut weight rows first..first + len(tails) - 1 of one dimension, back
-    to back, with each row's tail bound (all arrays read-only)."""
+    """Cut weight rows first..first + len(tails) - 1 of one dimension as one
+    matrix, with each row's cut and tail bound (all arrays read-only)."""
 
     first: int
-    weights: np.ndarray
-    starts: np.ndarray  # row first + i is weights[starts[i] : starts[i + 1]]
+    weights: np.ndarray  # row first + i is weights[i], exactly 0.0 past cuts[i]
+    cuts: np.ndarray  # k*(ell)
     tails: np.ndarray  # bound on ||w(ell, >k*(ell))||_2; 0 where the row is whole
 
 
@@ -175,7 +177,7 @@ def _ratios(d: int, n: np.ndarray, width: int) -> np.ndarray:
 
 def _row_block(d: int, first: int, last: int) -> _RowBlock:
     """Rows first..last, each built by its own cumulative product along k,
-    padded to a common width and cut at k*(ell)."""
+    cut at k*(ell) and zero past it, as wide as the longest."""
     ell = np.arange(first, last + 1)
     n = 2.0 * ell - 2.0
     rows = np.arange(ell.size)
@@ -200,20 +202,20 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
         width = min(2 * width, full)
     hi = ok.argmax(axis=1)  # k*(ell): the first k that passes
     tails = head[rows, hi] / np.sqrt(room[rows, hi]) / ell  # room > 0 wherever the test passes
-    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, :width] / ell[:, None]
-    weights = w[k <= hi[:, None]]
-    starts = np.concatenate(([0], np.cumsum(hi + 1)))
-    for arr in (weights, starts, tails):
+    k = k[: hi.max() + 1]
+    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, : k.size] / ell[:, None]
+    w[k > hi[:, None]] = 0.0
+    for arr in (w, hi, tails):
         arr.flags.writeable = False
-    return _RowBlock(first, weights, starts, tails)
+    return _RowBlock(first, w, hi, tails)
 
 
 # Rows depend on (d, ell) alone.  Block b of dimension d holds rows
 # 256 b + 1 .. 256 (b + 1) and is always built whole, so a request for L degrees
 # reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  All blocks share
-# one store of at most _BAND_CAP weights (32 MB), and the least recently used
-# block is dropped first.  A request reads its blocks one at a time, so one that
-# needs more than the cap holds at most the cap plus the block in use.
+# one store of at most _BAND_CAP weights, zeros included (32 MB), the least
+# recently used block dropped first.  A request reads its blocks one at a time,
+# so one that needs more than the cap holds at most the cap plus one block.
 _BAND_CAP = 1 << 22
 _weight_blocks: dict[tuple[int, int], _RowBlock] = {}  # least recently used first
 
@@ -248,33 +250,21 @@ def _row_length(block: _RowBlock, count: int) -> int:
     lengths never fall with ell: every ratio (n - j)/(n + d + j + 1) grows
     with n, so a tail test that passes at ell + 1 passes at ell.  The first
     row a request reads, its last degree, is therefore its longest."""
-    return int(block.starts[count] - block.starts[count - 1])
-
-
-def _cut_rows(
-    block: _RowBlock, count: int, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block's first ``count`` rows, each cut to its first ``width``
-    weights: where each cut row starts in the run of kept weights, the k of
-    each kept weight, and the kept weights (the block's own leading run when
-    no row is cut, so nothing is gathered then)."""
-    lengths = np.minimum(np.diff(block.starts[: count + 1]), width)
-    seg = np.cumsum(lengths) - lengths
-    k = np.arange(seg[-1] + lengths[-1]) - np.repeat(seg, lengths)
-    if k.size == block.starts[count]:
-        return seg, k, block.weights[: k.size]
-    return seg, k, block.weights[k + np.repeat(block.starts[:count], lengths)]
+    return int(block.cuts[count - 1]) + 1
 
 
 def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_k w(ell, k) a_k over the block's first ``count`` rows, a_k = 0 past
     the coefficients.  Each row stops at the last non-zero coefficient (a
-    one-piece profile of degree m has none past m), and one reduction runs
-    over the block, one segment per row: a row reads nothing from its
-    neighbours, so a degree's value is the same in every spectrum."""
+    one-piece profile of degree m has none past m) and at its cut (zeros
+    would regroup its pairwise sum), and one reduction runs over the block,
+    one segment per row: a row reads nothing from its neighbours, so a
+    degree's value is the same in every spectrum."""
     nonzero = np.flatnonzero(coeffs)
-    seg, k, weights = _cut_rows(block, count, int(nonzero[-1]) + 1 if nonzero.size else 1)
-    return np.add.reduceat(weights * coeffs[k], seg)
+    width = min(int(nonzero[-1]) + 1 if nonzero.size else 1, block.weights.shape[1])
+    lengths = np.minimum(block.cuts[:count] + 1, width)
+    terms = block.weights[:count, :width] * coeffs[:width]
+    return np.add.reduceat(terms[np.arange(width) < lengths[:, None]], lengths.cumsum() - lengths)
 
 
 def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
@@ -614,9 +604,8 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
     num_coeffs = _check_int(num_coeffs, "num_coeffs", 1, 2 * max_index - 1)
     m = np.zeros((max_index, num_coeffs))
     for block, count in _weight_band(d, max_index):
-        _, k, weights = _cut_rows(block, count, num_coeffs)
-        rows = block.first - 2 + np.cumsum(k == 0)  # each cut row starts at k = 0
-        m[rows, k] = weights
+        rows = block.weights[:count, :num_coeffs]
+        m[block.first - 1 : block.first - 1 + count, : rows.shape[1]] = rows
     return m
 
 

@@ -587,6 +587,47 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2 and f"{n} pieces" in err
 
 
+_BAD_PROFILE_FILES = {
+    "short-breakpoints": ({"breakpoints": [0.0, 0.5], "pieces": [[1.0]]},
+                          "breakpoints must increase strictly from 0.0 to 1.0"),
+    "empty-piece": ({"breakpoints": [0.0, 0.5, 1.0], "pieces": [[1.0], []]},
+                    "each piece must be a non-empty 1-d coefficient array"),
+    "unknown-field": ({"breakpoints": [0.0, 1.0], "pieces": [[1.0]], "colour": 1},
+                      "unknown profile fields: ['colour']"),
+    "text-coefficient": ({"breakpoints": [0.0, 1.0], "pieces": [["a"]]},
+                         "malformed profile document"),
+    "pieces-not-a-list": ({"breakpoints": [0.0, 1.0], "pieces": 5}, "malformed profile document"),
+    "list-document": ([[0.0, 1.0], [[1.0]]], "profile document must be a mapping"),
+    "text-dimension": ({"dimension": "3", "breakpoints": [0.0, 1.0], "pieces": [[1.0]]},
+                       "profile dimension must be"),
+    "no-dimension": ({"breakpoints": [0.0, 1.0], "pieces": [[1.0]]}, "no dimension given"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _BAD_PROFILE_FILES.values(), ids=list(_BAD_PROFILE_FILES))
+def test_bad_profile_files_are_refused(tmp_path, capsys, doc, message):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eigvals", "--profile", str(path), "--L", "3")
+    assert code == 2 and out == "" and message in err
+
+
+def test_unreadable_inputs_are_refused(tmp_path, capsys):
+    # a directory as the profile file, a spectrum file without rows, a spectrum
+    # without its dimension and a preset with too many parameters
+    code, _, err = run_cli(capsys, "eigvals", "--dim", "2", "--profile", str(tmp_path))
+    assert code == 2 and "cannot read profile file" in err
+    empty = tmp_path / "empty.csv"
+    empty.write_text("ell,lambda\n# nothing observed\n")
+    code, _, err = run_cli(capsys, "invert", "--dim", "2", "--spectrum", str(empty), "--K", "1")
+    assert code == 2 and "no spectrum rows found" in err
+    empty.write_text("1,-1.0\n2,-0.5\n")
+    code, _, err = run_cli(capsys, "invert", "--spectrum", str(empty), "--K", "1")
+    assert code == 2 and "--dim is required with --spectrum" in err
+    code, _, err = run_cli(capsys, "eigvals", "--dim", "2", "--preset", "ramp:1,2", "--L", "3")
+    assert code == 2 and "ramp takes one parameter" in err
+
+
 def test_size_gate_counts_the_nodes_project_uses(tmp_path, capsys, monkeypatch):
     # at an L whose rows are all whole, the gate and project both take degree
     # 2L - 2, and the gate's projection node count is the sum of the rule

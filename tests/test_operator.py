@@ -128,8 +128,7 @@ def _band_rows(d, L):
     # blocks from the last one down
     rows = []
     for block, count in operator._weight_band(d, L):
-        rows[:0] = [(block.weights[block.starts[i] : block.starts[i + 1]], block.tails[i])
-                    for i in range(count)]
+        rows[:0] = [(block.weights[i, : block.cuts[i] + 1], block.tails[i]) for i in range(count)]
     return rows
 
 
@@ -240,7 +239,7 @@ def test_cut_estimate_lies_above_the_cut():
     # the CLI sizes eigvals's projection by it before any weight is built
     for d in (2, 3, 9, 520):
         for ell in (1, 2, 10, 100, 1000, 10_000, 30_000):
-            kstar = int(operator._row_block(d, ell, ell).starts[1]) - 1
+            kstar = int(operator._row_block(d, ell, ell).cuts[0])
             assert kstar <= operator.cut_estimate(d, ell)
             if d <= 9 and ell >= 100:
                 assert operator.cut_estimate(d, ell) <= 1.3 * kstar
@@ -320,7 +319,7 @@ def test_weight_bands_are_read_only_and_capped(monkeypatch):
     spectrum_series(JacobiExpansion(2, coeffs), 10)
     spectrum_series(JacobiExpansion(3, coeffs), 10)
     block = operator._weight_blocks[2, 0]
-    for arr in (block.weights, block.starts, block.tails):
+    for arr in (block.weights, block.cuts, block.tails):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -413,6 +412,52 @@ def test_row_lengths_never_fall(d):
         assert lengths == sorted(lengths), d
 
 
+@pytest.mark.parametrize("d", [2, 3, 520])
+def test_stored_rows_are_zero_past_their_cut(d):
+    # a block is as wide as its longest row; each row is non-zero up to its
+    # cut and exactly +0.0 after it
+    for b in (0, 1, 2, 117):
+        block = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
+        assert block.weights.shape == (256, block.cuts.max() + 1)
+        past = np.arange(block.weights.shape[1]) > block.cuts[:, None]
+        assert np.all(block.weights[past] == 0.0) and not np.signbit(block.weights[past]).any()
+        assert np.all(block.weights[~past] != 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 520])
+def test_forward_matrix_is_the_stored_rows(d):
+    # L = 600 reaches three blocks: row ell is its stored row up to
+    # min(k*(ell), K - 1), bit for bit, and 0 after it
+    rows = _band_rows(d, 600)
+    for K in (1, 120, 1199):
+        m = forward_matrix(d, 600, K)
+        assert m.shape == (600, K)
+        for ell, (w, _) in enumerate(rows, 1):
+            n = min(w.size, K)
+            assert m[ell - 1, :n].tobytes() == w[:n].tobytes()
+            assert not m[ell - 1, n:].any()
+
+
+@pytest.mark.parametrize("d", [2, 520])
+def test_width_doubling_builds_the_same_blocks(monkeypatch, d):
+    # an estimate below every cut sends _row_block through its doubling loop,
+    # and the blocks must come out as with the estimate, bit for bit
+    want = [operator._row_block(d, 256 * b + 1, 256 * (b + 1)) for b in (0, 1)]
+    ratios, widths = operator._ratios, []
+
+    def logged(d, n, width):
+        widths.append(width)
+        return ratios(d, n, width)
+
+    monkeypatch.setattr(operator, "cut_estimate", lambda d, ell: 2)
+    monkeypatch.setattr(operator, "_ratios", logged)
+    for b, block in enumerate(want):
+        got = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
+        for a, c in ((got.weights, block.weights), (got.cuts, block.cuts), (got.tails, block.tails)):
+            assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
+    assert widths[:3] == [2, 4, 8]
+
+
 def test_series_spectrum_at_ten_thousand_degrees_stays_small():
     # the cut rows hold about 6M weights (48 MB) at L = 10**4; the full
     # triangle would be 10**8
@@ -482,6 +527,20 @@ def test_route_input_validation(monkeypatch):
         with pytest.raises(ValueError, match="dimension"):
             call()
     assert built == [] and not operator._weight_blocks
+
+
+@pytest.mark.parametrize(
+    "values, eta_norm, message",
+    [([], 1.0, "non-empty 1-d"), ([[1.0, 2.0]], 1.0, "non-empty 1-d"),
+     ([1.0, math.nan], 1.0, "eigenvalues must be finite"),
+     ([1.0, -math.inf], 1.0, "eigenvalues must be finite"),
+     ([1.0], -1.0, "eta_norm must be finite and >= 0"),
+     ([1.0], math.nan, "eta_norm must be finite and >= 0")],
+    ids=["empty", "2-d", "nan", "inf", "negative-norm", "nan-norm"],
+)
+def test_spectrum_refuses_bad_values(values, eta_norm, message):
+    with pytest.raises(ValueError, match=message):
+        Spectrum(d=2, eigenvalues=values, source="external", eta_norm=eta_norm)
 
 
 _E = JacobiExpansion(2, np.ones(5))

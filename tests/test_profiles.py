@@ -46,6 +46,8 @@ def test_validation():
         RadialProfile(np.array([0.0, 1.0]), (np.array([np.nan]),))
     with pytest.raises(ValueError):
         RadialProfile(np.array([0.0, 1.0]), (np.zeros(MAX_PIECE_DEGREE + 2),))
+    with pytest.raises(ValueError, match="at least two entries"):
+        RadialProfile(np.array([0.0]), ())
 
 
 def test_piecewise_evaluation():
