@@ -18,7 +18,6 @@ from .numerics import QuadratureRule, gauss_legendre
 from .operator import (
     BoundaryField,
     InversionResult,
-    InversionSettings,
     Spectrum,
     apply_operator,
     decay_constant,
@@ -56,7 +55,6 @@ __all__ = [
     "BoundaryField",
     "ExplicitHarmonic",
     "InversionResult",
-    "InversionSettings",
     "JacobiExpansion",
     "JacobiFamily",
     "QuadratureRule",

@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a numerical check failed, 2 bad configuration or
 input (sizes and profiles past the caps below ``MAX_DIM`` included, and an
-``--out`` that cannot be written), 3 requested verification is unsupported
-in that dimension.
+``--out`` that cannot be written), 3 the oracle has no explicit harmonics
+for ``verify`` in that dimension (``oracle.UnsupportedDimensionError``).
 
 Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import jacobi, operator, profiles
 from .numerics import gauss_legendre
-from .oracle import _sphere_plan, cross_validate
+from .oracle import UnsupportedDimensionError, _sphere_plan, cross_validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,10 +53,6 @@ EXIT_UNSUPPORTED = 3
 
 class ConfigError(Exception):
     """Bad flags or malformed input files; maps to exit code 2."""
-
-
-class UnsupportedError(Exception):
-    """A verification the dimension does not support; maps to exit code 3."""
 
 
 # --------------------------------------------------------------------------
@@ -362,11 +358,6 @@ def _cmd_basis(args):
 
 def _cmd_verify(args):
     profile, d = _resolve_profile(args)
-    if d not in (2, 3):
-        raise UnsupportedError(
-            f"brute-force verification needs explicit harmonics, which are "
-            f"only available for d = 2 and d = 3 (got d = {d})"
-        )
     report = cross_validate(profile, d, args.L)
     plan = _sphere_plan(d, args.L)  # the upper triangle row by row
     i, j = plan.rows, plan.cols
@@ -429,8 +420,7 @@ def _cmd_invert(args):
         spectrum = operator.spectrum_moment(profile, d, args.L)
     k = min(5, 2 * spectrum.max_index - 1) if args.K is None else args.K
     try:
-        settings = operator.InversionSettings(rel_cutoff=args.tau, ridge=args.alpha)
-        result = operator.invert(spectrum, k, settings)
+        result = operator.invert(spectrum, k, rel_cutoff=args.tau, ridge=args.alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     coeffs = result.expansion.coeffs
@@ -606,9 +596,9 @@ def main(argv=None) -> int:
     try:
         meta, columns, summary, ok = args.handler(args)
         _emit(args, {"command": args.command, **meta}, columns, summary)
-    except (ConfigError, profiles.BasisOverflowError, UnsupportedError) as exc:
+    except (ConfigError, profiles.BasisOverflowError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedError) else EXIT_CONFIG
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedDimensionError) else EXIT_CONFIG
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -103,14 +103,20 @@ def evaluate_table(family: JacobiFamily, r) -> np.ndarray:
     return next(_blocks(family, _as_points(r), family.max_degree + 1))[1]
 
 
-def evaluate_blocks(family: JacobiFamily, r, height: int):
-    """The rows of ``evaluate_table`` in blocks of ``height`` degrees, as
-    (first degree, rows) pairs from one recurrence, the rows a
-    (<= height + 1, len(r)) array.  A last block of one row joins the block
-    before it, because a one-row matrix product is a plain dot, which sums in
-    another order than a row of a taller product.  The blocks share one
-    buffer, so use each before asking for the next."""
-    return _blocks(family, _as_points(r), _check_int(height, "block height", 1))
+# Degrees per block of ``evaluate_blocks``.  Both block rules exist so that
+# a matrix product over each block sums exactly as the rows of one whole
+# table: the height is a multiple of the BLAS row unroll, and a last block of
+# one row joins the block before it, because a one-row matrix product is a
+# plain dot, which sums in another order than a row of a taller product.
+_BLOCK_HEIGHT = 64
+
+
+def evaluate_blocks(family: JacobiFamily, r):
+    """The rows of ``evaluate_table`` in blocks of 64 degrees (the last up to
+    65), as (first degree, rows) pairs from one recurrence, the rows a
+    (<= 65, len(r)) array.  The blocks share one buffer, so use each before
+    asking for the next."""
+    return _blocks(family, _as_points(r), _BLOCK_HEIGHT)
 
 
 def _blocks(family: JacobiFamily, r: np.ndarray, height: int):

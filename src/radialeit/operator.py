@@ -58,7 +58,6 @@ __all__ = [
     "DualRouteReport",
     "FactorialRatioBoundReport",
     "InversionResult",
-    "InversionSettings",
     "Spectrum",
     "TruncationErrorReport",
     "apply_operator",
@@ -142,10 +141,21 @@ class Spectrum:
 # 2**-53 |w(ell, 0)| = 2**-53 sqrt(d)/ell; past it a block stores exactly 0.0,
 # as wide as its longest row, and the series reads nothing.
 _CUT = 2.0**-53
-# The recurrence rounds R(ell, k) by at most about k ulps; inflating the bound
-# by 1e-12 covers that up to k ~ 9000 (ell ~ 10**6; --L stops at 30,000).
+# The computed test must err on the safe side.  With u = 2**-53: each ratio
+# rounds once (a division) and each step of the cumulative product once, so
+# |R(ell, k+1)| is within a factor 1 +- (2k + 1) u, and ``head`` after its
+# root, product and slack within 1 +- (2k + 4) u; rho_{k+1}**2 is within
+# 1 +- 8u, so 1 - rho**2 within 1 +- u (1 + 8 rho**2 / (1 - rho**2)).  With
+# one more rounding on each side of the squared test, a pass implies the true
+# bound while
+#     (2k + 6 + 4 rho**2 / (1 - rho**2)) u <= _SLACK - 1 = 1e-12.
+# k*(ell) falls as d grows, so d = 2 is the worst case: there the left side
+# passes 1e-12 at ell = 232,635 (k* = 4,450, 1 - rho**2 = 0.037).  Every entry
+# point refuses degrees past _MAX_DEGREE, a whole number of blocks, where it is
+# 9.93e-13 (k* = 4,418); --L stops at 30,000.
 _SLACK = 1.0 + 1e-12
 _ROW_BLOCK = 256  # rows per block
+_MAX_DEGREE = 896 * _ROW_BLOCK  # 229,376
 
 
 @dataclass(frozen=True)
@@ -161,8 +171,9 @@ class _RowBlock:
 
 def cut_estimate(d: int, ell: int) -> int:
     """The paper's Gaussian estimate of the cut k*(ell), with room to spare:
-    above k*(ell) at every d <= 520 and ell <= 30,000 tried, by 4-26% for
-    d <= 9 and ell >= 100, and up to 6x at d = 520."""
+    above k*(ell) at every d <= 520 and ell <= _MAX_DEGREE tried, by 2-23% for
+    d <= 9 and ell >= 100, and up to 6x at d = 520.  Far past the cap it falls
+    below (94,296 against k* = 95,501 at ell = 10**8 in d = 2)."""
     return int(1.1 * math.sqrt((4.0 * ell - 2 + d) / 2 * 53 * math.log(2))) + 8
 
 
@@ -274,7 +285,7 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     expansion carries fewer, the partial sum is returned (the eigenvalue of
     the truncated profile).
     """
-    ell = _check_int(ell, "degree", 1)
+    ell = _check_int(ell, "degree", 1, _MAX_DEGREE)
     return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
 
 
@@ -302,7 +313,7 @@ def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
     Degree ell reads a_k for k <= k*(ell); the source is "series-truncated"
     when the expansion stops short of that for some degree.
     """
-    return _series_spectrum(expansion, _check_int(max_index, "max_index", 1))[0]
+    return _series_spectrum(expansion, _check_int(max_index, "max_index", 1, _MAX_DEGREE))[0]
 
 
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
@@ -367,7 +378,7 @@ def dual_route(
     the requested degrees (at most 2*max_index - 2), the smallest expansion
     degree that every degree reads in full.
     """
-    max_index = _check_int(max_index, "max_index", 1)
+    max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
     series, tails = _series_spectrum(project(profile, d, top), max_index)
     moment = spectrum_moment(profile, d, max_index)
@@ -435,9 +446,16 @@ class DecayBoundReport:
 
 
 def _decay_bounds(spectrum: Spectrum, max_degree: int) -> np.ndarray:
-    """C_d ||eta|| ell**(-1/2) for ell = 1..max_degree."""
+    """C_d ||eta|| ell**(-1/2) for ell = 1..max_degree.  A C_d ||eta|| past the
+    float range (C_d itself from d = 521) is refused: an infinite bound, or a
+    nan one for eta = 0, could not fail."""
+    c, eta = decay_constant(spectrum.d), spectrum.eta_norm
+    if not math.isfinite(c * eta):
+        raise ValueError(
+            f"the decay bound C_d ||eta|| = {c!r} * {eta!r} is not finite in d = {spectrum.d}"
+        )
     ells = np.arange(1, max_degree + 1, dtype=float)
-    return decay_constant(spectrum.d) * spectrum.eta_norm / np.sqrt(ells)
+    return c * eta / np.sqrt(ells)
 
 
 def verify_decay_bound(spectrum: Spectrum) -> DecayBoundReport:
@@ -600,28 +618,13 @@ def forward_matrix(d: int, max_index: int, num_coeffs: int) -> np.ndarray:
     """Matrix taking basis coefficients a_0..a_{num_coeffs-1} to eigenvalues
     lambda_1..lambda_max_index: the series route's cut rows, so entry (ell, k)
     is 0 for k > k*(ell) (and k*(ell) <= 2*ell - 2)."""
-    max_index = _check_int(max_index, "max_index", 1)
+    max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
     num_coeffs = _check_int(num_coeffs, "num_coeffs", 1, 2 * max_index - 1)
     m = np.zeros((max_index, num_coeffs))
     for block, count in _weight_band(d, max_index):
         rows = block.weights[:count, :num_coeffs]
         m[block.first - 1 : block.first - 1 + count, : rows.shape[1]] = rows
     return m
-
-
-@dataclass(frozen=True)
-class InversionSettings:
-    """Regularization: singular values below rel_cutoff * s_max are discarded;
-    a positive ridge weight applies the filter s / (s**2 + ridge) instead of 1/s."""
-
-    rel_cutoff: float = 1e-10
-    ridge: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rel_cutoff < 1.0:
-            raise ValueError(f"rel_cutoff must lie in [0, 1), got {self.rel_cutoff!r}")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
 @dataclass(frozen=True)
@@ -636,21 +639,24 @@ class InversionResult:
 
 
 def invert(
-    spectrum: Spectrum, num_coeffs: int, settings: InversionSettings | None = None
+    spectrum: Spectrum, num_coeffs: int, rel_cutoff: float = 1e-10, ridge: float = 0.0
 ) -> InversionResult:
     """Recover basis coefficients from observed eigenvalues by truncated SVD.
 
     Solves the least-squares problem for the forward matrix, discarding the
-    singular directions below the relative cutoff (and, if requested, ridge-
-    filtering the rest).  A zero spectrum recovers exactly zero coefficients.
+    singular values below rel_cutoff * s_max; a positive ridge weight filters
+    the rest by s / (s**2 + ridge) instead of 1/s.  A zero spectrum recovers
+    exactly zero coefficients.
     """
-    if settings is None:
-        settings = InversionSettings()
+    if not 0.0 <= rel_cutoff < 1.0:
+        raise ValueError(f"rel_cutoff must lie in [0, 1), got {rel_cutoff!r}")
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
     m = forward_matrix(spectrum.d, spectrum.max_index, num_coeffs)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > settings.rel_cutoff * s[0]
-    if settings.ridge > 0.0:
-        filt = s[keep] / (s[keep] ** 2 + settings.ridge)
+    keep = s > rel_cutoff * s[0]
+    if ridge > 0.0:
+        filt = s[keep] / (s[keep] ** 2 + ridge)
     else:
         filt = 1.0 / s[keep]
     coef = vt[keep].T @ (filt * (u[:, keep].T @ spectrum.eigenvalues))

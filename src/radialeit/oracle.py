@@ -41,6 +41,7 @@ __all__ = [
     "CrossValidationReport",
     "ExplicitHarmonic",
     "GradientIdentityReport",
+    "UnsupportedDimensionError",
     "cross_validate",
     "gradient_identity",
     "harmonics_up_to",
@@ -50,10 +51,14 @@ _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
 _TOL_IDENTITY = 1e-10  # surface-gradient identity, on the scaled defect
 
 
+class UnsupportedDimensionError(ValueError):
+    """A dimension without explicit harmonics: anything but the integers 2 and 3."""
+
+
 def _kinds(d: int) -> tuple[str, ...]:
     """The kinds of explicit harmonic in dimension d, an integer 2 or 3."""
     if not isinstance(d, (int, np.integer)) or d not in _KINDS:
-        raise ValueError(f"explicit harmonics exist only for d in (2, 3), got {d}")
+        raise UnsupportedDimensionError(f"explicit harmonics exist only for d in (2, 3), got {d}")
     return _KINDS[d]
 
 
@@ -305,7 +310,13 @@ class CrossValidationReport:
 @dataclass(frozen=True)
 class _SpherePlan:
     """Everything ``cross_validate`` needs that does not depend on eta, for all
-    harmonics up to one degree in one dimension (arrays read-only)."""
+    harmonics up to one degree in one dimension (arrays read-only).
+
+    It also holds ``verify``'s row layout (``rows`` to ``on_diag``), which
+    only the CLI reads.  Deriving the layout per call instead costs 25-35 us
+    per job: moved into the CLI, it cut the CI verify sweep's peak from 83 MB
+    to 69 MB at equal time, but the crossval benchmark's median jobs_per_s
+    fell from 851 to 774 (six alternating 10 s pairs, 2 vCPUs)."""
 
     labels: tuple[str, ...]
     degrees: tuple[int, ...]

@@ -221,11 +221,6 @@ class BasisOverflowError(ValueError):
     """The orthonormal basis leaves the float range at the quadrature nodes."""
 
 
-# Degrees per block of the projection's recurrence.  A multiple of the BLAS
-# row unroll: each block's rows then sum exactly as rows of the whole table.
-_PROJECT_BLOCK = 64
-
-
 def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     """Coefficients <profile, P_k> for k = 0..max_degree.
 
@@ -252,7 +247,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
     total = np.zeros(max_degree + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes), _PROJECT_BLOCK):
+        for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes)):
             out = total[start : start + len(block)]
             for lo, hi, g in zip(cuts, cuts[1:], integrands):
                 out += block[:, lo:hi] @ g

@@ -352,9 +352,11 @@ def test_verify_integrates_the_squared_profile_once(capsys, monkeypatch):
 
 
 def test_verify_unsupported_dimension(capsys):
-    code, _, err = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1")
-    assert code == 3
-    assert "d = 2 and d = 3" in err
+    # the oracle's refusal, mapped to exit 3 before any sphere plan is built
+    code, out, err = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1")
+    assert code == 3 and out == ""
+    assert err == "error: explicit harmonics exist only for d in (2, 3), got 4\n"
+    assert oracle._sphere_plan.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +473,23 @@ def test_invert_input_validation(tmp_path, capsys):
         capsys, "invert", "--dim", "2", "--preset", "constant:1", "--L", "5", "--K", "40"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--tau", "-0.1", "rel_cutoff must lie in [0, 1), got -0.1"),
+     ("--tau", "1", "rel_cutoff must lie in [0, 1), got 1.0"),
+     ("--tau", "nan", "rel_cutoff must lie in [0, 1), got nan"),
+     ("--alpha", "-1", "ridge must be finite and >= 0, got -1.0"),
+     ("--alpha", "nan", "ridge must be finite and >= 0, got nan"),
+     ("--alpha", "inf", "ridge must be finite and >= 0, got inf")],
+)
+def test_invert_refuses_bad_regularization(capsys, flag, value, message):
+    # invert's own check, before the forward matrix is built
+    argv = ("invert", "--dim", "2", "--preset", "constant:1", flag, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    assert not operator._weight_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from radialeit.jacobi import JacobiExpansion, build_family, evaluate_table, monomial_coefficients
+from radialeit.jacobi import (
+    JacobiExpansion,
+    build_family,
+    evaluate_blocks,
+    evaluate_table,
+    monomial_coefficients,
+)
 from radialeit.numerics import gauss_legendre
 
 DIMS = (2, 3, 4, 5)
@@ -63,6 +69,20 @@ def test_degree_zero_table():
     fam = build_family(3, 0)
     out = evaluate_table(fam, np.array([0.7]))
     assert out.shape == (1, 1) and out[0, 0] == math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("num", [1, 63, 64, 65, 128, 129])
+def test_blocks_are_the_rows_of_one_table(num):
+    # blocks of 64 rows, a last block of one row joined to the one before it,
+    # each the bits of the same rows of the whole table
+    r = np.linspace(0.0, 1.0, 37)
+    fam = build_family(3, num - 1)
+    blocks = [(start, rows.copy()) for start, rows in evaluate_blocks(fam, r)]
+    want = {1: [1], 63: [63], 64: [64], 65: [65], 128: [64, 64], 129: [64, 65]}[num]
+    assert [len(rows) for _, rows in blocks] == want
+    assert [start for start, _ in blocks] == [64 * i for i in range(len(want))]
+    table = np.concatenate([rows for _, rows in blocks])
+    assert table.tobytes() == evaluate_table(fam, r).tobytes()
 
 
 def test_recurrence_identity_residual():

@@ -8,11 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from radialeit import numerics, operator, oracle
-from radialeit.jacobi import build_family, evaluate_blocks, monomial_coefficients
+from radialeit.jacobi import build_family, monomial_coefficients
 from radialeit.numerics import gauss_legendre
 from radialeit.operator import (
     BoundaryField,
-    InversionSettings,
     Spectrum,
     apply_operator,
     decay_constant,
@@ -243,6 +242,40 @@ def test_cut_estimate_lies_above_the_cut():
             assert kstar <= operator.cut_estimate(d, ell)
             if d <= 9 and ell >= 100:
                 assert operator.cut_estimate(d, ell) <= 1.3 * kstar
+
+
+_CAP = operator._MAX_DEGREE
+
+
+def test_degree_cap_lies_where_the_slack_covers_the_rounding():
+    # the computed tail test implies the true one while
+    # (2k + 6 + 4 rho**2 / (1 - rho**2)) u <= _SLACK - 1, k = k*(ell); at the cap
+    # k* does not rise with d, so d = 2 bounds every dimension
+    assert _CAP % operator._ROW_BLOCK == 0
+    cuts = [int(operator._row_block(d, _CAP, _CAP).cuts[0]) for d in (2, 3, 520)]
+    assert cuts[0] >= cuts[1] >= cuts[2]
+    k, n = cuts[0], 2 * _CAP - 2
+    rho2 = ((n - k - 1) / (n + k + 4)) ** 2 * (2 * k + 6) / (2 * k + 4)  # rho_{k+1}**2, d = 2
+    assert (2 * k + 6 + 4 * rho2 / (1 - rho2)) * 2.0**-53 <= operator._SLACK - 1.0
+
+
+def test_entry_points_refuse_degrees_past_the_cap(monkeypatch):
+    built = _counted_row_blocks(monkeypatch)
+    exp = JacobiExpansion(2, np.ones(3))
+    calls = [
+        ("degree", lambda: eigenvalue_series(exp, _CAP + 1)),
+        ("max_index", lambda: spectrum_series(exp, _CAP + 1)),
+        ("max_index", lambda: dual_route(preset("constant", [1.0]), 2, _CAP + 1)),
+        ("max_index", lambda: forward_matrix(2, _CAP + 1, 1)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must lie in 1..{_CAP}, got {_CAP + 1}$"):
+            call()
+    assert built == [] and not operator._weight_blocks
+    # the cap itself is accepted; lambda_ell of a_0 alone is -sqrt(d)/ell
+    assert eigenvalue_series(JacobiExpansion(2, [1.0]), _CAP) == -math.sqrt(2.0) / _CAP
+    assert math.isfinite(eigenvalue_series(JacobiExpansion(2, np.ones(5000)), _CAP))
+    assert len(built) == 2 and not operator._weight_blocks
 
 
 def test_dual_route_projects_to_the_cut():
@@ -546,7 +579,6 @@ def test_spectrum_refuses_bad_values(values, eta_norm, message):
 _E = JacobiExpansion(2, np.ones(5))
 _P = preset("annulus", [0.3, 0.8, 1.0])
 _S = Spectrum(d=2, eigenvalues=[-1.0, -0.5, -0.25, -0.2], source="external", eta_norm=0.0)
-_F = build_family(2, 3)
 _BAD_INTEGERS = {
     # fractional values
     "eigenvalue_series-2.5": ("degree", lambda: eigenvalue_series(_E, 2.5)),
@@ -562,7 +594,6 @@ _BAD_INTEGERS = {
     "harmonics_up_to-2.5": ("max_degree", lambda: harmonics_up_to(2, 2.5)),
     "gauss_legendre-2.0": ("point count", lambda: gauss_legendre(2.0)),
     "build_family-1.0": ("max_degree", lambda: build_family(2, 1.0)),
-    "evaluate_blocks-2.0": ("block height", lambda: evaluate_blocks(_F, 0.5, 2.0)),
     "monomial-1.5": ("monomial degree", lambda: monomial_coefficients(2, 1.5)),
     "project-2.0": ("max_degree", lambda: project(_P, 2, 2.0)),
     "eigenvalue_moment-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, 2.5)),
@@ -599,7 +630,6 @@ _BAD_INTEGERS = {
     "spectrum_moment-0": ("max_index", lambda: spectrum_moment(_P, 2, 0)),
     "gauss_legendre-0": ("point count", lambda: gauss_legendre(0)),
     "build_family--1": ("max_degree", lambda: build_family(2, -1)),
-    "evaluate_blocks-0": ("block height", lambda: evaluate_blocks(_F, 0.5, 0)),
     "monomial--1": ("monomial degree", lambda: monomial_coefficients(2, -1)),
     "project--1": ("max_degree", lambda: project(_P, 2, -1)),
     "harmonic_space_dim--1": ("degree", lambda: harmonic_space_dim(-1, 3)),
@@ -656,6 +686,26 @@ def test_decay_bound_flags_fabricated_violations():
     bogus = Spectrum(d=2, eigenvalues=np.array([10.0, 0.1]), source="external", eta_norm=1.0)
     rep = verify_decay_bound(bogus)
     assert not rep.ok and rep.violations == (1,)
+
+
+@pytest.mark.parametrize("values, eta_norm", [([1e300] * 5, 1.0), ([1.0] * 5, 0.0)])
+def test_decay_gates_refuse_an_infinite_decay_constant(values, eta_norm):
+    # C_d is inf from d = 521: its bounds, inf or (for eta = 0) nan, could not fail
+    gates = (verify_decay_bound, lambda s: truncation_error(s, 5))
+    spec = Spectrum(d=521, eigenvalues=values, source="external", eta_norm=eta_norm)
+    for gate in gates:
+        with pytest.raises(ValueError, match=r"^the decay bound .* = inf \* .* in d = 521$"):
+            gate(spec)
+    # at d = 520 the bounds are finite, and the norm-0 spectrum fails both gates
+    spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=eta_norm)
+    decay, trunc = verify_decay_bound(spec), truncation_error(spec, 5)
+    assert np.all(np.isfinite(decay.bounds)) and np.all(np.isfinite(trunc.apriori_bounds))
+    assert decay.ok == trunc.ok == (eta_norm == 1.0)
+    # a finite C_d times a norm past the float range is refused too
+    spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=1e10)
+    for gate in gates:
+        with pytest.raises(ValueError, match=r"^the decay bound .* is not finite in d = 520$"):
+            gate(spec)
 
 
 def test_zero_profile_spectrum_is_zero_and_bounded():
@@ -819,19 +869,19 @@ def test_regularization_controls():
     spec = spectrum_moment(preset("constant", [1.0]), 2, 10)
     plain = invert(spec, 5)
     # a harsh relative cutoff must drop rank
-    hard = invert(spec, 5, InversionSettings(rel_cutoff=1e-1))
+    hard = invert(spec, 5, rel_cutoff=1e-1)
     assert hard.effective_rank < plain.effective_rank
     # ridge damping shrinks the solution and grows the residual
-    ridged = invert(spec, 5, InversionSettings(ridge=1e-2))
+    ridged = invert(spec, 5, ridge=1e-2)
     assert np.linalg.norm(ridged.expansion.coeffs) < np.linalg.norm(plain.expansion.coeffs)
     assert ridged.residual_norm > plain.residual_norm
-    with pytest.raises(ValueError):
-        InversionSettings(rel_cutoff=-0.1)
-    with pytest.raises(ValueError):
-        InversionSettings(rel_cutoff=1.5)
+    with pytest.raises(ValueError, match=r"^rel_cutoff must lie in \[0, 1\), got -0.1$"):
+        invert(spec, 5, rel_cutoff=-0.1)
+    with pytest.raises(ValueError, match=r"^rel_cutoff must lie in \[0, 1\), got 1.5$"):
+        invert(spec, 5, rel_cutoff=1.5)
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            InversionSettings(ridge=bad)
+        with pytest.raises(ValueError, match=f"^ridge must be finite and >= 0, got {bad!r}$"):
+            invert(spec, 5, ridge=bad)
 
 
 def test_invert_validates_coefficient_count():

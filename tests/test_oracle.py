@@ -40,7 +40,7 @@ def test_unsupported_dimensions_are_refused_before_any_plan():
         lambda: cross_validate(prof, 2.0, 3),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="explicit harmonics exist only for d in"):
+        with pytest.raises(oracle.UnsupportedDimensionError, match="explicit harmonics exist only"):
             call()
     assert oracle._sphere_plan.cache_info().currsize == 0
     assert [h.label for h in harmonics_up_to(np.int64(3), 2)] == ["zonal1", "zonal2"]

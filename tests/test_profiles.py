@@ -287,9 +287,9 @@ def test_one_piece_projection_runs_only_its_own_degrees(monkeypatch):
     runs = []  # the number of basis degrees each projection's recurrence runs
     real = jacobi.evaluate_blocks
 
-    def counted(family, r, height):
+    def counted(family, r):
         runs.append(0)
-        for start, block in real(family, r, height):
+        for start, block in real(family, r):
             runs[-1] += len(block)
             yield start, block
 
