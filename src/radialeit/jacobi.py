@@ -26,6 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 __all__ = [
+    "BasisOverflowError",
     "JacobiExpansion",
     "JacobiFamily",
     "build_family",
@@ -58,6 +59,10 @@ class JacobiFamily:
     def __post_init__(self) -> None:
         for arr in (self.rec_a, self.rec_b, self.rec_c):
             arr.flags.writeable = False
+
+
+class BasisOverflowError(ValueError):
+    """The orthonormal basis leaves the float range at the evaluation points."""
 
 
 def _check_int(value, name: str, low: int, high: int | None = None) -> int:
@@ -115,7 +120,8 @@ def evaluate_blocks(family: JacobiFamily, r):
     """The rows of ``evaluate_table`` in blocks of 64 degrees (the last up to
     65), as (first degree, rows) pairs from one recurrence, the rows a
     (<= 65, len(r)) array.  The blocks share one buffer, so use each before
-    asking for the next."""
+    asking for the next.  A block that leaves the float range raises
+    ``BasisOverflowError`` in place of being handed out."""
     return _blocks(family, _as_points(r), _BLOCK_HEIGHT)
 
 
@@ -132,17 +138,24 @@ def _blocks(family: JacobiFamily, r: np.ndarray, height: int):
     a, b, c = (x.tolist() for x in (family.rec_a, family.rec_b, family.rec_c))
     for start, stop in zip(starts, starts[1:] + [num]):
         block = buf[: stop - start]
-        for row, k in zip(block, range(start, stop)):
-            if k == 0:
-                row[:] = cur
-                continue
-            # P_k = ((r - b) * P_{k-1} - a * P_{k-2}) / c in place: the same
-            # operations in the same order as that expression, so the same bits
-            np.subtract(r, b[k - 1], out=tmp)
-            tmp *= cur
-            np.multiply(a[k - 1], prev, out=term)
-            tmp -= term
-            prev, cur = cur, np.divide(tmp, c[k - 1], out=row)
+        # closed before the yield: errstate is a context variable the caller shares
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for row, k in zip(block, range(start, stop)):
+                if k == 0:
+                    row[:] = cur
+                    continue
+                # P_k = ((r - b) * P_{k-1} - a * P_{k-2}) / c in place: the same
+                # operations in the same order as that expression, so the same bits
+                np.subtract(r, b[k - 1], out=tmp)
+                tmp *= cur
+                np.multiply(a[k - 1], prev, out=term)
+                tmp -= term
+                prev, cur = cur, np.divide(tmp, c[k - 1], out=row)
+        # the basis grows like binomial(k + d/2, k) near r = 0; a row past the
+        # float range makes every later one inf or nan, so the last row decides
+        if not np.all(np.isfinite(block[-1])):
+            where = f"by degree {stop - 1} at the evaluation points in d = {family.d}"
+            raise BasisOverflowError(f"the basis overflows {where}")
         yield start, block
         prev, cur = prev.copy(), cur.copy()  # the next block overwrites the buffer
 

@@ -45,6 +45,7 @@ import numpy as np
 from .jacobi import JacobiExpansion, _check_dimension, _check_int
 from .profiles import (
     RadialProfile,
+    _norm2,
     log_surface_area,
     moment_integral,
     norm_ball,
@@ -660,7 +661,7 @@ def invert(
     else:
         filt = 1.0 / s[keep]
     coef = vt[keep].T @ (filt * (u[:, keep].T @ spectrum.eigenvalues))
-    residual = float(np.linalg.norm(m @ coef - spectrum.eigenvalues))
+    residual = _norm2(m @ coef - spectrum.eigenvalues)
     return InversionResult(
         expansion=JacobiExpansion(d=spectrum.d, coeffs=coef),
         singular_values=s,

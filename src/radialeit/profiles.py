@@ -27,7 +27,6 @@ from .numerics import gauss_legendre
 
 __all__ = [
     "MAX_PIECE_DEGREE",
-    "BasisOverflowError",
     "RadialProfile",
     "log_surface_area",
     "moment_integral",
@@ -88,24 +87,6 @@ class RadialProfile:
         """Yield (lo, hi, coefficients) for each piece."""
         for i, p in enumerate(self.pieces):
             yield float(self.breakpoints[i]), float(self.breakpoints[i + 1]), p
-
-    def __call__(self, r):
-        pts = np.atleast_1d(np.asarray(r, dtype=float))
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-            raise ValueError("profile arguments must lie in [0, 1]")
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, pts, side="right") - 1,
-            0,
-            len(self.pieces) - 1,
-        )
-        out = np.empty(pts.size)
-        for i in range(len(self.pieces)):
-            sel = idx == i
-            if np.any(sel):
-                out[sel] = npoly.polyval(pts[sel], self.pieces[i])
-        if np.ndim(r) == 0:
-            return float(out[0])
-        return out
 
 
 def preset(name: str, params: Sequence[float]) -> RadialProfile:
@@ -202,10 +183,13 @@ def norm_ball_profile(profile: RadialProfile, d: int) -> float:
     dimension and kept on the (immutable) profile."""
     norms = profile._ball_norms
     if d not in norms:
-        pieces = profile.intervals()
+        # the pieces scaled by a power of two, as in _norm2
+        e = math.frexp(float(np.abs(np.concatenate(profile.pieces)).max()))[1] - 1
+        pieces = ((lo, hi, np.ldexp(c, -e)) for lo, hi, c in profile.intervals())
         total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
         # squaring can leave a tiny negative residue for the zero profile
-        norms[d] = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
+        root = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
+        norms[d] = root * math.ldexp(1.0, e)
     return norms[d]
 
 
@@ -215,10 +199,6 @@ def piece_rule_size(degree: int, piece_degree: int, d: int) -> int:
     weight r**(d-1).  Projection, the oracle's radial moments and the CLI's
     size estimates all take their rule sizes from here."""
     return (degree + piece_degree + d) // 2 + 2
-
-
-class BasisOverflowError(ValueError):
-    """The orthonormal basis leaves the float range at the quadrature nodes."""
 
 
 def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
@@ -246,20 +226,23 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
         integrands.append((hi - lo) * rule.weights * npoly.polyval(r, c) * r ** (d - 1))
     cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
     total = np.zeros(max_degree + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes)):
-            out = total[start : start + len(block)]
-            for lo, hi, g in zip(cuts, cuts[1:], integrands):
-                out += block[:, lo:hi] @ g
-    if not np.all(np.isfinite(total)):
-        # the basis grows like binomial(k + d/2, k) near r = 0 and leaves the float range
-        raise BasisOverflowError(
-            f"the basis up to degree {degree} overflows at the quadrature nodes in d = {d}"
-        )
+    for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes)):
+        out = total[start : start + len(block)]
+        for lo, hi, g in zip(cuts, cuts[1:], integrands):
+            out += block[:, lo:hi] @ g
     return JacobiExpansion(d=d, coeffs=total)
 
 
 def norm_ball(expansion: JacobiExpansion) -> float:
     """L2 norm over the ball implied by the coefficients (Parseval)."""
-    root_area = math.exp(0.5 * log_surface_area(expansion.d))
-    return root_area * math.sqrt(float(expansion.coeffs @ expansion.coeffs))
+    return math.exp(0.5 * log_surface_area(expansion.d)) * _norm2(expansion.coeffs)
+
+
+def _norm2(x) -> float:
+    """The 2-norm of x, finite whenever the norm itself is.  It is taken of
+    x * 2**-e, with max|x| in [2**e, 2**(e+1)), so no square under- or
+    overflows; where none did unscaled, the scale changes no bit."""
+    x = np.asarray(x, dtype=float)
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1] - 1
+    a = np.ldexp(x, -e)
+    return math.sqrt(float(a @ a)) * math.ldexp(1.0, e)

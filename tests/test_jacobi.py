@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from radialeit.jacobi import (
+    BasisOverflowError,
     JacobiExpansion,
     build_family,
     evaluate_blocks,
@@ -128,6 +129,32 @@ def test_evaluation_rejects_bad_input():
         evaluate_table(fam, -0.1)
     with pytest.raises(ValueError):
         evaluate_table(fam, np.ones((2, 2)) / 2)  # points must be 1-d
+
+
+def test_every_evaluation_refuses_a_basis_past_the_float_range():
+    # near r = 0 the basis grows like binomial(k + d/2, k): in d = 520 it
+    # leaves the float range by degree 600, and no caller gets inf or nan
+    fam, r = build_family(520, 600), np.linspace(0.0, 1.0, 50)
+    with pytest.raises(BasisOverflowError, match="overflows"):
+        evaluate_table(fam, r)
+    blocks = evaluate_blocks(fam, r)
+    next(blocks)  # degrees 0..63 are finite everywhere
+    with pytest.raises(BasisOverflowError, match="overflows"):
+        for _ in blocks:
+            pass
+    with pytest.raises(BasisOverflowError, match="overflows"):
+        JacobiExpansion(d=520, coeffs=np.ones(601)).evaluate(r)
+
+
+def test_blocks_leave_the_callers_error_state_alone():
+    # the recurrence ignores overflow only while it runs, not while the
+    # generator waits at a yield
+    before = np.geterr()
+    blocks = evaluate_blocks(build_family(520, 200), np.linspace(0.0, 1.0, 50))
+    next(blocks)
+    assert np.geterr() == before
+    next(blocks)
+    assert np.geterr() == before
 
 
 def test_orthonormality_moderate_degree():

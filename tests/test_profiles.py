@@ -10,12 +10,16 @@ from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
 from radialeit import jacobi
-from radialeit.jacobi import build_family, evaluate_table, monomial_coefficients
+from radialeit.jacobi import (
+    BasisOverflowError,
+    build_family,
+    evaluate_table,
+    monomial_coefficients,
+)
 from radialeit.numerics import gauss_legendre
 from radialeit.operator import spectrum_moment
 from radialeit.profiles import (
     MAX_PIECE_DEGREE,
-    BasisOverflowError,
     JacobiExpansion,
     RadialProfile,
     log_surface_area,
@@ -50,36 +54,24 @@ def test_validation():
         RadialProfile(np.array([0.0]), ())
 
 
+def _assert_pieces(prof, breakpoints, pieces):
+    assert prof.breakpoints.tolist() == breakpoints
+    assert [p.tolist() for p in prof.pieces] == pieces
+
+
 def test_piecewise_evaluation():
+    # the annulus value on [r1, r2] and zero on either side, each a constant piece
     prof = preset("annulus", [0.25, 0.75, 3.0])
-    assert prof(0.1) == 0.0
-    assert prof(0.5) == 3.0
-    assert prof(0.9) == 0.0
-    # breakpoints belong to the right piece; r=1 to the last
-    assert prof(0.25) == 3.0
-    assert prof(0.75) == 0.0
-    assert prof(1.0) == 0.0
-    with pytest.raises(ValueError):
-        prof(1.2)
-    with pytest.raises(ValueError):
-        prof(-0.1)
-
-
-def test_call_vectorised():
-    prof = preset("polynomial", [1.0, -2.0, 0.5])
-    r = np.linspace(0.0, 1.0, 9)
-    assert_allclose(prof(r), 1.0 - 2.0 * r + 0.5 * r**2, rtol=0, atol=1e-15)
-    assert isinstance(prof(0.3), float)
+    _assert_pieces(prof, [0.0, 0.25, 0.75, 1.0], [[0.0], [3.0], [0.0]])
 
 
 def test_presets():
-    assert preset("constant", [2.0])(0.7) == 2.0
-    assert preset("ramp", [3.0])(0.5) == 1.5
-    assert preset("polynomial", [0.0, 0.0, 1.0])(0.5) == 0.25
-    ann = preset("annulus", [0.0, 0.5, 2.0])  # degenerate left cut collapses
-    assert len(ann.pieces) == 2 and ann(0.2) == 2.0
-    full = preset("annulus", [0.0, 1.0, 2.0])
-    assert len(full.pieces) == 1
+    _assert_pieces(preset("constant", [2.0]), [0.0, 1.0], [[2.0]])
+    _assert_pieces(preset("ramp", [3.0]), [0.0, 1.0], [[0.0, 3.0]])
+    _assert_pieces(preset("polynomial", [0.0, 0.0, 1.0]), [0.0, 1.0], [[0.0, 0.0, 1.0]])
+    # degenerate cuts collapse
+    _assert_pieces(preset("annulus", [0.0, 0.5, 2.0]), [0.0, 0.5, 1.0], [[2.0], [0.0]])
+    _assert_pieces(preset("annulus", [0.0, 1.0, 2.0]), [0.0, 1.0], [[2.0]])
     with pytest.raises(ValueError):
         preset("annulus", [0.8, 0.3, 1.0])
     with pytest.raises(ValueError):
@@ -239,7 +231,7 @@ def test_projection_is_exact_for_polynomials_in_span():
     pts = np.linspace(0.0, 1.0, 33)
     for d in (2, 4):
         exp = project(prof, d, 3)
-        assert np.abs(exp.evaluate(pts) - prof(pts)).max() < 1e-13
+        assert np.abs(exp.evaluate(pts) - npoly.polyval(pts, prof.pieces[0])).max() < 1e-13
         # and Parseval then gives the exact ball norm
         assert abs(norm_ball(exp) - norm_ball_profile(prof, d)) < 1e-13
 
@@ -343,6 +335,23 @@ def test_project_refuses_a_basis_past_the_float_range():
     with pytest.raises(BasisOverflowError, match="overflows"):
         project(preset("annulus", [0.3, 0.8, 1.0]), 520, 600)
     assert project(preset("constant", [1.0]), 520, 600).coeffs[1:].tolist() == [0.0] * 600
+
+
+def test_project_stops_at_the_block_that_overflows(monkeypatch):
+    starts = []  # the first degree of each block the recurrence hands out
+    real = jacobi.evaluate_blocks
+
+    def counted(family, r):
+        for start, block in real(family, r):
+            starts.append(start)
+            yield start, block
+
+    monkeypatch.setattr(jacobi, "evaluate_blocks", counted)
+    with pytest.raises(BasisOverflowError, match="by degree 511 "):
+        project(preset("annulus", [0.3, 0.8, 1.0]), 520, 600)
+    # blocks 0..447 are read; the one through degree 511 overflows, and the
+    # two blocks above it (up to degree 600) are never run
+    assert starts == list(range(0, 448, 64))
 
 
 def test_expansion_validation():
