@@ -187,9 +187,25 @@ def _ratios(d: int, n: np.ndarray, width: int) -> np.ndarray:
     return ratio
 
 
+def _tail_sides(
+    d: int, r: np.ndarray, ratio: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2, from r = R(ell, k+1)
+    and ratio = R(ell, k+2) / R(ell, k+1): two new arrays of r's shape."""
+    head = np.abs(r)
+    head *= np.sqrt(2.0 * k + 2 + d)
+    head *= _SLACK
+    room = ratio * np.sqrt((2.0 * k + 4 + d) / (2.0 * k + 2 + d))  # rho_{k+1}
+    room *= room
+    np.subtract(1.0, room, out=room)
+    return head, room
+
+
 def _row_block(d: int, first: int, last: int) -> _RowBlock:
     """Rows first..last, each built by its own cumulative product along k,
-    cut at k*(ell) and zero past it, as wide as the longest."""
+    cut at k*(ell) and zero past it, as wide as the longest.  A build holds
+    at most four (rows, width + 1) float arrays at once: the ratios, their
+    cumulative products and the two sides of the tail test."""
     ell = np.arange(first, last + 1)
     n = 2.0 * ell - 2.0
     rows = np.arange(ell.size)
@@ -199,23 +215,25 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
         ratio = _ratios(d, n, width)
         r = np.ones((ell.size, width + 1))
         np.cumprod(ratio[:, :width], axis=1, out=r[:, 1:])
-        # at column k: ell |w(ell, k+1)| (inflated) and 1 - rho_{k+1}**2, and
-        # whether the tail bound past k is at most 2**-53 |w(ell, 0)|
-        k = np.arange(width)
-        head = np.abs(r[:, 1:])
-        head *= np.sqrt(2.0 * k + 2 + d)
-        head *= _SLACK
-        room = ratio[:, 1:] * np.sqrt((2.0 * k + 4 + d) / (2.0 * k + 2 + d))  # rho_{k+1}
-        room *= room
-        np.subtract(1.0, room, out=room)
-        ok = head * head <= (_CUT * _CUT * d) * room
+        # at column k, whether the tail bound past k is at most
+        # 2**-53 |w(ell, 0)|, both sides of the squared test formed in place
+        head, room = _tail_sides(d, r[:, 1:], ratio[:, 1:], np.arange(width))
+        head *= head
+        room *= _CUT * _CUT * d
+        ok = head <= room
+        del head, room
         if width == full or ok[:, -1].all():  # every row is cut by k = n
             break
         width = min(2 * width, full)
     hi = ok.argmax(axis=1)  # k*(ell): the first k that passes
-    tails = head[rows, hi] / np.sqrt(room[rows, hi]) / ell  # room > 0 wherever the test passes
-    k = k[: hi.max() + 1]
-    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, : k.size] / ell[:, None]
+    del ok
+    head, room = _tail_sides(d, r[rows, hi + 1], ratio[rows, hi + 1], hi)
+    tails = head / np.sqrt(room) / ell  # room > 0 wherever the test passes
+    del ratio
+    k = np.arange(hi.max() + 1)
+    w = np.where(k % 2 == 0, -1.0, 1.0) * np.sqrt(2.0 * k + d) * r[:, : k.size]
+    del r
+    w /= ell[:, None]
     w[k > hi[:, None]] = 0.0
     for arr in (w, hi, tails):
         arr.flags.writeable = False
@@ -324,7 +342,7 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
     d = _check_dimension(d)
     if np.ndim(ell) == 0:
         ell = _check_int(ell, "degree", 1)
-    elif np.asarray(ell).dtype.kind not in "iu" or np.min(ell) < 1:
+    elif np.asarray(ell).dtype.kind not in "iu" or np.any(ell < 1):
         raise ValueError(f"degree must be integers >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
 
@@ -492,9 +510,10 @@ def _log_ratio_rows(d: int, first: int, last: int) -> np.ndarray:
     """log R(ell, k), ell = first..last by k = 0..2*last - 2: along each row the
     cumulative sum of the logs of its ``_ratios``, -inf past k = 2*ell - 2."""
     n = 2.0 * np.arange(first, last + 1) - 2.0
-    ratio = _ratios(d, n, 2 * last - 3)
-    logs = np.full(ratio.shape, -np.inf)
-    np.log(ratio, out=logs, where=np.arange(2 * last - 2) < n[:, None])  # ratio 0 at j = n
+    logs = _ratios(d, n, 2 * last - 3)  # their logs, in place
+    keep = np.arange(2 * last - 2) < n[:, None]  # ratio 0 at j = n
+    np.log(logs, out=logs, where=keep)
+    logs[~keep] = -np.inf
     out = np.zeros((n.size, 2 * last - 1))
     np.cumsum(logs, axis=1, out=out[:, 1:])
     return out
@@ -509,11 +528,13 @@ def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundR
         last = min(first + _ROW_BLOCK - 1, max_index)
         ell = np.arange(first, last + 1)[:, None]
         k = np.arange(2 * last - 1)
-        excess = _log_ratio_rows(d, first, last) + 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
+        excess = _log_ratio_rows(d, first, last)
+        excess += 2.0 * k * (k + d) / (2 * (2 * ell - 1) + d)
         pairs += int(np.isfinite(excess).sum())
         worst = max(worst, float(excess.max()))
         rows, cols = np.nonzero(excess > 0.0)
         violations += zip((rows + first).tolist(), cols.tolist())
+        del excess  # before the next block's rows are built
     return FactorialRatioBoundReport(
         d=d,
         max_index=max_index,

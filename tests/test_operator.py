@@ -506,6 +506,34 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small():
     assert 0 < _held() <= operator._BAND_CAP  # over the cap: the oldest blocks go
 
 
+@pytest.mark.parametrize("d, b", [(2, 1), (520, 20), (2, 116)])
+def test_block_build_holds_at_most_four_block_arrays(d, b):
+    # the ratios, their cumulative products and the two sides of the tail
+    # test, each (rows, width + 1) floats, plus the boolean test: under five
+    # such arrays at the estimated width
+    first, last = 256 * b + 1, 256 * (b + 1)
+    tracemalloc.start()
+    try:
+        operator._row_block(d, first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * 256 * (operator.cut_estimate(d, last) + 1)
+
+
+def test_factorial_ratio_check_takes_its_logs_in_place():
+    # a block of 256 rows at ell <= 2000 is 7-8 MB of floats; the logs are
+    # taken in place in the ratios, the bound term is added in place, and a
+    # block's rows are dropped before the next is built
+    tracemalloc.start()
+    try:
+        assert verify_factorial_ratio_bound(2, 2000).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
+
+
 def test_single_eigenvalue_builds_one_weight_row():
     # degree ell reads at most 2*ell - 1 weights; the (ell, 2*ell - 1) matrix alone is 36 MB here
     exp = JacobiExpansion(3, np.ones(2999))
@@ -537,6 +565,9 @@ def test_route_input_validation(monkeypatch):
         eigenvalue_series(exp, 0)
     with pytest.raises(ValueError):
         eigenvalue_moment(preset("constant", [1.0]), 2, 0)
+    # an empty array of degrees is no refusal: it has no moments
+    none = eigenvalue_moment(preset("constant", [1.0]), 2, np.array([], dtype=int))
+    assert none.dtype == float and none.shape == (0,)
     with pytest.raises(ValueError):
         spectrum_series(exp, 0)
     # a dimension that is not an integer >= 2 is refused before any block is
