@@ -444,7 +444,7 @@ def _cmd_invert(args):
 # truncate and invert stays finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 1.2 s and 96 MB; basis --K 1500 3.3 s and 125 MB; truncate --L 30000
+# 1.5 s and 92 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
 # --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
 # spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
 # 1,000 pieces: the oracle's cost is linear in the piece count); invert
@@ -466,7 +466,7 @@ MAX_INVERT_L = 1_500
 # verify's radial moments 1.  The projection also holds about 0.6 KB per node.
 # A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
 # 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
-# series weights at L = 30,000, 1.2 s and 96 MB) or MAX_PROJECTION_NODES
+# series weights at L = 30,000, 1.5 s and 92 MB) or MAX_PROJECTION_NODES
 # (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
 # are built.  The largest accepted runs then measured 1.7 s and 100 MB
 # (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--K", type=_at_least(0, high=MAX_BASIS_K), default=40, help="largest basis degree checked"
     )
-    p.add_argument("--tol-basis", type=_at_least(0.0, float), default=1e-10, dest="tol_basis")
+    p.add_argument("--tol-basis", type=_at_least(0.0, float), default=1e-12, dest="tol_basis")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_basis)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .numerics import gauss_legendre
 from .profiles import RadialProfile, piece_rule_size
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
-_TOL_IDENTITY = 1e-10  # surface-gradient identity, on the scaled defect
+_TOL_IDENTITY = 1e-13  # surface-gradient identity, on the scaled defect
 
 
 class UnsupportedDimensionError(ValueError):
@@ -194,7 +193,7 @@ def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarra
         rule = gauss_legendre(piece_rule_size(max_power, c.size - 1, d))
         r = lo + (hi - lo) * rule.nodes
         w = (hi - lo) * rule.weights
-        moments += (w * npoly.polyval(r, c) * r ** (d - 1)) @ r[:, None] ** powers
+        moments += (w * np.polyval(c[::-1], r) * r ** (d - 1)) @ r[:, None] ** powers
     return moments
 
 

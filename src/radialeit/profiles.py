@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import jacobi
 from .jacobi import JacobiExpansion
@@ -178,6 +177,19 @@ def moment_integral(profile: RadialProfile, power) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    # c without its trailing zeros, but at least one coefficient
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _squared(c: np.ndarray) -> np.ndarray:
+    """Coefficients of c(r)**2, constant term first: bit for bit those of
+    numpy's ``polymul(c, c)``, which trims trailing zeros before and after."""
+    c = _trimmed(c)
+    return _trimmed(np.convolve(c, c))
+
+
 def norm_ball_profile(profile: RadialProfile, d: int) -> float:
     """L2 norm of the profile over the unit ball in R**d; computed once per
     dimension and kept on the (immutable) profile."""
@@ -186,7 +198,7 @@ def norm_ball_profile(profile: RadialProfile, d: int) -> float:
         # the pieces scaled by a power of two, as in _norm2
         e = math.frexp(float(np.abs(np.concatenate(profile.pieces)).max()))[1] - 1
         pieces = ((lo, hi, np.ldexp(c, -e)) for lo, hi, c in profile.intervals())
-        total = sum(_piece_integral(npoly.polymul(c, c), lo, hi, d - 1) for lo, hi, c in pieces)
+        total = sum(_piece_integral(_squared(c), lo, hi, d - 1) for lo, hi, c in pieces)
         # squaring can leave a tiny negative residue for the zero profile
         root = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
         norms[d] = root * math.ldexp(1.0, e)
@@ -223,7 +235,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
         rule = gauss_legendre(piece_rule_size(degree, c.size - 1, d))
         r = lo + (hi - lo) * rule.nodes
         nodes.append(r)
-        integrands.append((hi - lo) * rule.weights * npoly.polyval(r, c) * r ** (d - 1))
+        integrands.append((hi - lo) * rule.weights * np.polyval(c[::-1], r) * r ** (d - 1))
     cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
     total = np.zeros(max_degree + 1)
     for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes)):

@@ -48,8 +48,8 @@ def test_criterion_01_orthonormality():
         gram = (table * (rule.weights * rule.nodes ** (d - 1))) @ table.T
         worst = max(worst, float(np.abs(gram - np.eye(41)).max()))
     _report(
-        1, "basis orthonormality (k <= 40, d in 2..5)", worst <= 1e-10,
-        f"max |Gram - I| = {worst:.3e} <= 1e-10", time.perf_counter() - t0, 5.0,
+        1, "basis orthonormality (k <= 40, d in 2..5)", worst <= 1e-13,
+        f"max |Gram - I| = {worst:.3e} <= 1e-13", time.perf_counter() - t0, 5.0,
     )
 
 

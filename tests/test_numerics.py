@@ -15,15 +15,34 @@ from radialeit.operator import _log_ratio_rows, verify_factorial_ratio_bound
 # quadrature
 
 
+# every order up to 64, and large ones up to 2,000 (basis --dim 3 --K 1500
+# builds order 1,503)
+RULE_SIZES = [*range(1, 65), 100, 400, 792, 1503, 2000]
+
+
 def test_nodes_inside_interval_weights_positive():
-    for n in (1, 2, 7, 64, 200):
+    for n in RULE_SIZES:
         rule = gauss_legendre(n)
         assert rule.nodes.size == n
         assert rule.nodes[0] > 0.0 and rule.nodes[-1] < 1.0
         assert np.all(np.diff(rule.nodes) > 0.0)
         assert np.all(rule.weights > 0.0)
-        # weights integrate the constant 1 exactly
-        assert abs(rule.weights.sum() - 1.0) < 1e-14
+        # the rule is exactly symmetric about 1/2
+        assert np.all(rule.nodes + rule.nodes[::-1] == 1.0), n
+        assert rule.weights.tobytes() == rule.weights[::-1].tobytes(), n
+        # weights integrate the constant 1 to within two ulps
+        assert abs(rule.weights.sum() - 1.0) <= 2 * np.finfo(float).eps, n
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_every_monomial_to_the_rule_degree(n):
+    # an n-point rule integrates r**j, j < 2n, to 1/(j + 1); the largest j
+    # weigh the nodes nearest 1 most, so this checks the weights at the ends
+    rule = gauss_legendre(n)
+    for start in range(0, 2 * n, 256):  # 256 powers at a time: at most 4 MB
+        j = np.arange(start, min(start + 256, 2 * n))
+        got = rule.weights @ rule.nodes[:, None] ** j
+        assert np.abs(got * (j + 1.0) - 1.0).max() <= 1e-12, (n, j[0])
 
 
 def test_monomial_high_degree():

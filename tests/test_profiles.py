@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from radialeit import jacobi
+from radialeit import jacobi, profiles
 from radialeit.jacobi import (
     BasisOverflowError,
     build_family,
@@ -172,6 +172,31 @@ def test_norms():
     ) < 1e-15
     assert abs(norm_ball_profile(preset("ramp", [1.0]), 2) - math.sqrt(math.pi / 2.0)) < 1e-15
     assert norm_ball_profile(preset("constant", [0.0]), 4) == 0.0
+
+
+def _random_pieces(seed, count=2000):
+    # pieces of degree <= MAX_PIECE_DEGREE, some with trailing zeros, some
+    # all zero, some whose last coefficient squares to 0
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = rng.uniform(-2.0, 2.0, rng.integers(1, MAX_PIECE_DEGREE + 2))
+        c[c.size - rng.integers(0, c.size + 1) :] = 0.0
+        if rng.random() < 0.1:
+            c[-1] = 1e-170
+        yield c
+
+
+def test_squared_piece_is_numpys_polymul_bit_for_bit():
+    for c in _random_pieces(1):
+        assert profiles._squared(c).tobytes() == npoly.polymul(c, c).tobytes(), c
+
+
+def test_piece_values_are_numpys_polyval_bit_for_bit():
+    # project and the oracle's radial moments evaluate a piece, constant term
+    # first, as np.polyval of the reversed coefficients
+    r = np.random.default_rng(2).uniform(0.0, 1.0, 50)
+    for c in _random_pieces(3):
+        assert np.polyval(c[::-1], r).tobytes() == npoly.polyval(r, c).tobytes(), c
 
 
 def test_ball_norm_is_computed_once_per_dimension():
