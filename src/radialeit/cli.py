@@ -9,9 +9,9 @@ Subcommands:
 * ``invert``    - recover basis coefficients from a spectrum
 
 Exit codes: 0 success, 1 a numerical check failed, 2 bad configuration or
-input (sizes and profiles past the caps below ``MAX_DIM`` included, and an
-``--out`` that cannot be written), 3 the oracle has no explicit harmonics
-for ``verify`` in that dimension (``oracle.UnsupportedDimensionError``).
+input (sizes and profiles past the caps below ``MAX_DIM``, an unwritable
+``--out``, a value past the float range: ``jacobi.FloatRangeError``), 3 no
+explicit harmonics for ``verify`` in that dimension (``oracle.UnsupportedDimensionError``).
 
 Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
@@ -84,14 +84,6 @@ def _resolve_profile(args) -> tuple[profiles.RadialProfile, int]:
     else:
         profile, d = _read_profile_file(args)
     _check_profile_size(args, profile, d)
-    # finite coefficients can still have a ball norm past the float range, and
-    # a finite norm a decay bound C_d ||eta|| past it
-    norm = profiles.norm_ball_profile(profile, d)
-    if not math.isfinite(operator.decay_constant(d) * norm):
-        raise ConfigError(
-            f"the profile's L2 norm over the ball in d = {d} is not finite, "
-            "or its decay bound C_d * norm is not"
-        )
     return profile, d
 
 
@@ -160,14 +152,15 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 try:
-                    rows.append((int(row[0]), float(row[1])))
+                    entry = int(row[0]), float(row[1])
                 except (ValueError, IndexError):
+                    entry = None
                     if not rows and not header_seen:  # tolerate one header line
                         header_seen = True
                         continue
-                    raise ConfigError(
-                        f"line {i + 1} of {path}: expected 'ell,lambda', got {row!r}"
-                    ) from None
+                if entry is None or len(row) != 2:
+                    raise ConfigError(f"line {i + 1} of {path}: expected 'ell,lambda', got {row!r}")
+                rows.append(entry)
                 if len(rows) > MAX_INVERT_L:
                     raise ConfigError(f"{path} holds more than {MAX_INVERT_L} spectrum rows")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -440,8 +433,8 @@ def _cmd_invert(args):
 
 
 # Largest accepted sizes.  MAX_DIM is the largest d with a finite decay
-# constant C_d (log C_d = 709.74 at d = 520), so every output of eigvals,
-# truncate and invert stays finite.  The others keep the largest accepted
+# constant C_d (log C_d = 709.74 at d = 520): past it the decay bound that
+# eigvals and truncate print is never finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
 # 1.5 s and 92 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
@@ -590,7 +583,7 @@ def main(argv=None) -> int:
     try:
         meta, columns, summary, ok = args.handler(args)
         _emit(args, {"command": args.command, **meta}, columns, summary)
-    except (ConfigError, jacobi.BasisOverflowError, UnsupportedDimensionError) as exc:
+    except (ConfigError, jacobi.FloatRangeError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedDimensionError) else EXIT_CONFIG
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "BasisOverflowError",
+    "FloatRangeError",
     "JacobiExpansion",
     "JacobiFamily",
     "build_family",
@@ -61,7 +62,11 @@ class JacobiFamily:
             arr.flags.writeable = False
 
 
-class BasisOverflowError(ValueError):
+class FloatRangeError(ValueError):
+    """A value a result needs lies past the float range, raised where it is computed."""
+
+
+class BasisOverflowError(FloatRangeError):
     """The orthonormal basis leaves the float range at the evaluation points."""
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .jacobi import JacobiExpansion, _check_dimension, _check_int
+from .jacobi import FloatRangeError, JacobiExpansion, _check_dimension, _check_int
 from .profiles import (
     RadialProfile,
     _norm2,
@@ -348,12 +348,16 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
 
 
 def spectrum_moment(profile: RadialProfile, d: int, max_index: int) -> Spectrum:
-    """Eigenvalues for degrees 1..max_index from the moment formula."""
+    """Eigenvalues for degrees 1..max_index from the moment formula, the ball
+    norm taken first.  A norm or eigenvalue past the float range raises
+    FloatRangeError (|lambda_ell| <= C_d ||eta|| allows one past it)."""
     max_index = _check_int(max_index, "max_index", 1)
-    vals = eigenvalue_moment(profile, d, np.arange(1, max_index + 1))
-    return Spectrum(
-        d=d, eigenvalues=vals, source="moment", eta_norm=norm_ball_profile(profile, d)
-    )
+    eta_norm = norm_ball_profile(profile, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eigenvalue_moment(profile, d, np.arange(1, max_index + 1))
+    if not np.all(np.isfinite(vals)):
+        raise FloatRangeError(f"a moment eigenvalue of the profile in d = {d} is not finite")
+    return Spectrum(d=d, eigenvalues=vals, source="moment", eta_norm=eta_norm)
 
 
 @dataclass(frozen=True)
@@ -393,14 +397,14 @@ def dual_route(
 ) -> DualRouteReport:
     """Compute the spectrum both ways and compare degree by degree.
 
-    The series route projects the profile to the largest cut k*(ell) over
-    the requested degrees (at most 2*max_index - 2), the smallest expansion
-    degree that every degree reads in full.
+    The moment spectrum comes first, so a ball norm past the float range is
+    refused before any projection.  The series route projects to the largest
+    cut k*(ell) of the degrees (<= 2*max_index - 2), so each reads its row in full.
     """
     max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
+    moment = spectrum_moment(profile, d, max_index)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
     series, tails = _series_spectrum(project(profile, d, top), max_index)
-    moment = spectrum_moment(profile, d, max_index)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)
     )
@@ -465,12 +469,12 @@ class DecayBoundReport:
 
 
 def _decay_bounds(spectrum: Spectrum, max_degree: int) -> np.ndarray:
-    """C_d ||eta|| ell**(-1/2) for ell = 1..max_degree.  A C_d ||eta|| past the
-    float range (C_d itself from d = 521) is refused: an infinite bound, or a
-    nan one for eta = 0, could not fail."""
+    """C_d ||eta|| ell**(-1/2) for ell = 1..max_degree; C_d ||eta|| is formed
+    only here.  One past the float range (C_d itself from d = 521) raises
+    FloatRangeError: an infinite bound, or a nan one for eta = 0, could not fail."""
     c, eta = decay_constant(spectrum.d), spectrum.eta_norm
     if not math.isfinite(c * eta):
-        raise ValueError(
+        raise FloatRangeError(
             f"the decay bound C_d ||eta|| = {c!r} * {eta!r} is not finite in d = {spectrum.d}"
         )
     ells = np.arange(1, max_degree + 1, dtype=float)
@@ -668,7 +672,8 @@ def invert(
     Solves the least-squares problem for the forward matrix, discarding the
     singular values below rel_cutoff * s_max; a positive ridge weight filters
     the rest by s / (s**2 + ridge) instead of 1/s.  A zero spectrum recovers
-    exactly zero coefficients.
+    exactly zero coefficients; coefficients or a residual past the float
+    range raise FloatRangeError.
     """
     if not 0.0 <= rel_cutoff < 1.0:
         raise ValueError(f"rel_cutoff must lie in [0, 1), got {rel_cutoff!r}")
@@ -681,8 +686,11 @@ def invert(
         filt = s[keep] / (s[keep] ** 2 + ridge)
     else:
         filt = 1.0 / s[keep]
-    coef = vt[keep].T @ (filt * (u[:, keep].T @ spectrum.eigenvalues))
-    residual = _norm2(m @ coef - spectrum.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = vt[keep].T @ (filt * (u[:, keep].T @ spectrum.eigenvalues))
+        residual = _norm2(m @ coef - spectrum.eigenvalues)
+    if not (np.all(np.isfinite(coef)) and math.isfinite(residual)):
+        raise FloatRangeError("the recovered coefficients or their residual are not finite")
     return InversionResult(
         expansion=JacobiExpansion(d=spectrum.d, coeffs=coef),
         singular_values=s,

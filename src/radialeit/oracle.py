@@ -379,7 +379,8 @@ def cross_validate(
     per (d, max_degree) (``_sphere_plan``), and the radial moments from one
     rule per piece; ``identity_defect`` and ``identity_scaled_defect`` are the
     largest ``gradient_identity`` defects over all ordered pairs, read from the
-    same sphere integrals.
+    same sphere integrals.  The reference comes first, so a profile whose
+    ball norm is past the float range is refused before any entry is built.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
@@ -387,12 +388,13 @@ def cross_validate(
     from .operator import spectrum_moment
 
     plan = _sphere_plan(d, max_degree)
+    reference = spectrum_moment(profile, d, max_degree).eigenvalues[plan.reference_index]
     return CrossValidationReport(
         d=d,
         labels=plan.labels,
         degrees=plan.degrees,
         entries=_entries(profile, d, plan.moment_index, plan.angular),
-        reference=spectrum_moment(profile, d, max_degree).eigenvalues[plan.reference_index],
+        reference=reference,
         tol_offdiag=tol_offdiag,
         tol_diag=tol_diag,
         identity_defect=plan.identity_defect,

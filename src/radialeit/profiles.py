@@ -49,8 +49,7 @@ class RadialProfile:
 
     ``breakpoints`` is the partition (first 0, last 1, strictly increasing);
     ``pieces[i]`` holds the polynomial coefficients (constant term first) on
-    [breakpoints[i], breakpoints[i+1]].  The arrays are read-only, so the
-    ball norm per dimension is computed once and kept on the profile.
+    [breakpoints[i], breakpoints[i+1]].  The arrays are read-only.
     """
 
     breakpoints: np.ndarray
@@ -80,7 +79,6 @@ class RadialProfile:
         bp.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_ball_norms", {})  # d -> norm_ball_profile(self, d)
 
     def intervals(self) -> Iterator[tuple[float, float, np.ndarray]]:
         """Yield (lo, hi, coefficients) for each piece."""
@@ -191,18 +189,18 @@ def _squared(c: np.ndarray) -> np.ndarray:
 
 
 def norm_ball_profile(profile: RadialProfile, d: int) -> float:
-    """L2 norm of the profile over the unit ball in R**d; computed once per
-    dimension and kept on the (immutable) profile."""
-    norms = profile._ball_norms
-    if d not in norms:
-        # the pieces scaled by a power of two, as in _norm2
-        e = math.frexp(float(np.abs(np.concatenate(profile.pieces)).max()))[1] - 1
-        pieces = ((lo, hi, np.ldexp(c, -e)) for lo, hi, c in profile.intervals())
-        total = sum(_piece_integral(_squared(c), lo, hi, d - 1) for lo, hi, c in pieces)
-        # squaring can leave a tiny negative residue for the zero profile
-        root = math.exp(0.5 * log_surface_area(d)) * math.sqrt(max(total, 0.0))
-        norms[d] = root * math.ldexp(1.0, e)
-    return norms[d]
+    """L2 norm of the profile over the unit ball in R**d.  A norm past the
+    float range (finite coefficients can have one) raises FloatRangeError."""
+    root_area = math.exp(0.5 * log_surface_area(d))
+    # the pieces scaled by a power of two, as in _norm2
+    e = math.frexp(float(np.abs(np.concatenate(profile.pieces)).max()))[1] - 1
+    pieces = ((lo, hi, np.ldexp(c, -e)) for lo, hi, c in profile.intervals())
+    total = sum(_piece_integral(_squared(c), lo, hi, d - 1) for lo, hi, c in pieces)
+    # squaring can leave a tiny negative residue for the zero profile
+    norm = root_area * math.sqrt(max(total, 0.0)) * math.ldexp(1.0, e)
+    if math.isfinite(norm):
+        return norm
+    raise jacobi.FloatRangeError(f"the profile's L2 norm over the ball in d = {d} is not finite")
 
 
 def piece_rule_size(degree: int, piece_degree: int, d: int) -> int:

@@ -371,14 +371,69 @@ def test_verify_fails_a_wrong_diagonal_entry_in_its_row(capsys, monkeypatch):
     assert code == 1
 
 
-def test_verify_integrates_the_squared_profile_once(capsys, monkeypatch):
-    # the CLI's norm check and the moment spectrum both ask for the ball norm;
-    # the second ask reads the profile's memo, so each piece is squared once
+def test_each_run_integrates_the_squared_profile_once(capsys, monkeypatch):
+    # the ball norm is taken once per run, by the moment spectrum: each of the
+    # three pieces is squared once
     square, squared = profiles._squared, []
     monkeypatch.setattr(profiles, "_squared", lambda c: squared.append(1) or square(c))
-    argv = ("verify", "--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "4")
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(squared) == 3  # three pieces
+    profile = ("--dim", "3", "--preset", "annulus:0.3,0.8,1", "--L", "4")
+    for cmd in ("verify", "eigvals", "truncate", "invert"):
+        squared.clear()
+        code, _, _ = run_cli(capsys, cmd, *profile)
+        assert code == 0 and len(squared) == 3, cmd
+
+
+def test_a_profile_past_the_float_range_is_refused_before_its_work(capsys, monkeypatch):
+    # constant:1e308 has a ball norm of 2.05e308 in d = 3: every subcommand
+    # refuses it where the norm is taken, before eigvals projects the profile
+    # or verify assembles a brute-force entry
+    def forbidden(*args):
+        raise AssertionError("the profile was used before its norm was checked")
+
+    monkeypatch.setattr(operator, "project", forbidden)
+    monkeypatch.setattr(oracle, "_entries", forbidden)
+    for cmd in ("eigvals", "truncate", "invert", "verify"):
+        code, out, err = run_cli(capsys, cmd, "--dim", "3", "--preset", "constant:1e308")
+        assert code == 2 and out == "", cmd
+        assert err == "error: the profile's L2 norm over the ball in d = 3 is not finite\n"
+    for cmd in ("eigvals", "verify"):  # the patches are in the way of a float norm
+        with pytest.raises(AssertionError, match="before its norm was checked"):
+            main([cmd, "--dim", "3", "--preset", "constant:1e307"])
+    # the dimension refusal of verify comes first
+    code, out, _ = run_cli(capsys, "verify", "--dim", "4", "--preset", "constant:1e308")
+    assert code == 3 and out == ""
+
+
+def test_only_eigvals_and_truncate_refuse_a_decay_bound_past_the_float_range(capsys):
+    # at d = 520 constant:1e200 has a norm of 2.2e6, but C_d ||eta|| is not a
+    # float: eigvals and truncate print that bound, invert prints none
+    base = ("--dim", "520", "--preset", "constant:1e200", "--L", "5")
+    for cmd in ("eigvals", "truncate"):
+        code, out, err = run_cli(capsys, cmd, *base)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the decay bound C_d ||eta|| = ")
+        assert err.endswith(" is not finite in d = 520\n")
+    code, out, _ = run_cli(capsys, "invert", *base, "--format", "json")
+    assert code == 0
+    coeffs = [rec["coefficient"] for rec in _strict_json(out)["records"]]
+    assert len(coeffs) == 5 and all(map(np.isfinite, coeffs)) and coeffs[0] != 0.0
+
+
+def test_moment_eigenvalues_past_the_float_range_are_refused(capsys, tmp_path):
+    # polynomial:1e308,1e308 has a float norm (3e307) in d = 20, but
+    # lambda_1 = -20 * (1e308/20 + 1e308/21) is not a float: the moment
+    # spectrum refuses it, and nothing warns (RuntimeWarning is an error here)
+    base = ("--dim", "20", "--preset", "polynomial:1e308,1e308", "--L", "5")
+    for cmd in ("eigvals", "truncate", "invert"):
+        code, out, err = run_cli(capsys, cmd, *base)
+        assert code == 2 and out == "", cmd
+        assert err == "error: a moment eigenvalue of the profile in d = 20 is not finite\n"
+    # finite eigenvalues whose coefficients are not floats are refused by invert
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(f"{ell},{-1.7e308 / ell!r}\n" for ell in range(1, 13)))
+    code, out, err = run_cli(capsys, "invert", "--spectrum", str(path), "--dim", "20", "--K", "6")
+    assert code == 2 and out == ""
+    assert err == "error: the recovered coefficients or their residual are not finite\n"
 
 
 def test_verify_unsupported_dimension(capsys):
@@ -464,6 +519,21 @@ def test_spectrum_header_after_comments(tmp_path, capsys):
     path.write_text("\n".join(["# note", "ell,lambda", *data[:5], "six,-0.1", *data[6:]]) + "\n")
     code, _, err = run_cli(capsys, *args)
     assert code == 2 and "line 8" in err
+
+
+def test_spectrum_rows_have_exactly_two_fields(tmp_path, capsys):
+    data = [f"{ell},{-1.0 / ell!r}" for ell in range(1, 6)]
+    path = tmp_path / "lam.csv"
+    args = ("invert", "--spectrum", str(path), "--dim", "2", "--K", "3")
+    for bad in ("3,-1,3", "3,-1,junk", "3,-1,", "3"):
+        path.write_text("\n".join(["# note", "ell,lambda", *data[:2], bad, *data[3:]]) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err == f"error: line 5 of {path}: expected 'ell,lambda', got {bad.split(',')!r}\n"
+    # a first row whose fields parse is data, not a header
+    path.write_text("\n".join(["1,-1,3", *data[1:]]) + "\n")
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2 and "line 1 of" in err
 
 
 def test_invert_default_K_follows_the_spectrum_length(tmp_path, capsys):

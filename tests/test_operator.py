@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from radialeit import numerics, operator, oracle
-from radialeit.jacobi import build_family, monomial_coefficients
+from radialeit.jacobi import FloatRangeError, build_family, monomial_coefficients
 from radialeit.numerics import gauss_legendre
 from radialeit.operator import (
     BoundaryField,
@@ -725,7 +725,7 @@ def test_decay_gates_refuse_an_infinite_decay_constant(values, eta_norm):
     gates = (verify_decay_bound, lambda s: truncation_error(s, 5))
     spec = Spectrum(d=521, eigenvalues=values, source="external", eta_norm=eta_norm)
     for gate in gates:
-        with pytest.raises(ValueError, match=r"^the decay bound .* = inf \* .* in d = 521$"):
+        with pytest.raises(FloatRangeError, match=r"^the decay bound .* = inf \* .* in d = 521$"):
             gate(spec)
     # at d = 520 the bounds are finite, and the norm-0 spectrum fails both gates
     spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=eta_norm)
@@ -735,8 +735,32 @@ def test_decay_gates_refuse_an_infinite_decay_constant(values, eta_norm):
     # a finite C_d times a norm past the float range is refused too
     spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=1e10)
     for gate in gates:
-        with pytest.raises(ValueError, match=r"^the decay bound .* is not finite in d = 520$"):
+        with pytest.raises(FloatRangeError, match=r"^the decay bound .* is not finite in d = 520$"):
             gate(spec)
+
+
+def test_the_moment_spectrum_takes_the_norm_before_the_moments(monkeypatch):
+    # a ball norm past the float range (2.05e308 here) is refused before any
+    # moment of the profile is taken
+    def forbidden(*args):
+        raise AssertionError("a moment was taken before the norm was checked")
+
+    monkeypatch.setattr(operator, "moment_integral", forbidden)
+    with pytest.raises(FloatRangeError, match="^the profile's L2 norm over the ball in d = 3 "):
+        spectrum_moment(preset("constant", [1e308]), 3, 5)
+    with pytest.raises(AssertionError, match="before the norm was checked"):
+        spectrum_moment(preset("constant", [1e307]), 3, 5)
+
+
+def test_library_refuses_values_past_the_float_range_where_it_computes_them():
+    # a float norm (3e307 in d = 20) with a moment eigenvalue past the range
+    with pytest.raises(FloatRangeError, match="^a moment eigenvalue of the profile in d = 20 "):
+        spectrum_moment(preset("polynomial", [1e308, 1e308]), 20, 5)
+    # finite eigenvalues whose least-squares coefficients overflow
+    ells = np.arange(1, 13)
+    spec = Spectrum(d=20, eigenvalues=-1.7e308 / ells, source="external", eta_norm=1.0)
+    with pytest.raises(FloatRangeError, match="^the recovered coefficients or their residual "):
+        invert(spec, 6)
 
 
 def test_zero_profile_spectrum_is_zero_and_bounded():

@@ -199,15 +199,29 @@ def test_piece_values_are_numpys_polyval_bit_for_bit():
         assert np.polyval(c[::-1], r).tobytes() == npoly.polyval(r, c).tobytes(), c
 
 
-def test_ball_norm_is_computed_once_per_dimension():
-    # the CLI's finiteness check and the moment spectrum share one value
+def test_ball_norm_is_the_same_value_on_every_call():
+    # nothing is kept on the profile: every call computes the norm, and equal
+    # profiles give equal norms in each dimension
     prof = preset("annulus", [0.3, 0.8, -1.5])
-    first = norm_ball_profile(prof, 3)
-    assert norm_ball_profile(prof, 3) is first
-    assert spectrum_moment(prof, 3, 10).eta_norm is first
-    again = preset("annulus", [0.3, 0.8, -1.5])
-    assert norm_ball_profile(again, 3) is not first and norm_ball_profile(again, 3) == first
-    assert norm_ball_profile(prof, 2) != first
+    assert set(vars(prof)) == {"breakpoints", "pieces"}
+    for d in (2, 3, 5):
+        first = norm_ball_profile(prof, d)
+        assert norm_ball_profile(prof, d) == first
+        assert spectrum_moment(prof, d, 10).eta_norm == first
+        assert norm_ball_profile(preset("annulus", [0.3, 0.8, -1.5]), d) == first
+    assert norm_ball_profile(prof, 2) != norm_ball_profile(prof, 3)
+
+
+def test_a_ball_norm_past_the_float_range_is_refused():
+    # finite coefficients whose norm is not a float: 2.05e308 in d = 3, while
+    # sqrt(pi) * 1e308 in d = 2 still is one
+    huge = preset("constant", [1e308])
+    assert math.isclose(norm_ball_profile(huge, 2), math.sqrt(math.pi) * 1e308, rel_tol=1e-15)
+    with pytest.raises(
+        jacobi.FloatRangeError, match=r"^the profile's L2 norm over the ball in d = 3 is not finite$"
+    ):
+        norm_ball_profile(huge, 3)
+    assert issubclass(BasisOverflowError, jacobi.FloatRangeError)
 
 
 # ---------------------------------------------------------------------------
