@@ -9,8 +9,6 @@ and cross-validates everything against brute-force integrals in d = 2, 3.
 
 from .jacobi import (
     JacobiExpansion,
-    JacobiFamily,
-    build_family,
     evaluate_table,
     monomial_coefficients,
 )
@@ -56,12 +54,10 @@ __all__ = [
     "ExplicitHarmonic",
     "InversionResult",
     "JacobiExpansion",
-    "JacobiFamily",
     "QuadratureRule",
     "RadialProfile",
     "Spectrum",
     "apply_operator",
-    "build_family",
     "cross_validate",
     "decay_constant",
     "dual_route",

@@ -24,7 +24,7 @@ standard library's JSON encoder, NumPy values taken as they are: the JSON is
 byte for byte ``json.dumps(doc, indent=2)``, the CSV as written cell by cell
 and each ``# key = value`` value ``json.dumps(value)``.  ``main`` builds its
 argument parser once per process, and ``verify`` reads its row layout from
-the oracle's per-(d, L) plan.
+the per-(d, L) sphere plan its report carries.
 """
 
 from __future__ import annotations
@@ -43,12 +43,15 @@ import numpy as np
 
 from . import jacobi, operator, profiles
 from .numerics import gauss_legendre
-from .oracle import UnsupportedDimensionError, _sphere_plan, cross_validate
+from .oracle import UnsupportedDimensionError, cross_validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
+
+# the gate of each of basis's three self-checks (a fixed one: it takes no flag)
+TOL_BASIS = 1e-12
 
 
 class ConfigError(Exception):
@@ -142,6 +145,14 @@ def _check_profile_size(args, profile: profiles.RadialProfile, d: int) -> None:
         )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_spectrum(path: str, d: int) -> operator.Spectrum:
     """Two-column (ell, lambda) CSV; degrees must be exactly 1..L."""
     rows: list[tuple[int, float]] = []
@@ -155,7 +166,8 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
                     entry = int(row[0]), float(row[1])
                 except (ValueError, IndexError):
                     entry = None
-                    if not rows and not header_seen:  # tolerate one header line
+                    # tolerate one header line, whose first field is no number
+                    if not rows and not header_seen and not _is_number(row[0]):
                         header_seen = True
                         continue
                 if entry is None or len(row) != 2:
@@ -302,12 +314,11 @@ def _cmd_eigvals(args):
 
 def _cmd_basis(args):
     d, kmax = args.dim, args.K
-    family = jacobi.build_family(d, kmax)
     rule = gauss_legendre(kmax + d)  # covers degree 2*kmax + d - 1
     pts = np.linspace(0.0, 1.0, 50)
     # one recurrence over the nodes and the check points: it runs point by
     # point, so its columns are the bits of a table per point set
-    both = jacobi.evaluate_table(family, np.concatenate([rule.nodes, pts]))
+    both = jacobi.evaluate_table(d, kmax, np.concatenate([rule.nodes, pts]))
     table, pts_table = both[:, : rule.nodes.size], both[:, rule.nodes.size :]
     # Gram matrix A A^T with A = table * sqrt(w r**(d-1)), the root formed in
     # log space: w r**(d-1) itself goes subnormal at the smallest nodes from
@@ -329,7 +340,7 @@ def _cmd_basis(args):
     np.abs(coeffs, out=coeffs)  # in place: one (K+1)^2 array, not two
     scale = np.maximum(1.0, coeffs @ np.abs(pts_table))
     recon = float((err / scale).max())
-    tol = args.tol_basis
+    tol = TOL_BASIS
     errors = {"gram_offdiag": gram_off, "gram_diag": gram_diag, "monomial_reconstruction": recon}
     passed = [err <= tol for err in errors.values()]
     columns = {
@@ -346,7 +357,7 @@ def _cmd_basis(args):
 def _cmd_verify(args):
     profile, d = _resolve_profile(args)
     report = cross_validate(profile, d, args.L)
-    plan = _sphere_plan(d, args.L)  # the upper triangle row by row
+    plan = report.plan  # the upper triangle row by row
     i, j = plan.rows, plan.cols
     entry = report.entries[i, j]
     reference = np.where(plan.on_diag, report.reference[i], 0.0)
@@ -361,8 +372,8 @@ def _cmd_verify(args):
     summary = {
         "max_offdiag": report.max_offdiag,
         "max_diag_scaled": report.max_diag_scaled,
-        "gradient_identity_max_defect": report.identity_defect,
-        "gradient_identity_scaled_defect": report.identity_scaled_defect,
+        "gradient_identity_max_defect": plan.identity_defect,
+        "gradient_identity_scaled_defect": plan.identity_scaled_defect,
         "ok": report.ok,
     }
     meta = {
@@ -529,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--K", type=_at_least(0, high=MAX_BASIS_K), default=40, help="largest basis degree checked"
     )
-    p.add_argument("--tol-basis", type=_at_least(0.0, float), default=1e-12, dest="tol_basis")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_basis)
 

@@ -5,14 +5,16 @@ For each ambient dimension d >= 2 this is the family of polynomials P_k with
     integral_0^1 P_j(r) P_k(r) r**(d-1) dr = delta_jk,
 
 i.e. the orthonormalised Jacobi polynomials with parameters (d-1, 0) mapped
-to the unit interval.  Degree-graded tables come from one three-term
-recurrence in ``r``, a few in-place NumPy operations per degree over all
-points, run a block of degrees at a time (``evaluate_blocks``) or whole
-(``evaluate_table``, the one-block case).  A set of basis coefficients is a
-``JacobiExpansion``, profile projections and monomial expansions alike.  The
-expansion of r**k in the basis uses exact integer ratios, rounded once per
-coefficient; each expansion is built once per process per (d, k) (up to a
-fixed number of rows) and every caller shares the same read-only row.
+to the unit interval.  The table of degrees 0..K in dimension d comes from
+one three-term recurrence in ``r`` (its coefficients formed per call by
+``_recurrence``), a few in-place NumPy operations per degree over all
+points, run a block of degrees at a time (``evaluate_blocks(d, K, r)``) or
+whole (``evaluate_table(d, K, r)``, the one-block case).  A set of basis
+coefficients is a ``JacobiExpansion``, profile projections and monomial
+expansions alike.  The expansion of r**k in the basis uses exact integer
+ratios, rounded once per coefficient; each expansion is built once per
+process per (d, k) (up to a fixed number of rows) and every caller shares
+the same read-only row.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ __all__ = [
     "BasisOverflowError",
     "FloatRangeError",
     "JacobiExpansion",
-    "JacobiFamily",
-    "build_family",
     "evaluate_blocks",
     "evaluate_table",
     "monomial_coefficients",
@@ -40,26 +40,6 @@ __all__ = [
 # dimensions, and at most about 25 MB even when every row is the longest the
 # CLI asks for (K = 1,500).
 _MONOMIAL_ROWS = 2_048
-
-
-@dataclass(frozen=True)
-class JacobiFamily:
-    """Recurrence data for the basis of one dimension, degrees 0..max_degree.
-
-    The arrays encode  r P_k = rec_a[k] P_{k-1} + rec_b[k] P_k + rec_c[k] P_{k+1}
-    (rec_a[0] is fixed to 0: P_{-1} = 0, and the closed form for it is
-    singular at k = 0 in dimension 2).
-    """
-
-    d: int
-    max_degree: int
-    rec_a: np.ndarray
-    rec_b: np.ndarray
-    rec_c: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.rec_a, self.rec_b, self.rec_c):
-            arr.flags.writeable = False
 
 
 class FloatRangeError(ValueError):
@@ -84,33 +64,37 @@ def _check_dimension(d: int) -> int:
     return _check_int(d, "dimension", 2)
 
 
-def build_family(d: int, max_degree: int) -> JacobiFamily:
-    """Precompute recurrence coefficients for degrees 0..max_degree."""
-    d = _check_dimension(d)
-    max_degree = _check_int(max_degree, "max_degree", 0)
+def _recurrence(d: int, max_degree: int) -> tuple[list[float], list[float], list[float]]:
+    """Coefficients a_k, b_k, c_k of r P_k = a_k P_{k-1} + b_k P_k + c_k P_{k+1}
+    for k = 0..max_degree, as lists (a_0 is fixed to 0: P_{-1} = 0, and the
+    closed form for it is singular at k = 0 in dimension 2)."""
     k = np.arange(max_degree + 1, dtype=float)
     m = 2.0 * k + d
     with np.errstate(divide="ignore", invalid="ignore"):
-        rec_a = -np.sqrt(m / (m - 2.0)) * k * (k + d - 1.0) / ((m - 1.0) * m)
-    rec_a[0] = 0.0
-    rec_b = 0.5 * ((d - 1.0) ** 2 / ((m - 1.0) * (m + 1.0)) + 1.0)
-    rec_c = -np.sqrt(m / (m + 2.0)) * (k + 1.0) * (k + d) / (m * (m + 1.0))
-    return JacobiFamily(d=d, max_degree=max_degree, rec_a=rec_a, rec_b=rec_b, rec_c=rec_c)
+        a = -np.sqrt(m / (m - 2.0)) * k * (k + d - 1.0) / ((m - 1.0) * m)
+    a[0] = 0.0
+    b = 0.5 * ((d - 1.0) ** 2 / ((m - 1.0) * (m + 1.0)) + 1.0)
+    c = -np.sqrt(m / (m + 2.0)) * (k + 1.0) * (k + d) / (m * (m + 1.0))
+    return a.tolist(), b.tolist(), c.tolist()
 
 
-def _as_points(r) -> np.ndarray:
+def _arguments(d: int, max_degree: int, r) -> tuple[int, int, np.ndarray]:
+    """The dimension, the largest degree and the evaluation points, checked."""
+    d = _check_dimension(d)
+    max_degree = _check_int(max_degree, "max_degree", 0)
     pts = np.ascontiguousarray(np.atleast_1d(r), dtype=float)
     if pts.ndim != 1:
         raise ValueError("evaluation points must be a scalar or 1-d array")
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
-    return pts
+    return d, max_degree, pts
 
 
-def evaluate_table(family: JacobiFamily, r) -> np.ndarray:
-    """Table of basis values, shape (family.max_degree + 1, len(r)): the
-    one-block case of ``evaluate_blocks``."""
-    return next(_blocks(family, _as_points(r), family.max_degree + 1))[1]
+def evaluate_table(d: int, max_degree: int, r) -> np.ndarray:
+    """Table of basis values in dimension d, shape (max_degree + 1, len(r)):
+    the one-block case of ``evaluate_blocks``."""
+    d, max_degree, r = _arguments(d, max_degree, r)
+    return next(_blocks(d, max_degree, r, max_degree + 1))[1]
 
 
 # Degrees per block of ``evaluate_blocks``.  Both block rules exist so that
@@ -121,26 +105,26 @@ def evaluate_table(family: JacobiFamily, r) -> np.ndarray:
 _BLOCK_HEIGHT = 64
 
 
-def evaluate_blocks(family: JacobiFamily, r):
+def evaluate_blocks(d: int, max_degree: int, r):
     """The rows of ``evaluate_table`` in blocks of 64 degrees (the last up to
     65), as (first degree, rows) pairs from one recurrence, the rows a
     (<= 65, len(r)) array.  The blocks share one buffer, so use each before
     asking for the next.  A block that leaves the float range raises
     ``BasisOverflowError`` in place of being handed out."""
-    return _blocks(family, _as_points(r), _BLOCK_HEIGHT)
+    return _blocks(*_arguments(d, max_degree, r), _BLOCK_HEIGHT)
 
 
-def _blocks(family: JacobiFamily, r: np.ndarray, height: int):
+def _blocks(d: int, max_degree: int, r: np.ndarray, height: int):
     # degrees 0..max_degree by r P_k = a_k P_{k-1} + b_k P_k + c_k P_{k+1},
     # P_{-1} = 0 and P_0 = sqrt(d)
-    num = family.max_degree + 1
+    num = max_degree + 1
     starts = list(range(0, num, height))
     if len(starts) > 1 and num - starts[-1] == 1:
         starts.pop()
     buf = np.empty((min(height + 1, num), r.size), dtype=float)
     tmp, term = np.empty(r.size), np.empty(r.size)
-    prev, cur = np.zeros(r.size), np.full(r.size, math.sqrt(family.d))  # P_{-1}, P_0
-    a, b, c = (x.tolist() for x in (family.rec_a, family.rec_b, family.rec_c))
+    prev, cur = np.zeros(r.size), np.full(r.size, math.sqrt(d))  # P_{-1}, P_0
+    a, b, c = _recurrence(d, max_degree)
     for start, stop in zip(starts, starts[1:] + [num]):
         block = buf[: stop - start]
         # closed before the yield: errstate is a context variable the caller shares
@@ -159,7 +143,7 @@ def _blocks(family: JacobiFamily, r: np.ndarray, height: int):
         # the basis grows like binomial(k + d/2, k) near r = 0; a row past the
         # float range makes every later one inf or nan, so the last row decides
         if not np.all(np.isfinite(block[-1])):
-            where = f"by degree {stop - 1} at the evaluation points in d = {family.d}"
+            where = f"by degree {stop - 1} at the evaluation points in d = {d}"
             raise BasisOverflowError(f"the basis overflows {where}")
         yield start, block
         prev, cur = prev.copy(), cur.copy()  # the next block overwrites the buffer
@@ -188,8 +172,7 @@ class JacobiExpansion:
 
     def evaluate(self, r):
         """Partial sum sum_k coeffs[k] P_k(r)."""
-        family = build_family(self.d, self.max_degree)
-        vals = self.coeffs @ evaluate_table(family, r)
+        vals = self.coeffs @ evaluate_table(self.d, self.max_degree, r)
         if np.ndim(r) == 0:
             return float(vals[0])
         return vals

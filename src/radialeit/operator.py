@@ -441,7 +441,6 @@ def decay_constant(d: int) -> float:
 class DecayBoundReport:
     """Check of |lambda_ell| <= C_d ||eta|| ell**(-1/2) for every degree."""
 
-    d: int
     eta_norm: float
     values: np.ndarray  # |lambda_ell|, degree ell = index + 1
     bounds: np.ndarray
@@ -487,7 +486,6 @@ def verify_decay_bound(spectrum: Spectrum) -> DecayBoundReport:
     bounds = _decay_bounds(spectrum, spectrum.max_index)
     bad = np.nonzero(values > bounds)[0]
     return DecayBoundReport(
-        d=spectrum.d,
         eta_norm=spectrum.eta_norm,
         values=values,
         bounds=bounds,

@@ -266,56 +266,16 @@ def gradient_identity(h1: ExplicitHarmonic, h2: ExplicitHarmonic) -> GradientIde
 
 
 @dataclass(frozen=True)
-class CrossValidationReport:
-    """Brute-force matrix of the form against the predicted diagonal, plus the
-    largest surface-gradient identity defect over all ordered pairs, absolute
-    and scaled (the scaled one is gated).
-
-    The gate and its maxima are computed once, when the report is made:
-    ``passes`` is |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on the diagonal
-    and |e_ij| <= tol_offdiag off it, ``ok`` is all of it and the scaled
-    identity defect within tol_identity.  Its arrays are read-only."""
-
-    d: int
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    entries: np.ndarray  # brute-force values, symmetric
-    reference: np.ndarray  # predicted eigenvalue per harmonic
-    tol_offdiag: float
-    tol_diag: float
-    identity_defect: float
-    identity_scaled_defect: float
-    tol_identity: ClassVar[float] = _TOL_IDENTITY
-    passes: np.ndarray = field(init=False, repr=False, compare=False)
-    max_offdiag: float = field(init=False, compare=False)
-    max_diag_scaled: float = field(init=False, compare=False)
-    ok: bool = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        on_diag = np.eye(len(self.labels), dtype=bool)
-        errors = np.abs(self.entries)
-        diag = np.abs(np.diag(self.entries) - self.reference)
-        np.fill_diagonal(errors, diag / np.maximum(1.0, np.abs(self.reference)))
-        passes = errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
-        for arr in (self.entries, self.reference, passes):
-            arr.flags.writeable = False
-        put = functools.partial(object.__setattr__, self)
-        put("passes", passes)
-        put("max_offdiag", float(np.where(on_diag, 0.0, errors).max()))
-        put("max_diag_scaled", float(np.diag(errors).max()))
-        put("ok", bool(passes.all() and self.identity_scaled_defect <= self.tol_identity))
-
-
-@dataclass(frozen=True)
 class _SpherePlan:
     """Everything ``cross_validate`` needs that does not depend on eta, for all
     harmonics up to one degree in one dimension (arrays read-only).
 
     It also holds ``verify``'s row layout (``rows`` to ``on_diag``), which
-    only the CLI reads.  Deriving the layout per call instead costs 25-35 us
-    per job: moved into the CLI, it cut the CI verify sweep's peak from 83 MB
-    to 69 MB at equal time, but the crossval benchmark's median jobs_per_s
-    fell from 851 to 774 (six alternating 10 s pairs, 2 vCPUs)."""
+    only the CLI reads, through the report that carries the plan.  Deriving
+    the layout per call instead costs 25-35 us per job: moved into the CLI,
+    it cut the CI verify sweep's peak from 83 MB to 69 MB at equal time, but
+    the crossval benchmark's median jobs_per_s fell from 851 to 774 (six
+    alternating 10 s pairs, 2 vCPUs)."""
 
     labels: tuple[str, ...]
     degrees: tuple[int, ...]
@@ -330,6 +290,44 @@ class _SpherePlan:
     h1: tuple[str, ...]  # labels[rows]
     h2: tuple[str, ...]  # labels[cols]
     on_diag: np.ndarray  # rows == cols
+
+
+@dataclass(frozen=True)
+class CrossValidationReport:
+    """Brute-force matrix of the form against the predicted diagonal, with the
+    sphere plan it was built on: the harmonics' labels and degrees, and the
+    largest surface-gradient identity defect over all ordered pairs, absolute
+    and scaled (the scaled one is gated).
+
+    The gate and its maxima are computed once, when the report is made:
+    ``passes`` is |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on the diagonal
+    and |e_ij| <= tol_offdiag off it, ``ok`` is all of it and the scaled
+    identity defect within tol_identity.  Its arrays are read-only."""
+
+    plan: _SpherePlan
+    entries: np.ndarray  # brute-force values, symmetric
+    reference: np.ndarray  # predicted eigenvalue per harmonic
+    tol_offdiag: ClassVar[float] = 1e-9
+    tol_diag: ClassVar[float] = 1e-8
+    tol_identity: ClassVar[float] = _TOL_IDENTITY
+    passes: np.ndarray = field(init=False, repr=False, compare=False)
+    max_offdiag: float = field(init=False, compare=False)
+    max_diag_scaled: float = field(init=False, compare=False)
+    ok: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        on_diag = np.eye(len(self.plan.labels), dtype=bool)
+        errors = np.abs(self.entries)
+        diag = np.abs(np.diag(self.entries) - self.reference)
+        np.fill_diagonal(errors, diag / np.maximum(1.0, np.abs(self.reference)))
+        passes = errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
+        for arr in (self.entries, self.reference, passes):
+            arr.flags.writeable = False
+        put = functools.partial(object.__setattr__, self)
+        put("passes", passes)
+        put("max_offdiag", float(np.where(on_diag, 0.0, errors).max()))
+        put("max_diag_scaled", float(np.diag(errors).max()))
+        put("ok", bool(passes.all() and self.plan.identity_scaled_defect <= self.tol_identity))
 
 
 @functools.lru_cache(maxsize=32)
@@ -365,22 +363,17 @@ def _sphere_plan(d: int, max_degree: int) -> _SpherePlan:
     return plan
 
 
-def cross_validate(
-    profile: RadialProfile,
-    d: int,
-    max_degree: int,
-    tol_offdiag: float = 1e-9,
-    tol_diag: float = 1e-8,
-) -> CrossValidationReport:
+def cross_validate(profile: RadialProfile, d: int, max_degree: int) -> CrossValidationReport:
     """Assemble the full brute-force matrix over all explicit harmonics up to
     max_degree and compare with the moment-route eigenvalues.
 
     The sphere integrals of all pairs come from one angular rule, built once
-    per (d, max_degree) (``_sphere_plan``), and the radial moments from one
-    rule per piece; ``identity_defect`` and ``identity_scaled_defect`` are the
-    largest ``gradient_identity`` defects over all ordered pairs, read from the
-    same sphere integrals.  The reference comes first, so a profile whose
-    ball norm is past the float range is refused before any entry is built.
+    per (d, max_degree) (``_sphere_plan``, which the report carries), and the
+    radial moments from one rule per piece; the plan's ``identity_defect``
+    and ``identity_scaled_defect`` are the largest ``gradient_identity``
+    defects over all ordered pairs, read from the same sphere integrals.  The
+    reference comes first, so a profile whose ball norm is past the float
+    range is refused before any entry is built.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
@@ -390,13 +383,7 @@ def cross_validate(
     plan = _sphere_plan(d, max_degree)
     reference = spectrum_moment(profile, d, max_degree).eigenvalues[plan.reference_index]
     return CrossValidationReport(
-        d=d,
-        labels=plan.labels,
-        degrees=plan.degrees,
+        plan=plan,
         entries=_entries(profile, d, plan.moment_index, plan.angular),
         reference=reference,
-        tol_offdiag=tol_offdiag,
-        tol_diag=tol_diag,
-        identity_defect=plan.identity_defect,
-        identity_scaled_defect=plan.identity_scaled_defect,
     )

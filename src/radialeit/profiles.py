@@ -225,9 +225,9 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
     and the coefficients above are exact zeros, not rounding noise.
     """
     max_degree = jacobi._check_int(max_degree, "max_degree", 0)
+    d = jacobi._check_dimension(d)
     pieces = profile.pieces
     degree = max_degree if len(pieces) > 1 else min(max_degree, pieces[0].size - 1)
-    family = jacobi.build_family(d, degree)
     nodes, integrands = [], []
     for lo, hi, c in profile.intervals():
         rule = gauss_legendre(piece_rule_size(degree, c.size - 1, d))
@@ -236,7 +236,7 @@ def project(profile: RadialProfile, d: int, max_degree: int) -> JacobiExpansion:
         integrands.append((hi - lo) * rule.weights * np.polyval(c[::-1], r) * r ** (d - 1))
     cuts = np.cumsum([0] + [g.size for g in integrands]).tolist()
     total = np.zeros(max_degree + 1)
-    for start, block in jacobi.evaluate_blocks(family, np.concatenate(nodes)):
+    for start, block in jacobi.evaluate_blocks(d, degree, np.concatenate(nodes)):
         out = total[start : start + len(block)]
         for lo, hi, g in zip(cuts, cuts[1:], integrands):
             out += block[:, lo:hi] @ g

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import warnings
@@ -161,11 +160,13 @@ def test_basis_passes(capsys):
     assert extras["all_ok"] is True
 
 
-def test_basis_reports_failure_on_absurd_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "basis", "--dim", "2", "--K", "10", "--tol-basis", "1e-20")
-    assert code == 1
-    _, extras = parse_csv(out)
-    assert extras["all_ok"] is False
+def test_basis_gate_is_a_fixed_1e_12(capsys):
+    code, out, _ = run_cli(capsys, "basis", "--dim", "2", "--K", "10", "--tol-basis", "1e-12")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "basis", "--dim", "2", "--K", "10")
+    rows, extras = parse_csv(out)
+    assert code == 0 and [r["tol"] for r in rows] == ["1e-12"] * 3
+    assert extras["meta.tol_basis"] == 1e-12
 
 
 def test_basis_passes_a_correct_high_dimensional_basis(capsys):
@@ -189,15 +190,14 @@ def test_basis_passes_a_correct_gram_matrix_in_high_dimensions(capsys, dim, K):
 @pytest.mark.parametrize("dim, K", [("3", "40"), ("200", "300")])
 def test_basis_gram_fails_a_wrong_recurrence_coefficient(capsys, monkeypatch, dim, K):
     # one recurrence coefficient off by a relative 1e-6 scales every later degree
-    build = cli.jacobi.build_family
+    recurrence = cli.jacobi._recurrence
 
     def wrong(d, kmax):
-        family = build(d, kmax)
-        rec_c = family.rec_c.copy()
+        rec_a, rec_b, rec_c = recurrence(d, kmax)
         rec_c[kmax // 2] *= 1.0 + 1e-6
-        return dataclasses.replace(family, rec_c=rec_c)
+        return rec_a, rec_b, rec_c
 
-    monkeypatch.setattr(cli.jacobi, "build_family", wrong)
+    monkeypatch.setattr(cli.jacobi, "_recurrence", wrong)
     code, out, _ = run_cli(capsys, "basis", "--dim", dim, "--K", K)
     rows, extras = parse_csv(out)
     assert code == 1 and extras["all_ok"] is False
@@ -254,9 +254,9 @@ def test_basis_runs_one_basis_table(capsys, monkeypatch):
     table = cli.jacobi.evaluate_table
     points = []
 
-    def counted(family, r):
+    def counted(d, max_degree, r):
         points.append(len(r))
-        return table(family, r)
+        return table(d, max_degree, r)
 
     monkeypatch.setattr(cli.jacobi, "evaluate_table", counted)
     for K in (0, 20):
@@ -267,7 +267,7 @@ def test_basis_runs_one_basis_table(capsys, monkeypatch):
 def _reconstruction_by_degree(d, K):
     # the per-degree form of the basis reconstruction check
     pts = np.linspace(0.0, 1.0, 50)
-    pts_table = cli.jacobi.evaluate_table(cli.jacobi.build_family(d, K), pts)
+    pts_table = cli.jacobi.evaluate_table(d, K, pts)
     abs_table = np.abs(pts_table)
     recon = 0.0
     for k in range(K + 1):
@@ -347,7 +347,7 @@ def test_verify_pass_column_is_the_report_gate(capsys):
     code, out, _ = run_cli(capsys, *argv)
     rows, extras = parse_csv(out)
     report = oracle.cross_validate(preset("annulus", [0.3, 0.8, 1.0]), 3, 6)
-    i, j = np.triu_indices(len(report.labels))
+    i, j = np.triu_indices(len(report.plan.labels))
     assert [r["pass"] == "true" for r in rows] == report.passes[i, j].tolist()
     assert code == 0 and extras["ok"] is report.ok is True
 
@@ -530,10 +530,13 @@ def test_spectrum_rows_have_exactly_two_fields(tmp_path, capsys):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert err == f"error: line 5 of {path}: expected 'ell,lambda', got {bad.split(',')!r}\n"
-    # a first row whose fields parse is data, not a header
-    path.write_text("\n".join(["1,-1,3", *data[1:]]) + "\n")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and "line 1 of" in err
+    # a first row led by a number is data, not a header, even where it is no
+    # integer degree ("1.0") or lacks a value
+    for first in ("1,-1,3", "1.0,-1", "1", "nan,-1"):
+        path.write_text("\n".join([first, *data[1:]]) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err == f"error: line 1 of {path}: expected 'ell,lambda', got {first.split(',')!r}\n"
 
 
 def test_invert_default_K_follows_the_spectrum_length(tmp_path, capsys):
@@ -647,7 +650,6 @@ def test_config_errors(tmp_path, capsys):
     for value in ("nan", "inf", "-1"):
         assert run_cli(capsys, "invert", *base, "--alpha", value)[0] == 2
         assert run_cli(capsys, "eigvals", *base, "--tol-dual", value)[0] == 2
-        assert run_cli(capsys, "basis", "--dim", "2", "--tol-basis", value)[0] == 2
     # oversized dimensions, degrees and basis orders are refused before any work
     assert run_cli(capsys, "basis", "--dim", "521")[0] == 2
     for cmd in ("eigvals", "truncate", "invert", "verify"):

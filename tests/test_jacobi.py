@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from radialeit.jacobi import (
     BasisOverflowError,
     JacobiExpansion,
-    build_family,
+    _recurrence,
     evaluate_blocks,
     evaluate_table,
     monomial_coefficients,
@@ -23,31 +23,34 @@ DIMS = (2, 3, 4, 5)
 
 
 def test_recurrence_coefficient_values_d2():
-    fam = build_family(2, 5)
-    assert fam.rec_a[0] == 0.0  # convention: P_{-1} = 0
+    rec_a, rec_b, rec_c = _recurrence(2, 5)
+    assert rec_a[0] == 0.0  # convention: P_{-1} = 0
     # closed forms at k=0,1 in d=2
-    assert abs(fam.rec_b[0] - 2.0 / 3.0) < 1e-15
-    assert abs(fam.rec_b[1] - 8.0 / 15.0) < 1e-15
-    assert abs(fam.rec_c[0] - (-math.sqrt(2.0 / 4.0) * 2.0 / 6.0)) < 1e-15
+    assert abs(rec_b[0] - 2.0 / 3.0) < 1e-15
+    assert abs(rec_b[1] - 8.0 / 15.0) < 1e-15
+    assert abs(rec_c[0] - (-math.sqrt(2.0 / 4.0) * 2.0 / 6.0)) < 1e-15
     # C_1 = -sqrt(4/6) * (2*3)/(4*5) = -(3/10) sqrt(2/3)
-    assert abs(fam.rec_c[1] - (-0.2449489742783178)) < 1e-15
+    assert abs(rec_c[1] - (-0.2449489742783178)) < 1e-15
 
 
 def test_recurrence_coefficient_signs():
     for d in DIMS:
-        fam = build_family(d, 60)
-        assert np.all(fam.rec_a[1:] < 0.0)
-        assert np.all(fam.rec_c < 0.0)
-        assert np.all(fam.rec_b > 0.0) and np.all(fam.rec_b <= 1.0)
+        rec_a, rec_b, rec_c = map(np.array, _recurrence(d, 60))
+        assert np.all(rec_a[1:] < 0.0)
+        assert np.all(rec_c < 0.0)
+        assert np.all(rec_b > 0.0) and np.all(rec_b <= 1.0)
 
 
-def test_family_validation():
-    with pytest.raises(ValueError):
-        build_family(1, 10)
-    with pytest.raises(ValueError):
-        build_family(2, -1)
-    with pytest.raises(ValueError):
-        build_family(2.5, 10)
+@pytest.mark.parametrize("evaluate", [evaluate_table, evaluate_blocks])
+@pytest.mark.parametrize(
+    "d, max_degree, name",
+    [(1, 10, "dimension"), (2.5, 10, "dimension"), (2, -1, "max_degree"),
+     (2, 1.0, "max_degree"), (2, True, "max_degree")],
+)
+def test_evaluation_refuses_a_bad_dimension_or_degree(evaluate, d, max_degree, name):
+    # refused when called, before any block is asked for
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        evaluate(d, max_degree, np.linspace(0.0, 1.0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +61,7 @@ def test_low_degree_closed_forms():
     # P_0 = sqrt(d), P_1 = sqrt(d+2) (d - (d+1) r)
     r = np.linspace(0.0, 1.0, 11)
     for d in DIMS:
-        fam = build_family(d, 1)
-        t = evaluate_table(fam, r)
+        t = evaluate_table(d, 1, r)
         assert_allclose(t[0], math.sqrt(d), rtol=0, atol=1e-15)
         assert_allclose(
             t[1], math.sqrt(d + 2) * (d - (d + 1) * r), rtol=0, atol=5e-14
@@ -67,8 +69,7 @@ def test_low_degree_closed_forms():
 
 
 def test_degree_zero_table():
-    fam = build_family(3, 0)
-    out = evaluate_table(fam, np.array([0.7]))
+    out = evaluate_table(3, 0, np.array([0.7]))
     assert out.shape == (1, 1) and out[0, 0] == math.sqrt(3.0)
 
 
@@ -77,24 +78,21 @@ def test_blocks_are_the_rows_of_one_table(num):
     # blocks of 64 rows, a last block of one row joined to the one before it,
     # each the bits of the same rows of the whole table
     r = np.linspace(0.0, 1.0, 37)
-    fam = build_family(3, num - 1)
-    blocks = [(start, rows.copy()) for start, rows in evaluate_blocks(fam, r)]
+    blocks = [(start, rows.copy()) for start, rows in evaluate_blocks(3, num - 1, r)]
     want = {1: [1], 63: [63], 64: [64], 65: [65], 128: [64, 64], 129: [64, 65]}[num]
     assert [len(rows) for _, rows in blocks] == want
     assert [start for start, _ in blocks] == [64 * i for i in range(len(want))]
     table = np.concatenate([rows for _, rows in blocks])
-    assert table.tobytes() == evaluate_table(fam, r).tobytes()
+    assert table.tobytes() == evaluate_table(3, num - 1, r).tobytes()
 
 
 def test_recurrence_identity_residual():
     r = np.linspace(0.0, 1.0, 41)
     for d in (2, 4):
-        fam = build_family(d, 30)
-        t = evaluate_table(fam, r)
+        t = evaluate_table(d, 30, r)
+        rec_a, rec_b, rec_c = _recurrence(d, 30)
         for k in range(1, 30):
-            res = r * t[k] - (
-                fam.rec_a[k] * t[k - 1] + fam.rec_b[k] * t[k] + fam.rec_c[k] * t[k + 1]
-            )
+            res = r * t[k] - (rec_a[k] * t[k - 1] + rec_b[k] * t[k] + rec_c[k] * t[k + 1])
             assert np.abs(res).max() <= 1e-10 * max(1.0, np.abs(t[k + 1]).max())
 
 
@@ -102,7 +100,7 @@ def test_evaluate_matches_direct_sum():
     # the exact-rational direct sum is the oracle for the recurrence
     r = np.linspace(0.0, 1.0, 23)
     for d in (2, 3, 5):
-        t = evaluate_table(build_family(d, 15), r)
+        t = evaluate_table(d, 15, r)
         for k in range(16):
             assert np.abs(t[k] - _direct_sum(d, k, r)).max() <= 1e-10
 
@@ -111,33 +109,32 @@ def test_direct_value_k2_d2():
     # P_2 = sqrt(6) (1 - 6r + 6r**2) in d=2; at r=0.5 that is -sqrt(6)/2
     want = -math.sqrt(6.0) / 2.0
     assert abs(_direct_sum(2, 2, 0.5)[0] - want) < 1e-13
-    assert abs(evaluate_table(build_family(2, 2), 0.5)[2, 0] - want) <= 1e-11
+    assert abs(evaluate_table(2, 2, 0.5)[2, 0] - want) <= 1e-11
 
 
 def test_scalar_in_scalar_out():
     exp = JacobiExpansion(d=3, coeffs=np.array([0.5, -1.0, 0.25]))
     assert isinstance(exp.evaluate(0.25), float)
     assert exp.evaluate(np.array([0.25])).shape == (1,)
-    assert evaluate_table(build_family(3, 4), 0.25).shape == (5, 1)
+    assert evaluate_table(3, 4, 0.25).shape == (5, 1)
 
 
 def test_evaluation_rejects_bad_input():
-    fam = build_family(2, 10)
     with pytest.raises(ValueError):
-        evaluate_table(fam, 1.5)
+        evaluate_table(2, 10, 1.5)
     with pytest.raises(ValueError):
-        evaluate_table(fam, -0.1)
+        evaluate_table(2, 10, -0.1)
     with pytest.raises(ValueError):
-        evaluate_table(fam, np.ones((2, 2)) / 2)  # points must be 1-d
+        evaluate_table(2, 10, np.ones((2, 2)) / 2)  # points must be 1-d
 
 
 def test_every_evaluation_refuses_a_basis_past_the_float_range():
     # near r = 0 the basis grows like binomial(k + d/2, k): in d = 520 it
     # leaves the float range by degree 600, and no caller gets inf or nan
-    fam, r = build_family(520, 600), np.linspace(0.0, 1.0, 50)
+    r = np.linspace(0.0, 1.0, 50)
     with pytest.raises(BasisOverflowError, match="overflows"):
-        evaluate_table(fam, r)
-    blocks = evaluate_blocks(fam, r)
+        evaluate_table(520, 600, r)
+    blocks = evaluate_blocks(520, 600, r)
     next(blocks)  # degrees 0..63 are finite everywhere
     with pytest.raises(BasisOverflowError, match="overflows"):
         for _ in blocks:
@@ -150,7 +147,7 @@ def test_blocks_leave_the_callers_error_state_alone():
     # the recurrence ignores overflow only while it runs, not while the
     # generator waits at a yield
     before = np.geterr()
-    blocks = evaluate_blocks(build_family(520, 200), np.linspace(0.0, 1.0, 50))
+    blocks = evaluate_blocks(520, 200, np.linspace(0.0, 1.0, 50))
     next(blocks)
     assert np.geterr() == before
     next(blocks)
@@ -160,8 +157,7 @@ def test_blocks_leave_the_callers_error_state_alone():
 def test_orthonormality_moderate_degree():
     rule = gauss_legendre(80)
     for d in (2, 3):
-        fam = build_family(d, 20)
-        t = evaluate_table(fam, rule.nodes)
+        t = evaluate_table(d, 20, rule.nodes)
         gram = (t * (rule.weights * rule.nodes ** (d - 1))) @ t.T
         assert np.abs(gram - np.eye(21)).max() < 1e-11
 
@@ -258,8 +254,7 @@ def test_expansion_matches_quadrature_projection():
     # chi_{k,q} must equal <r**k, P_q> computed by straight quadrature
     rule = gauss_legendre(60)
     for d in (2, 4):
-        fam = build_family(d, 15)
-        t = evaluate_table(fam, rule.nodes)
+        t = evaluate_table(d, 15, rule.nodes)
         for k in (0, 3, 9, 15):
             proj = t[: k + 1] @ (rule.weights * rule.nodes ** (k + d - 1))
             assert np.abs(monomial_coefficients(d, k).coeffs - proj).max() <= 1e-10

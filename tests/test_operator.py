@@ -8,7 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from radialeit import numerics, operator, oracle
-from radialeit.jacobi import FloatRangeError, build_family, monomial_coefficients
+from radialeit.jacobi import (
+    FloatRangeError,
+    evaluate_blocks,
+    evaluate_table,
+    monomial_coefficients,
+)
 from radialeit.numerics import gauss_legendre
 from radialeit.operator import (
     BoundaryField,
@@ -471,24 +476,25 @@ def test_forward_matrix_is_the_stored_rows(d):
             assert not m[ell - 1, n:].any()
 
 
-@pytest.mark.parametrize("d", [2, 520])
-def test_width_doubling_builds_the_same_blocks(monkeypatch, d):
+@pytest.mark.parametrize("d", [2, 3, 520])
+@pytest.mark.parametrize("first", [1, 257, 2561])
+def test_width_doubling_builds_the_same_blocks(monkeypatch, d, first):
     # an estimate below every cut sends _row_block through its doubling loop,
-    # and the blocks must come out as with the estimate, bit for bit
-    want = [operator._row_block(d, 256 * b + 1, 256 * (b + 1)) for b in (0, 1)]
+    # which alone keeps rows from being cut at k = 0; the block must come out
+    # as with the estimate, bit for bit
+    want = operator._row_block(d, first, first + 255)
     ratios, widths = operator._ratios, []
 
     def logged(d, n, width):
         widths.append(width)
         return ratios(d, n, width)
 
-    monkeypatch.setattr(operator, "cut_estimate", lambda d, ell: 2)
+    monkeypatch.setattr(operator, "cut_estimate", lambda d, ell: 1)
     monkeypatch.setattr(operator, "_ratios", logged)
-    for b, block in enumerate(want):
-        got = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
-        for a, c in ((got.weights, block.weights), (got.cuts, block.cuts), (got.tails, block.tails)):
-            assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
-    assert widths[:3] == [2, 4, 8]
+    got = operator._row_block(d, first, first + 255)
+    for a, c in ((got.weights, want.weights), (got.cuts, want.cuts), (got.tails, want.tails)):
+        assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
+    assert widths[:3] == [1, 2, 4]
 
 
 def test_series_spectrum_at_ten_thousand_degrees_stays_small():
@@ -624,7 +630,10 @@ _BAD_INTEGERS = {
     "spectrum_moment-2.0": ("max_index", lambda: spectrum_moment(_P, 2, 2.0)),
     "harmonics_up_to-2.5": ("max_degree", lambda: harmonics_up_to(2, 2.5)),
     "gauss_legendre-2.0": ("point count", lambda: gauss_legendre(2.0)),
-    "build_family-1.0": ("max_degree", lambda: build_family(2, 1.0)),
+    "evaluate_table-1.0": ("max_degree", lambda: evaluate_table(2, 1.0, 0.5)),
+    "evaluate_blocks-1.0": ("max_degree", lambda: evaluate_blocks(2, 1.0, 0.5)),
+    "evaluate_table-d2.5": ("dimension", lambda: evaluate_table(2.5, 3, 0.5)),
+    "evaluate_blocks-d2.5": ("dimension", lambda: evaluate_blocks(2.5, 3, 0.5)),
     "monomial-1.5": ("monomial degree", lambda: monomial_coefficients(2, 1.5)),
     "project-2.0": ("max_degree", lambda: project(_P, 2, 2.0)),
     "eigenvalue_moment-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, 2.5)),
@@ -638,7 +647,8 @@ _BAD_INTEGERS = {
     "eigenvalue_moment-True": ("degree", lambda: eigenvalue_moment(_P, 2, True)),
     "eigenvalue_moment-array-True": ("degree", lambda: eigenvalue_moment(_P, 2, np.array([True]))),
     "gauss_legendre-True": ("point count", lambda: gauss_legendre(True)),
-    "build_family-True": ("max_degree", lambda: build_family(2, True)),
+    "evaluate_table-True": ("max_degree", lambda: evaluate_table(2, True, 0.5)),
+    "evaluate_blocks-True": ("max_degree", lambda: evaluate_blocks(2, True, 0.5)),
     "harmonic_space_dim-True": ("degree", lambda: harmonic_space_dim(True, 3)),
     "eigenvalue-True": ("degree", lambda: _S.eigenvalue(True)),
     "field-True": ("field degree", lambda: BoundaryField(d=2, blocks={True: [1.0, 0.0]})),
@@ -660,7 +670,10 @@ _BAD_INTEGERS = {
     "cross_validate-0": ("max_degree", lambda: cross_validate(_P, 3, 0)),
     "spectrum_moment-0": ("max_index", lambda: spectrum_moment(_P, 2, 0)),
     "gauss_legendre-0": ("point count", lambda: gauss_legendre(0)),
-    "build_family--1": ("max_degree", lambda: build_family(2, -1)),
+    "evaluate_table--1": ("max_degree", lambda: evaluate_table(2, -1, 0.5)),
+    "evaluate_blocks--1": ("max_degree", lambda: evaluate_blocks(2, -1, 0.5)),
+    "evaluate_table-d1": ("dimension", lambda: evaluate_table(1, 3, 0.5)),
+    "evaluate_blocks-d1": ("dimension", lambda: evaluate_blocks(1, 3, 0.5)),
     "monomial--1": ("monomial degree", lambda: monomial_coefficients(2, -1)),
     "project--1": ("max_degree", lambda: project(_P, 2, -1)),
     "harmonic_space_dim--1": ("degree", lambda: harmonic_space_dim(-1, 3)),

@@ -159,7 +159,7 @@ def test_cross_validation_annulus():
         assert_allclose(rep.entries, rep.entries.T, rtol=0, atol=0)
         assert rep.max_offdiag <= 1e-12
         assert rep.max_diag_scaled <= 1e-12
-        assert len(rep.labels) == len(rep.degrees)
+        assert len(rep.plan.labels) == len(rep.plan.degrees)
         # the reference diagonal is the moment route's prediction:
         # -(d/1) * integral_{1/2}^1 r**(d-1) dr = -(1 - 2**-d)
         assert rep.reference[0] == pytest.approx(-(1.0 - 2.0**-d), abs=1e-12)
@@ -170,25 +170,22 @@ def test_cross_validation_gate_is_one_entry_wise_matrix(corpus):
     for name, prof in corpus:
         for d, max_degree in ((2, 1), (2, 6), (3, 5)):
             rep = cross_validate(prof, d, max_degree)
-            n = len(rep.labels)
+            n = len(rep.plan.labels)
             scale = np.maximum(1.0, np.abs(rep.reference))
             diag_err = np.abs(np.diag(rep.entries) - rep.reference) / scale
             assert rep.passes.shape == (n, n)
             assert np.diag(rep.passes).tolist() == (diag_err <= rep.tol_diag).tolist()
             off = ~np.eye(n, dtype=bool)
             assert rep.passes[off].tolist() == (np.abs(rep.entries[off]) <= rep.tol_offdiag).tolist()
-            assert rep.ok == (rep.passes.all() and rep.identity_scaled_defect <= rep.tol_identity)
+            identity_ok = rep.plan.identity_scaled_defect <= rep.tol_identity
+            assert rep.ok == (rep.passes.all() and identity_ok)
             assert rep.max_diag_scaled == diag_err.max()
             assert rep.max_offdiag == (np.abs(rep.entries[off]).max() if n > 1 else 0.0), name
     # a diagonal entry past tol_diag fails in its own cell and in ok
     rep = cross_validate(preset("constant", [1.0]), 2, 3)
     entries = rep.entries.copy()
     entries[2, 2] *= 1.0 + 1e-6
-    bad = oracle.CrossValidationReport(
-        d=2, labels=rep.labels, degrees=rep.degrees, entries=entries, reference=rep.reference,
-        tol_offdiag=rep.tol_offdiag, tol_diag=rep.tol_diag, identity_defect=rep.identity_defect,
-        identity_scaled_defect=rep.identity_scaled_defect,
-    )
+    bad = oracle.CrossValidationReport(plan=rep.plan, entries=entries, reference=rep.reference)
     assert np.argwhere(~bad.passes).tolist() == [[2, 2]]
     assert not bad.ok and rep.ok
 
@@ -274,9 +271,13 @@ def _counted(monkeypatch, *names):
 
 
 def _same_report(a, b):
-    for f in dataclasses.fields(oracle.CrossValidationReport):
+    # field by field, the plan's own fields included
+    for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
+        if dataclasses.is_dataclass(x):
+            assert type(x) is type(y), f.name
+            _same_report(x, y)
+        elif isinstance(x, np.ndarray):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
         else:
             assert x == y and type(x) is type(y), f.name
@@ -302,6 +303,7 @@ def test_sphere_half_is_built_once_per_setting(monkeypatch):
 def test_sphere_plan_and_report_are_read_only():
     plan = oracle._sphere_plan(2, 4)
     rep = cross_validate(preset("constant", [1.0]), 2, 4)
+    assert rep.plan is plan  # the report carries the cached plan
     arrays = (plan.reference_index, plan.moment_index, plan.angular, plan.rows, plan.cols,
               plan.on_diag, rep.entries, rep.reference, rep.passes)
     for arr in arrays:
@@ -324,7 +326,7 @@ def test_pair_functions_agree_with_the_report():
     for d in (2, 3):
         hs = harmonics_up_to(d, 5)
         rep = cross_validate(prof, d, 5)
-        plan = oracle._sphere_plan(d, 5)
+        plan = rep.plan
         defect = scaled = 0.0
         for i, h1 in enumerate(hs):
             for j, h2 in enumerate(hs):
@@ -332,8 +334,8 @@ def test_pair_functions_agree_with_the_report():
                 angular = pair.rhs + pair.lhs / (h1.degree * h2.degree)
                 assert abs(angular - plan.angular[i, j]) <= 4e-15
                 defect, scaled = max(defect, pair.defect), max(scaled, pair.scaled_defect)
-        assert abs(defect - rep.identity_defect) <= 1e-13
-        assert abs(scaled - rep.identity_scaled_defect) <= 1e-14
+        assert abs(defect - plan.identity_defect) <= 1e-13
+        assert abs(scaled - plan.identity_scaled_defect) <= 1e-14
 
 
 def test_many_pieces_verify_at_the_largest_degree():
@@ -341,4 +343,4 @@ def test_many_pieces_verify_at_the_largest_degree():
     bp = np.linspace(0.0, 1.0, 1001)
     prof = RadialProfile(bp, tuple(np.array([np.cos(7.0 * r)]) for r in bp[:-1]))
     rep = cross_validate(prof, 2, 90)
-    assert rep.ok, (rep.max_offdiag, rep.max_diag_scaled, rep.identity_scaled_defect)
+    assert rep.ok, (rep.max_offdiag, rep.max_diag_scaled, rep.plan.identity_scaled_defect)

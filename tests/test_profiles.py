@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from radialeit import jacobi, profiles
 from radialeit.jacobi import (
     BasisOverflowError,
-    build_family,
     evaluate_table,
     monomial_coefficients,
 )
@@ -295,13 +294,12 @@ def _project_per_piece(profile, d, max_degree):
     if len(profile.pieces) == 1 and max_degree > m:
         head = _project_per_piece(profile, d, m)
         return np.concatenate([head, np.zeros(max_degree - head.size + 1)])
-    family = build_family(d, max_degree)
     total = np.zeros(max_degree + 1)
     for lo, hi, c in profile.intervals():
         rule = gauss_legendre((max_degree + (c.size - 1) + d) // 2 + 2)
         r = lo + (hi - lo) * rule.nodes
         w = (hi - lo) * rule.weights
-        total += evaluate_table(family, r) @ (w * npoly.polyval(r, c) * r ** (d - 1))
+        total += evaluate_table(d, max_degree, r) @ (w * npoly.polyval(r, c) * r ** (d - 1))
     return total
 
 
@@ -318,9 +316,9 @@ def test_one_piece_projection_runs_only_its_own_degrees(monkeypatch):
     runs = []  # the number of basis degrees each projection's recurrence runs
     real = jacobi.evaluate_blocks
 
-    def counted(family, r):
+    def counted(d, max_degree, r):
         runs.append(0)
-        for start, block in real(family, r):
+        for start, block in real(d, max_degree, r):
             runs[-1] += len(block)
             yield start, block
 
@@ -380,8 +378,8 @@ def test_project_stops_at_the_block_that_overflows(monkeypatch):
     starts = []  # the first degree of each block the recurrence hands out
     real = jacobi.evaluate_blocks
 
-    def counted(family, r):
-        for start, block in real(family, r):
+    def counted(d, max_degree, r):
+        for start, block in real(d, max_degree, r):
             starts.append(start)
             yield start, block
 
