@@ -19,12 +19,17 @@ with ``repr``, i.e. shortest round-trip form; the JSON metadata carries a
 timestamp, which is the only field that varies between identical runs.  Each
 subcommand returns its metadata, records (as columns), summary and verdict;
 ``main`` alone writes them and maps the verdict to the exit code.  ``_emit``
-formats each record column once and writes metadata and summary with the
-standard library's JSON encoder, NumPy values taken as they are: the JSON is
-byte for byte ``json.dumps(doc, indent=2)``, the CSV as written cell by cell
-and each ``# key = value`` value ``json.dumps(value)``.  ``main`` builds its
-argument parser once per process, and ``verify`` reads its row layout from
-the per-(d, L) sphere plan its report carries.
+chooses each record column's cell type once, formats metadata and summary
+with the standard library's JSON encoder (NumPy values taken as they are)
+before the first write, and then formats and writes the records 4,096 at a
+time, so the whole text is never held: the JSON is byte for byte
+``json.dumps(doc, indent=2)``, the CSV as written cell by cell and each
+``# key = value`` value ``json.dumps(value)``.  ``--out`` is rewritten in
+place: opened without truncating, then cut after the new bytes if it was
+longer, so it ends with the same bytes as a fresh file (not atomically: a
+reader may see a mix of the old and the new text while it is written).
+``main`` builds its argument parser once per process, and ``verify`` reads
+its row layout from the per-(d, L) sphere plan its report carries.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import csv
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -197,28 +204,39 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
 # json.dumps's spelling of the floats that float.__repr__ writes as nan/inf
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# records formatted and written at a time: the text of at most this many is
+# held at once, whatever the record count
+_CHUNK_RECORDS = 4096
 
-def _cells(values, json_out: bool) -> list[str]:
-    """Every cell of one column as text, formatted by the type of its first
-    value: floats by ``float.__repr__`` (what json.dumps writes, and the
-    shortest round-trip form), bools as true/false, strings quoted in JSON
-    by the encoder json.dumps itself uses for a str (so the same bytes) and
-    as they are in CSV."""
-    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not items:
-        return []
-    first = items[0]
+
+def _items(values, start: int, stop: int) -> list:
+    """values[start:stop] of one column as plain Python values."""
+    part = values[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+
+
+def _float_cells(items: list, json_out: bool):
+    cells = map(float.__repr__, items)
+    if json_out and not all(map(math.isfinite, items)):
+        return [_JSON_CONSTANTS.get(c, c) for c in cells]
+    return cells
+
+
+def _cell_writer(first, json_out: bool):
+    """The function that turns a run of one column's values into cells of
+    text, chosen once per column by the type of its first value: floats by
+    ``float.__repr__`` (what json.dumps writes, and the shortest round-trip
+    form), bools as true/false, strings quoted in JSON by the encoder
+    json.dumps itself uses for a str (so the same bytes) and as they are in
+    CSV."""
     if isinstance(first, bool):
-        return ["true" if v else "false" for v in items]
+        return lambda items: ["true" if v else "false" for v in items]
     if isinstance(first, float):
-        cells = list(map(float.__repr__, items))
-        if json_out and not all(map(math.isfinite, items)):
-            cells = [_JSON_CONSTANTS.get(c, c) for c in cells]
-        return cells
+        return functools.partial(_float_cells, json_out=json_out)
     if isinstance(first, int):
-        return list(map(int.__repr__, items))
+        return lambda items: map(int.__repr__, items)
     if isinstance(first, str):
-        return list(map(encode_basestring_ascii, items)) if json_out else items
+        return (lambda items: map(encode_basestring_ascii, items)) if json_out else list
     raise TypeError(f"cannot serialise a column of {type(first).__name__}")
 
 
@@ -240,40 +258,64 @@ def _emit(args, meta: dict, columns: dict, summary: dict) -> None:
     1-d array or list with one value per record.
 
     The bytes equal those of ``json.dumps(doc, indent=2)`` (JSON) or of the
-    record-by-record CSV writer, but each column is formatted once and the
-    JSON records come from one per-record template: with an indent, json.dumps
-    runs its pure-Python encoder, which would walk every value.  Meta and
-    summary, which are small, go through the standard encoder (indented one
-    level deep in JSON, compact on the CSV ``# key = value`` lines) and may
-    hold NumPy scalars and arrays as they are.
+    record-by-record CSV writer, but each column's cell type is chosen once
+    and the JSON records come from one per-record template: with an indent,
+    json.dumps runs its pure-Python encoder, which would walk every value.
+    Meta and summary, which are small, go through the standard encoder
+    (indented one level deep in JSON, compact on the CSV ``# key = value``
+    lines) and may hold NumPy scalars and arrays as they are.  They are
+    formatted before the first write; the records are then formatted and
+    written ``_CHUNK_RECORDS`` at a time, so the whole text is never held.
     """
     json_out = args.format == "json"
     keys = list(columns)
-    rows = list(zip(*(_cells(columns[k], json_out) for k in keys), strict=True))
+    count = len(columns[keys[0]]) if keys else 0
+    if any(len(columns[k]) != count for k in keys):
+        raise ValueError("every record column must hold one value per record")
+    cells = [_cell_writer(_items(columns[k], 0, 1)[0], json_out) for k in keys] if count else []
     if json_out:
         meta = {**meta, "timestamp": datetime.now(timezone.utc).isoformat()}
-        records = "[]"
-        if rows:
-            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
-            template = "    {\n" + fields + "\n    }"
-            records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
         meta, summary = (_indented(x).replace("\n", "\n  ") for x in (meta, summary))
-        text = f'{{\n  "meta": {meta},\n  "records": {records},\n  "summary": {summary}\n}}\n'
+        fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+        record, sep = ("    {\n" + fields + "\n    }").__mod__, ",\n"
+        head = f'{{\n  "meta": {meta},\n  "records": ' + ("[\n" if count else "[]")
+        tail = ("\n  ]" if count else "") + f',\n  "summary": {summary}\n}}\n'
     else:
-        lines = []
-        if rows:
-            lines.append(",".join(keys))
-            lines.extend(map(",".join, rows))
-        for key, value in {**summary, **{f"meta.{k}": v for k, v in meta.items()}}.items():
-            lines.append(f"# {key} = {_compact(value)}")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+        record, sep = ",".join, "\n"
+        head = ",".join(keys) + "\n" if count else ""
+        trailer = {**summary, **{f"meta.{k}": v for k, v in meta.items()}}
+        trailer = "".join(f"# {key} = {_compact(value)}\n" for key, value in trailer.items())
+        tail = "\n" + trailer if count else (trailer or "\n")
+
+    def texts():
+        yield head
+        for start in range(0, count, _CHUNK_RECORDS):
+            stop = start + _CHUNK_RECORDS
+            rows = zip(*(cell(_items(columns[k], start, stop)) for cell, k in zip(cells, keys)))
+            yield (sep if start else "") + sep.join(map(record, rows))
+        yield tail
+
+    _write(args.out, texts())
+
+
+def _write(out: str | None, texts) -> None:
+    """Write the strings of ``texts`` in turn to stdout, or to the file
+    ``out`` from its first byte.  ``out`` is opened without O_TRUNC (on
+    ext4, truncating a file whose last contents are not yet on disk makes
+    its close start a flush, which the next truncate waits for) and a
+    regular file is cut after the new bytes only when it was longer; other
+    targets (/dev/null, a FIFO, /dev/stdout) are written as they are."""
+    if not out:
+        sys.stdout.writelines(texts)
+        return
+    try:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+            before = os.fstat(fh.fileno())
+            fh.writelines(texts)
+            if stat.S_ISREG(before.st_mode) and before.st_size > fh.tell():
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +490,7 @@ def _cmd_invert(args):
 # eigvals and truncate print is never finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 1.5 s and 92 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
+# 1.5 s and 78 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
 # --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
 # spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
 # 1,000 pieces: the oracle's cost is linear in the piece count); invert
@@ -470,9 +512,9 @@ MAX_INVERT_L = 1_500
 # verify's radial moments 1.  The projection also holds about 0.6 KB per node.
 # A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
 # 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
-# series weights at L = 30,000, 1.5 s and 92 MB) or MAX_PROJECTION_NODES
+# series weights at L = 30,000, 1.5 s and 78 MB) or MAX_PROJECTION_NODES
 # (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
-# are built.  The largest accepted runs then measured 1.7 s and 100 MB
+# are built.  The largest accepted runs then measured 1.7 s and 80 MB
 # (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert
 # --L 1500 --K 2999, 150 pieces of degree 32), 1.9 s (truncate --L 30000 --N
 # 30000, 245 constant pieces), 1.1 s (verify --L 90, 5,306 constant pieces)

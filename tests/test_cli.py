@@ -2,7 +2,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -145,6 +147,65 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     rows, _ = parse_csv(target.read_text())
     assert len(rows) == 3
+
+
+class _FixedClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, 678901, tzinfo=tz)
+
+
+_SMALL_RUN = ("eigvals", "--dim", "2", "--preset", "annulus:0.3,0.8,1", "--L", "40")
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    target, opened, real_open = tmp_path / "out", [], os.open
+
+    def recording(path, flags, *rest, **kwargs):
+        opened.append((path, flags))
+        return real_open(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    for fmt in ("csv", "json"):
+        for _ in range(2):  # a new file, then a re-run into it
+            assert run_cli(capsys, *_SMALL_RUN, "--format", fmt, "--out", str(target))[0] == 0
+    flags = [f for path, f in opened if path == str(target)]
+    assert len(flags) == 4 and not any(f & os.O_TRUNC for f in flags)
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "empty", "missing"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_is_rewritten_to_exactly_the_new_bytes(tmp_path, capsys, monkeypatch, fmt, before):
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    code, expected, _ = run_cli(capsys, *_SMALL_RUN, "--format", fmt)
+    assert code == 0
+    expected = expected.encode()
+    target = tmp_path / "out"
+    old = {"longer": b"#" * 3 * len(expected), "shorter": expected[: len(expected) // 3][::-1],
+           "empty": b""}.get(before)
+    if old is not None:
+        target.write_bytes(old)
+    assert run_cli(capsys, *_SMALL_RUN, "--format", fmt, "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == expected
+
+
+def test_out_to_dev_null(capsys):
+    assert run_cli(capsys, *_SMALL_RUN, "--out", os.devnull)[:2] == (0, "")
+
+
+def test_a_refused_run_leaves_its_out_untouched(tmp_path, capsys):
+    target = tmp_path / "out"
+    old = b"an earlier run's output\n" * 100
+    target.write_bytes(old)
+    refused = [
+        ("eigvals", "--dim", "2", "--preset", "constant:1e308", "--L", "5"),  # norm past the float range
+        ("eigvals", "--dim", "2", "--preset", "constant:1", "--L", "30001"),  # past the cap
+        ("truncate", "--dim", "2", "--preset", "constant:1", "--L", "5", "--N", "6"),
+    ]
+    for argv in refused:
+        for fmt in ("csv", "json"):
+            assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target))[:2] == (2, "")
+            assert target.read_bytes() == old
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +924,10 @@ def _reference_emit(fmt, meta, columns, summary, timestamp):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, cli._CHUNK_RECORDS])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_emit_matches_the_record_by_record_writer(capsys, fmt):
+def test_emit_matches_the_record_by_record_writer(capsys, monkeypatch, fmt, chunk):
+    monkeypatch.setattr(cli, "_CHUNK_RECORDS", chunk)
     profile = {"breakpoints": [0.0, 1.0], "pieces": [[1.5]]}
     meta = {"command": "t", "dimension": np.int64(3), "K": 5, "profile": profile, "pair": (1, 2.5)}
     summary = {
@@ -891,6 +954,7 @@ def test_emit_matches_the_record_by_record_writer(capsys, fmt):
         },
         {"only": [2.0]},
         {"k": np.arange(0), "x": []},  # no records
+        many_records(2 * chunk + 1),  # more records than one chunk
     ]
     for columns in cases:
         cli._emit(argparse.Namespace(format=fmt, out=None), meta, columns, summary)
@@ -898,6 +962,29 @@ def test_emit_matches_the_record_by_record_writer(capsys, fmt):
         stamp = json.loads(out)["meta"]["timestamp"] if fmt == "json" else None
         plain = {k: np.asarray(v).tolist() for k, v in columns.items()}
         assert out == _reference_emit(fmt, _python(meta), plain, _python(summary), stamp)
+
+
+def many_records(n):
+    """n records over several columns, a non-finite value only in the last one."""
+    x = np.arange(n) / 7.0
+    x[-1] = np.nan
+    return {"k": np.arange(n), "x": x, "pass": x < 2.0, "name": [f"r{i}%s" for i in range(n)]}
+
+
+def test_emit_writes_records_a_chunk_at_a_time(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_RECORDS", 5)
+    write, pieces = cli._write, []
+
+    def recording(out, texts):
+        pieces.append(list(texts))
+        write(out, pieces[-1])
+
+    monkeypatch.setattr(cli, "_write", recording)
+    for fmt in ("json", "csv"):
+        cli._emit(argparse.Namespace(format=fmt, out=None), {"command": "t"}, many_records(12), {"ok": True})
+        assert "".join(pieces[-1]) == capsys.readouterr().out
+        # the head, three chunks of at most 5 records (each name holds one "%s"), the tail
+        assert [text.count("%s") for text in pieces[-1]] == [0, 5, 5, 2, 0]
 
 
 def _python(value):
