@@ -32,12 +32,7 @@ from .operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
-from .oracle import (
-    ExplicitHarmonic,
-    cross_validate,
-    gradient_identity,
-    harmonics_up_to,
-)
+from .oracle import cross_validate
 from .profiles import (
     RadialProfile,
     moment_integral,
@@ -51,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryField",
-    "ExplicitHarmonic",
     "InversionResult",
     "JacobiExpansion",
     "QuadratureRule",
@@ -66,9 +60,7 @@ __all__ = [
     "evaluate_table",
     "forward_matrix",
     "gauss_legendre",
-    "gradient_identity",
     "harmonic_space_dim",
-    "harmonics_up_to",
     "invert",
     "moment_integral",
     "monomial_coefficients",

@@ -458,7 +458,10 @@ def _cmd_invert(args):
         args.L = 10 if args.L is None else args.L
         profile, d = _resolve_profile(args)
         spectrum = operator.spectrum_moment(profile, d, args.L)
-    k = min(5, 2 * spectrum.max_index - 1) if args.K is None else args.K
+    k_max = 2 * spectrum.max_index - 1
+    k = min(5, k_max) if args.K is None else args.K
+    if not 1 <= k <= k_max:
+        raise ConfigError(f"--K must lie in 1..{k_max} (2L - 1), got {k}")
     try:
         result = operator.invert(spectrum, k, rel_cutoff=args.tau, ridge=args.alpha)
     except ValueError as exc:

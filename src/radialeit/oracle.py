@@ -10,6 +10,12 @@ uses the eigenvalue formulas or the radial basis: the zonal harmonics come
 from the oracle's own Legendre recurrence (``_legendre_table``), so agreement
 is evidence, not tautology.
 
+A harmonic is its position in one degree-major order.  With k kinds per
+degree (cos and sin in d = 2, zonal in d = 3), position i has degree
+i // k + 1 and kind ``_KINDS[d][i % k]``: cos1, sin1, cos2, ... on the
+circle, zonal1, zonal2, ... on the sphere.  The sphere plan of (d, L) covers
+positions 0..kL - 1 and names them.
+
 For radial eta the integral of a pair splits into a radial moment and a
 sphere integral (see ``_form_factors``), so the whole matrix is
 
@@ -36,84 +42,41 @@ import numpy as np
 from .numerics import gauss_legendre
 from .profiles import RadialProfile, piece_rule_size
 
-__all__ = [
-    "CrossValidationReport",
-    "ExplicitHarmonic",
-    "GradientIdentityReport",
-    "UnsupportedDimensionError",
-    "cross_validate",
-    "gradient_identity",
-    "harmonics_up_to",
-]
+__all__ = ["CrossValidationReport", "UnsupportedDimensionError", "cross_validate"]
 
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
-_TOL_IDENTITY = 1e-13  # surface-gradient identity, on the scaled defect
 
 
 class UnsupportedDimensionError(ValueError):
     """A dimension without explicit harmonics: anything but the integers 2 and 3."""
 
 
-def _kinds(d: int) -> tuple[str, ...]:
-    """The kinds of explicit harmonic in dimension d, an integer 2 or 3."""
-    if not isinstance(d, (int, np.integer)) or d not in _KINDS:
-        raise UnsupportedDimensionError(f"explicit harmonics exist only for d in (2, 3), got {d}")
-    return _KINDS[d]
+def _degrees(d: int, positions: np.ndarray) -> np.ndarray:
+    """The degree of the harmonic at each position."""
+    return positions // len(_KINDS[d]) + 1
 
 
-@dataclass(frozen=True)
-class ExplicitHarmonic:
-    """One orthonormal spherical harmonic with a closed form.
+def _harmonic_rows(
+    d: int, positions: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and theta-derivative rows of the harmonics at ``positions`` at
+    the angles theta.
 
-    d = 2: cos(k theta)/sqrt(pi) or sin(k theta)/sqrt(pi) on the circle.
-    d = 3: sqrt((2k+1)/(4 pi)) P_k(cos theta), the zonal harmonic.
+    d = 2: cos(k theta)/sqrt(pi) at even positions, sin(k theta)/sqrt(pi) at
+    odd ones.  d = 3: sqrt((2k+1)/(4 pi)) P_k(cos theta), from one Legendre
+    recurrence up to the highest degree; row k of it does not depend on how
+    far the recurrence runs.
     """
-
-    d: int
-    degree: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _kinds(self.d):
-            raise ValueError(f"kind {self.kind!r} invalid for d={self.d}")
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}{self.degree}"
-
-    def _norm_const(self) -> float:
-        if self.d == 2:
-            return 1.0 / math.sqrt(math.pi)
-        return math.sqrt((2 * self.degree + 1) / (4.0 * math.pi))
-
-
-def _harmonic_rows(hs, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and theta-derivative rows of each harmonic (all of one dimension)
-    at the angles theta.
-
-    d = 3 runs one Legendre recurrence up to the highest degree; row k of it
-    does not depend on how far the recurrence runs, so every row equals the
-    one a single-harmonic table gives.
-    """
-    values = np.empty((len(hs), theta.size))
-    derivs = np.empty((len(hs), theta.size))
-    if hs[0].d == 3:
-        p, dp = _legendre_table(np.cos(theta), max(h.degree for h in hs))
-        minus_sin = -np.sin(theta)
-    for i, h in enumerate(hs):
-        k = h.degree
-        if h.d == 3:
-            base, dbase = p[k], dp[k] * minus_sin
-        elif h.kind == "cos":
-            base, dbase = np.cos(k * theta), -k * np.sin(k * theta)
-        else:
-            base, dbase = np.sin(k * theta), k * np.cos(k * theta)
-        c = h._norm_const()
-        values[i] = c * base
-        derivs[i] = c * dbase
-    return values, derivs
+    ell = _degrees(d, positions)
+    k = ell[:, None]
+    if d == 3:
+        p, dp = _legendre_table(np.cos(theta), int(ell.max()))
+        c = np.sqrt((2 * k + 1) / (4.0 * math.pi))
+        return c * p[ell], c * (dp[ell] * -np.sin(theta))
+    cos, sin = np.cos(k * theta), np.sin(k * theta)
+    odd = positions[:, None] % 2 == 1
+    c = 1.0 / math.sqrt(math.pi)
+    return c * np.where(odd, sin, cos), c * np.where(odd, k * cos, -k * sin)
 
 
 def _legendre_table(t: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,18 +96,6 @@ def _legendre_table(t: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
         p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
         dp[k + 1] = (2 * k + 1) * p[k] + dp[k - 1]
     return p, dp
-
-
-def harmonics_up_to(d: int, max_degree: int) -> list[ExplicitHarmonic]:
-    """All explicit harmonics with 1 <= degree <= max_degree, degree-major."""
-    kinds = _kinds(d)
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 1:
-        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
-    return [
-        ExplicitHarmonic(d=d, degree=ell, kind=kind)
-        for ell in range(1, max_degree + 1)
-        for kind in kinds
-    ]
 
 
 def _angular_rule(d: int, degree_sum: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,16 +122,15 @@ def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.triu(g) + np.triu(g, 1).T
 
 
-def _sphere_forms(hs) -> tuple[np.ndarray, ...]:
-    """Sphere integrals over all pairs of harmonics: grad_S f_i . grad_S f_j,
-    f_i f_j, then the same two of absolute values (the weights are positive).
+def _sphere_forms(d: int, positions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sphere integrals over all pairs of the harmonics at ``positions``:
+    grad_S f_i . grad_S f_j, f_i f_j, then the same two of absolute values
+    (the weights are positive).
 
     One angular rule, exact for the largest degree sum, serves every pair.
     """
-    if len({h.d for h in hs}) > 1:
-        raise ValueError(f"harmonics live in different dimensions: {sorted({h.d for h in hs})}")
-    theta, weights = _angular_rule(hs[0].d, 2 * max(h.degree for h in hs))
-    values, derivs = _harmonic_rows(hs, theta)
+    theta, weights = _angular_rule(d, 2 * int(_degrees(d, positions).max()))
+    values, derivs = _harmonic_rows(d, positions, theta)
     return tuple(_gram(rows, weights) for rows in (derivs, values, abs(derivs), abs(values)))
 
 
@@ -197,10 +147,10 @@ def _radial_moments(profile: RadialProfile, d: int, max_power: int) -> np.ndarra
     return moments
 
 
-def _form_factors(hs, forms) -> tuple[np.ndarray, np.ndarray]:
+def _form_factors(degrees: np.ndarray, forms) -> tuple[np.ndarray, np.ndarray]:
     """The moment index l_i + l_j - 2 and the angular factor
-    prod + grad / (l l^T) of every pair of harmonics, from their
-    ``_sphere_forms``.
+    prod + grad / (l l^T) of every pair of harmonics of the given degrees,
+    from their ``_sphere_forms``.
 
     The harmonic extension of a degree-ell harmonic f is r**ell f / ell (unit
     Neumann data), so the gradients' dot product at (r, theta) is
@@ -210,7 +160,6 @@ def _form_factors(hs, forms) -> tuple[np.ndarray, np.ndarray]:
     angular rule).  All rules are of sufficient order, so each entry is the
     integral up to roundoff.
     """
-    degrees = np.array([h.degree for h in hs])
     return degrees[:, None] + degrees - 2, forms[1] + forms[0] / np.outer(degrees, degrees)
 
 
@@ -233,42 +182,9 @@ def _identity_defect(d: int, degrees: np.ndarray, forms) -> tuple[np.ndarray, np
 
 
 @dataclass(frozen=True)
-class GradientIdentityReport:
-    """Surface-gradient identity for a pair of explicit harmonics:
-    integral of grad_S f1 . grad_S f2 over the sphere must equal
-    l1 (l1 + d - 2) times the integral of f1 f2."""
-
-    h1: ExplicitHarmonic
-    h2: ExplicitHarmonic
-    lhs: float
-    rhs: float
-    defect: float
-    scaled_defect: float  # the gated one: see _identity_defect
-    tol: ClassVar[float] = _TOL_IDENTITY
-
-    @property
-    def ok(self) -> bool:
-        return self.scaled_defect <= self.tol
-
-
-def gradient_identity(h1: ExplicitHarmonic, h2: ExplicitHarmonic) -> GradientIdentityReport:
-    """Quadrature check of the surface-gradient identity for one pair."""
-    forms = _sphere_forms((h1, h2))
-    defect, scaled = _identity_defect(h1.d, np.array([h1.degree, h2.degree]), forms)
-    return GradientIdentityReport(
-        h1=h1,
-        h2=h2,
-        lhs=float(forms[0][0, 1]),
-        rhs=float(forms[1][0, 1]),
-        defect=float(defect[0, 1]),
-        scaled_defect=float(scaled[0, 1]),
-    )
-
-
-@dataclass(frozen=True)
 class _SpherePlan:
-    """Everything ``cross_validate`` needs that does not depend on eta, for all
-    harmonics up to one degree in one dimension (arrays read-only).
+    """Everything ``cross_validate`` needs that does not depend on eta, for the
+    harmonics at positions 0..kL - 1 in one dimension (arrays read-only).
 
     It also holds ``verify``'s row layout (``rows`` to ``on_diag``), which
     only the CLI reads, through the report that carries the plan.  Deriving
@@ -277,7 +193,7 @@ class _SpherePlan:
     the crossval benchmark's median jobs_per_s fell from 851 to 774 (six
     alternating 10 s pairs, 2 vCPUs)."""
 
-    labels: tuple[str, ...]
+    labels: tuple[str, ...]  # kind and degree, "cos1", "sin1", ... or "zonal1", ...
     degrees: tuple[int, ...]
     reference_index: np.ndarray  # degree - 1 per harmonic
     moment_index: np.ndarray  # l_i + l_j - 2
@@ -301,15 +217,20 @@ class CrossValidationReport:
 
     The gate and its maxima are computed once, when the report is made:
     ``passes`` is |e_ii - ref_i| / max(1, |ref_i|) <= tol_diag on the diagonal
-    and |e_ij| <= tol_offdiag off it, ``ok`` is all of it and the scaled
-    identity defect within tol_identity.  Its arrays are read-only."""
+    and |e_ij| <= tol_offdiag * max(1, eta_norm) off it, ``ok`` is all of it
+    and the scaled identity defect within tol_identity.  The off-diagonal
+    entries are 0 in exact arithmetic and their rounding error grows with
+    the scale of eta, so their bound does too (at and below unit norm it is
+    tol_offdiag itself); ``max_offdiag`` stays absolute.  Its arrays are
+    read-only."""
 
     plan: _SpherePlan
     entries: np.ndarray  # brute-force values, symmetric
     reference: np.ndarray  # predicted eigenvalue per harmonic
+    eta_norm: float  # the reference spectrum's L2 norm of eta over the ball
     tol_offdiag: ClassVar[float] = 1e-9
     tol_diag: ClassVar[float] = 1e-8
-    tol_identity: ClassVar[float] = _TOL_IDENTITY
+    tol_identity: ClassVar[float] = 1e-13
     passes: np.ndarray = field(init=False, repr=False, compare=False)
     max_offdiag: float = field(init=False, compare=False)
     max_diag_scaled: float = field(init=False, compare=False)
@@ -320,7 +241,8 @@ class CrossValidationReport:
         errors = np.abs(self.entries)
         diag = np.abs(np.diag(self.entries) - self.reference)
         np.fill_diagonal(errors, diag / np.maximum(1.0, np.abs(self.reference)))
-        passes = errors <= np.where(on_diag, self.tol_diag, self.tol_offdiag)
+        tol_offdiag = self.tol_offdiag * max(1.0, self.eta_norm)
+        passes = errors <= np.where(on_diag, self.tol_diag, tol_offdiag)
         for arr in (self.entries, self.reference, passes):
             arr.flags.writeable = False
         put = functools.partial(object.__setattr__, self)
@@ -333,17 +255,17 @@ class CrossValidationReport:
 @functools.lru_cache(maxsize=32)
 def _sphere_plan(d: int, max_degree: int) -> _SpherePlan:
     """The sphere half of ``cross_validate`` at (d, max_degree), built once per
-    process for each of the 32 most recently used settings: from the same
-    ``_sphere_forms`` as ``gradient_identity``.  The largest plan verify
-    asks for (d = 2, max_degree = 90) holds about 1.1 MB, and the 32 largest
-    together about 23 MB."""
-    hs = harmonics_up_to(d, max_degree)
-    forms = _sphere_forms(hs)
-    degrees = np.array([h.degree for h in hs])
-    moment_index, angular = _form_factors(hs, forms)
+    process for each of the 32 most recently used settings.  The largest plan
+    verify asks for (d = 2, max_degree = 90) holds about 1.1 MB, and the 32
+    largest together about 23 MB."""
+    kinds = _KINDS[d]
+    positions = np.arange(len(kinds) * max_degree)
+    degrees = _degrees(d, positions)
+    forms = _sphere_forms(d, positions)
+    moment_index, angular = _form_factors(degrees, forms)
     defect, scaled = _identity_defect(d, degrees, forms)
-    rows, cols = np.triu_indices(len(hs))
-    labels = tuple(h.label for h in hs)
+    rows, cols = np.triu_indices(positions.size)
+    labels = tuple(f"{kind}{ell}" for ell in range(1, max_degree + 1) for kind in kinds)
     plan = _SpherePlan(
         labels=labels,
         degrees=tuple(degrees.tolist()),
@@ -370,20 +292,26 @@ def cross_validate(profile: RadialProfile, d: int, max_degree: int) -> CrossVali
     The sphere integrals of all pairs come from one angular rule, built once
     per (d, max_degree) (``_sphere_plan``, which the report carries), and the
     radial moments from one rule per piece; the plan's ``identity_defect``
-    and ``identity_scaled_defect`` are the largest ``gradient_identity``
+    and ``identity_scaled_defect`` are the largest surface-gradient identity
     defects over all ordered pairs, read from the same sphere integrals.  The
-    reference comes first, so a profile whose ball norm is past the float
-    range is refused before any entry is built.
+    setting is checked before the plan is looked up (2.0 would hit the plan
+    of 2), and the reference comes first, so a profile whose ball norm is
+    past the float range is refused before any entry is built.
 
     The import of the reference route is local: the brute-force side above
     must stay computable without it.
     """
     from .operator import spectrum_moment
 
+    if not isinstance(d, (int, np.integer)) or d not in _KINDS:
+        raise UnsupportedDimensionError(f"explicit harmonics exist only for d in (2, 3), got {d}")
+    if not isinstance(max_degree, (int, np.integer)) or max_degree < 1:
+        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
     plan = _sphere_plan(d, max_degree)
-    reference = spectrum_moment(profile, d, max_degree).eigenvalues[plan.reference_index]
+    spectrum = spectrum_moment(profile, d, max_degree)
     return CrossValidationReport(
         plan=plan,
         entries=_entries(profile, d, plan.moment_index, plan.angular),
-        reference=reference,
+        reference=spectrum.eigenvalues[plan.reference_index],
+        eta_norm=spectrum.eta_norm,
     )

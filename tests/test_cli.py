@@ -369,13 +369,41 @@ def test_verify_d2(capsys):
     assert len(rows) == n * (n + 1) // 2
 
 
-@pytest.mark.xfail(strict=True, reason="the off-diagonal gate is absolute in the units of eta")
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_verify_passes_a_scaled_profile(capsys, dim):
-    # the off-diagonal entries are 0 in exact arithmetic at every scale, but
-    # tol_offdiag = 1e-9 is absolute: c = 1e6 passes, c = 1e9 fails
+    # the off-diagonal entries are 0 in exact arithmetic at every scale, and
+    # their rounding error grows with eta: at c = 1e9 they reach 2.3e-8, past
+    # an absolute 1e-9, but within 1e-9 * max(1, ||eta||); meta still
+    # prints the unscaled tolerance
     argv = ("verify", "--dim", dim, "--preset", "annulus:0.3,0.8,1e9", "--L", "10")
-    assert run_cli(capsys, *argv)[0] == 0
+    code, out, _ = run_cli(capsys, *argv)
+    _, extras = parse_csv(out)
+    assert code == 0 and extras["ok"] is True and extras["meta.tol_offdiag"] == 1e-9
+
+
+def test_verify_passes_the_largest_constant_in_d2(capsys):
+    # constant:1e308 has a finite ball norm in d = 2 (1.8e308)
+    code, out, _ = run_cli(capsys, "verify", "--dim", "2", "--preset", "constant:1e308", "--L", "5")
+    assert code == 0 and parse_csv(out)[1]["ok"] is True
+
+
+@pytest.mark.parametrize("c", ["1", "1e9"])
+def test_verify_fails_an_offdiagonal_entry_past_the_scaled_gate(capsys, monkeypatch, c):
+    # an entry of 1e-6 * max(1, ||eta||) off the diagonal fails at any scale
+    norm = oracle.cross_validate(preset("annulus", [0.3, 0.8, float(c)]), 3, 4).eta_norm
+    entries_of = oracle._entries
+
+    def skewed(profile, d, index, angular):
+        entries = entries_of(profile, d, index, angular)
+        entries[0, 2] = entries[2, 0] = 1e-6 * max(1.0, norm)
+        return entries
+
+    monkeypatch.setattr(oracle, "_entries", skewed)
+    argv = ("verify", "--dim", "3", "--preset", f"annulus:0.3,0.8,{c}", "--L", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    rows, extras = parse_csv(out)
+    assert [(r["h1"], r["h2"]) for r in rows if r["pass"] == "false"] == [("zonal1", "zonal3")]
+    assert code == 1 and extras["ok"] is False
 
 
 def test_verify_gates_the_scaled_identity_defect(capsys, monkeypatch):
@@ -616,7 +644,23 @@ def test_invert_default_K_follows_the_spectrum_length(tmp_path, capsys):
     assert code == 0 and parse_csv(out)[1]["meta.K"] == 5
     # an explicit --K keeps its range check
     code, _, err = run_cli(capsys, *base, "--L", "2", "--K", "4")
-    assert code == 2 and "num_coeffs must lie in 1..3" in err
+    assert code == 2 and err == "error: --K must lie in 1..3 (2L - 1), got 4\n"
+
+
+@pytest.mark.parametrize("K", ["0", "6", "-1"])
+@pytest.mark.parametrize("source", ["spectrum", "preset"])
+def test_invert_names_K_when_it_refuses_it(tmp_path, capsys, source, K):
+    # three degrees allow 1..5 coefficients; K = 2L and K = 0 are refused by
+    # the CLI under their flag's name, before the forward matrix or its SVD
+    if source == "spectrum":
+        path = tmp_path / "three.csv"
+        path.write_text("1,-1.0\n2,-0.5\n3,-0.25\n")
+        argv = ("invert", "--dim", "2", "--spectrum", str(path), "--K", K)
+    else:
+        argv = ("invert", "--dim", "2", "--preset", "constant:1", "--L", "3", "--K", K)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: --K must lie in 1..5 (2L - 1), got {K}\n"
+    assert not operator._weight_blocks
 
 
 def test_invert_input_validation(tmp_path, capsys):

@@ -33,7 +33,7 @@ from radialeit.operator import (
     verify_decay_bound,
     verify_factorial_ratio_bound,
 )
-from radialeit.oracle import cross_validate, harmonics_up_to
+from radialeit.oracle import cross_validate
 from radialeit.profiles import (
     JacobiExpansion,
     moment_integral,
@@ -628,7 +628,6 @@ _BAD_INTEGERS = {
     "factorial_ratio-2.5": ("max_index", lambda: verify_factorial_ratio_bound(2, 2.5)),
     "cross_validate-2.5": ("max_degree", lambda: cross_validate(_P, 2, 2.5)),
     "spectrum_moment-2.0": ("max_index", lambda: spectrum_moment(_P, 2, 2.0)),
-    "harmonics_up_to-2.5": ("max_degree", lambda: harmonics_up_to(2, 2.5)),
     "gauss_legendre-2.0": ("point count", lambda: gauss_legendre(2.0)),
     "evaluate_table-1.0": ("max_degree", lambda: evaluate_table(2, 1.0, 0.5)),
     "evaluate_blocks-1.0": ("max_degree", lambda: evaluate_blocks(2, 1.0, 0.5)),
