@@ -14,10 +14,8 @@ from .jacobi import (
 )
 from .numerics import QuadratureRule, gauss_legendre
 from .operator import (
-    BoundaryField,
     InversionResult,
     Spectrum,
-    apply_operator,
     decay_constant,
     dual_route,
     eigenvalue_moment,
@@ -27,7 +25,6 @@ from .operator import (
     invert,
     spectrum_moment,
     spectrum_series,
-    truncate,
     truncation_error,
     verify_decay_bound,
     verify_factorial_ratio_bound,
@@ -45,13 +42,11 @@ from .profiles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryField",
     "InversionResult",
     "JacobiExpansion",
     "QuadratureRule",
     "RadialProfile",
     "Spectrum",
-    "apply_operator",
     "cross_validate",
     "decay_constant",
     "dual_route",
@@ -70,7 +65,6 @@ __all__ = [
     "project",
     "spectrum_moment",
     "spectrum_series",
-    "truncate",
     "truncation_error",
     "verify_decay_bound",
     "verify_factorial_ratio_bound",

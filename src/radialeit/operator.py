@@ -28,17 +28,18 @@ is summed only up to the expansion's last non-zero coefficient: the
 projection of a one-piece profile of degree m is exactly 0 past a_m, so its
 eigenvalues cost m + 1 terms per degree.
 
-On top of that sit the decay estimate per degree, finite-rank truncation and
-a regularized least-squares inversion from observed eigenvalues back to basis
-coefficients.  ``truncation_error`` bounds every cutoff N in one pass by the
-decay bound at the first dropped degree, ell = N + 1; a truncated operator is
-a ``Spectrum`` with 0 above the cutoff.
+On top of that sit the decay estimate per degree, the finite-rank truncation
+error and a regularized least-squares inversion from observed eigenvalues back
+to basis coefficients.  The operator is diagonal, so dropping the degrees
+above a cutoff N costs the largest |lambda_ell| past N in operator norm;
+``truncation_error`` reports it for every cutoff in one pass, next to the
+decay bound at the first dropped degree, ell = N + 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +55,12 @@ from .profiles import (
 )
 
 __all__ = [
-    "BoundaryField",
     "DecayBoundReport",
     "DualRouteReport",
     "FactorialRatioBoundReport",
     "InversionResult",
     "Spectrum",
     "TruncationErrorReport",
-    "apply_operator",
     "cut_estimate",
     "decay_constant",
     "dual_route",
@@ -72,7 +71,6 @@ __all__ = [
     "invert",
     "spectrum_moment",
     "spectrum_series",
-    "truncate",
     "truncation_error",
     "verify_decay_bound",
     "verify_factorial_ratio_bound",
@@ -121,9 +119,6 @@ class Spectrum:
     @property
     def max_index(self) -> int:
         return self.eigenvalues.size
-
-    def eigenvalue(self, ell: int) -> float:
-        return float(self.eigenvalues[_check_int(ell, "degree", 1, self.max_index) - 1])
 
 
 # Series weights.  The weight of a_k in lambda_ell is
@@ -338,12 +333,15 @@ def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
     """Degree-ell eigenvalue as a single weighted moment of the profile:
     -(2*ell + d - 2)/ell * integral_0^1 profile(r) r**(2*ell - 2) r**(d-1) dr.
-    ``ell`` may be an integer array of degrees; all moments come from one call."""
+    ``ell`` may be an integer array, list or tuple of degrees; all moments come
+    from one call."""
     d = _check_dimension(d)
     if np.ndim(ell) == 0:
         ell = _check_int(ell, "degree", 1)
-    elif np.asarray(ell).dtype.kind not in "iu" or np.any(ell < 1):
-        raise ValueError(f"degree must be integers >= 1, got {ell}")
+    else:
+        ell = np.asarray(ell)
+        if ell.dtype.kind not in "iu" or np.any(ell < 1):
+            raise ValueError(f"degree must be integers >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
 
 
@@ -547,63 +545,7 @@ def verify_factorial_ratio_bound(d: int, max_index: int) -> FactorialRatioBoundR
 
 
 # --------------------------------------------------------------------------
-# applying, truncating, inverting
-
-
-@dataclass(frozen=True)
-class BoundaryField:
-    """Boundary data by harmonic degree.
-
-    ``blocks[ell]`` holds the coefficients of the degree-ell harmonics in an
-    orthonormal basis of that eigenspace; each block must have exactly the
-    eigenspace dimension.  Degree 0 is excluded (the operator acts on
-    mean-free data).
-    """
-
-    d: int
-    blocks: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean: dict[int, np.ndarray] = {}
-        for ell, block in self.blocks.items():
-            ell = _check_int(ell, "field degree", 1)
-            arr = np.array(block, dtype=float)
-            want = harmonic_space_dim(ell, self.d)
-            if arr.ndim != 1 or arr.size != want:
-                raise ValueError(
-                    f"degree {ell} block must have length {want}, got shape {arr.shape}"
-                )
-            arr.flags.writeable = False
-            clean[ell] = arr
-        object.__setattr__(self, "blocks", clean)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.blocks, default=0)
-
-
-def apply_operator(spectrum: Spectrum, boundary: BoundaryField) -> BoundaryField:
-    """Diagonal action: scale every degree-ell block by lambda_ell."""
-    if boundary.d != spectrum.d:
-        raise ValueError(f"dimension mismatch: field d={boundary.d}, spectrum d={spectrum.d}")
-    if boundary.max_degree > spectrum.max_index:
-        raise ValueError(
-            f"field degree {boundary.max_degree} exceeds spectrum range {spectrum.max_index}"
-        )
-    return BoundaryField(
-        d=boundary.d,
-        blocks={ell: spectrum.eigenvalue(ell) * blk for ell, blk in boundary.blocks.items()},
-    )
-
-
-def truncate(spectrum: Spectrum, cutoff: int) -> Spectrum:
-    """The operator with all degrees above ``cutoff`` dropped: the same
-    spectrum with those eigenvalues set to 0, so ``apply_operator`` sends
-    their blocks to 0."""
-    cutoff = _check_int(cutoff, "cutoff", 0, spectrum.max_index)
-    vals = spectrum.eigenvalues.copy()
-    vals[cutoff:] = 0.0
-    return replace(spectrum, eigenvalues=vals)
+# truncation error, inversion
 
 
 @dataclass(frozen=True)

@@ -305,7 +305,8 @@ def cross_validate(profile: RadialProfile, d: int, max_degree: int) -> CrossVali
 
     if not isinstance(d, (int, np.integer)) or d not in _KINDS:
         raise UnsupportedDimensionError(f"explicit harmonics exist only for d in (2, 3), got {d}")
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 1:
+    integer = isinstance(max_degree, (int, np.integer)) and not isinstance(max_degree, bool)
+    if not integer or max_degree < 1:
         raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
     plan = _sphere_plan(d, max_degree)
     spectrum = spectrum_moment(profile, d, max_degree)

@@ -5,7 +5,6 @@ import weakref
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from radialeit import numerics, operator, oracle
 from radialeit.jacobi import (
@@ -16,9 +15,7 @@ from radialeit.jacobi import (
 )
 from radialeit.numerics import gauss_legendre
 from radialeit.operator import (
-    BoundaryField,
     Spectrum,
-    apply_operator,
     decay_constant,
     dual_route,
     eigenvalue_moment,
@@ -28,7 +25,6 @@ from radialeit.operator import (
     invert,
     spectrum_moment,
     spectrum_series,
-    truncate,
     truncation_error,
     verify_decay_bound,
     verify_factorial_ratio_bound,
@@ -109,9 +105,6 @@ def test_spectrum_sources_and_norms():
     assert mom.source == "moment"
     assert abs(mom.eta_norm - norm_ball_profile(prof, 3)) < 1e-14
     assert mom.max_index == 10
-    assert mom.eigenvalue(10) == mom.eigenvalues[9]
-    with pytest.raises(ValueError):
-        mom.eigenvalue(11)
     with pytest.raises(ValueError):
         mom.eigenvalues[0] = 0.0
 
@@ -562,7 +555,10 @@ def test_moment_spectrum_matches_per_degree_moments(corpus):
             ]
             assert spec.eigenvalues.tolist() == want
             assert [eigenvalue_moment(prof, d, ell) for ell in range(1, 41)] == want
-            assert eigenvalue_moment(prof, d, np.arange(1, 41)).tolist() == want
+            vals = eigenvalue_moment(prof, d, np.arange(1, 41))
+            assert vals.tolist() == want
+            for degrees in (list(range(1, 41)), tuple(range(1, 41))):
+                assert eigenvalue_moment(prof, d, degrees).tobytes() == vals.tobytes()
 
 
 def test_route_input_validation(monkeypatch):
@@ -623,7 +619,6 @@ _BAD_INTEGERS = {
     "dual_route-3.0": ("max_index", lambda: dual_route(_P, 2, 3.0)),
     "forward_matrix-2.5": ("num_coeffs", lambda: forward_matrix(2, 3, 2.5)),
     "invert-2.5": ("num_coeffs", lambda: invert(_S, 2.5)),
-    "truncate-1.5": ("cutoff", lambda: truncate(_S, 1.5)),
     "truncation_error-1.5": ("max_cutoff", lambda: truncation_error(_S, 1.5)),
     "factorial_ratio-2.5": ("max_index", lambda: verify_factorial_ratio_bound(2, 2.5)),
     "cross_validate-2.5": ("max_degree", lambda: cross_validate(_P, 2, 2.5)),
@@ -637,32 +632,40 @@ _BAD_INTEGERS = {
     "project-2.0": ("max_degree", lambda: project(_P, 2, 2.0)),
     "eigenvalue_moment-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, 2.5)),
     "eigenvalue_moment-array-2.5": ("degree", lambda: eigenvalue_moment(_P, 2, np.array([2.5]))),
+    "eigenvalue_moment-list-1.5": ("degree", lambda: eigenvalue_moment(_P, 2, [1.5])),
     "harmonic_space_dim-1.0": ("degree", lambda: harmonic_space_dim(1.0, 3)),
-    "eigenvalue-1.0": ("degree", lambda: _S.eigenvalue(1.0)),
-    "field-1.5": ("field degree", lambda: BoundaryField(d=2, blocks={1.5: [1.0, 0.0]})),
     # bools, which are ints to isinstance
     "eigenvalue_series-True": ("degree", lambda: eigenvalue_series(_E, True)),
-    "truncate-True": ("cutoff", lambda: truncate(_S, True)),
     "eigenvalue_moment-True": ("degree", lambda: eigenvalue_moment(_P, 2, True)),
     "eigenvalue_moment-array-True": ("degree", lambda: eigenvalue_moment(_P, 2, np.array([True]))),
+    "cross_validate-True": ("max_degree", lambda: cross_validate(_P, 2, True)),
     "gauss_legendre-True": ("point count", lambda: gauss_legendre(True)),
     "evaluate_table-True": ("max_degree", lambda: evaluate_table(2, True, 0.5)),
     "evaluate_blocks-True": ("max_degree", lambda: evaluate_blocks(2, True, 0.5)),
     "harmonic_space_dim-True": ("degree", lambda: harmonic_space_dim(True, 3)),
-    "eigenvalue-True": ("degree", lambda: _S.eigenvalue(True)),
-    "field-True": ("field degree", lambda: BoundaryField(d=2, blocks={True: [1.0, 0.0]})),
+    "spectrum_series-True": ("max_index", lambda: spectrum_series(_E, True)),
+    "dual_route-True": ("max_index", lambda: dual_route(_P, 2, True)),
+    "spectrum_moment-True": ("max_index", lambda: spectrum_moment(_P, 2, True)),
+    "forward_matrix-True": ("num_coeffs", lambda: forward_matrix(2, 3, True)),
+    "forward_matrix-index-True": ("max_index", lambda: forward_matrix(2, True, 1)),
+    "invert-True": ("num_coeffs", lambda: invert(_S, True)),
+    "truncation_error-True": ("max_cutoff", lambda: truncation_error(_S, True)),
+    "factorial_ratio-True": ("max_index", lambda: verify_factorial_ratio_bound(2, True)),
+    "monomial-True": ("monomial degree", lambda: monomial_coefficients(2, True)),
+    "project-True": ("max_degree", lambda: project(_P, 2, True)),
+    "evaluate_table-dTrue": ("dimension", lambda: evaluate_table(True, 3, 0.5)),
     # negative and out-of-range values
     "eigenvalue_series-0": ("degree", lambda: eigenvalue_series(_E, 0)),
     "spectrum_series--1": ("max_index", lambda: spectrum_series(_E, -1)),
     "dual_route-0": ("max_index", lambda: dual_route(_P, 2, 0)),
     "eigenvalue_moment-0": ("degree", lambda: eigenvalue_moment(_P, 2, 0)),
     "eigenvalue_moment-array-0": ("degree", lambda: eigenvalue_moment(_P, 2, np.arange(3))),
+    "eigenvalue_moment-list-0": ("degree", lambda: eigenvalue_moment(_P, 2, [0, 1])),
+    "eigenvalue_moment-tuple-0": ("degree", lambda: eigenvalue_moment(_P, 2, (1, 0))),
     "forward_matrix-6": ("num_coeffs", lambda: forward_matrix(2, 3, 6)),
     "forward_matrix-0": ("num_coeffs", lambda: forward_matrix(2, 3, 0)),
     "forward_matrix-index-0": ("max_index", lambda: forward_matrix(2, 0, 1)),
     "invert-8": ("num_coeffs", lambda: invert(_S, 8)),
-    "truncate--1": ("cutoff", lambda: truncate(_S, -1)),
-    "truncate-5": ("cutoff", lambda: truncate(_S, 5)),
     "truncation_error--1": ("max_cutoff", lambda: truncation_error(_S, -1)),
     "truncation_error-5": ("max_cutoff", lambda: truncation_error(_S, 5)),
     "factorial_ratio-0": ("max_index", lambda: verify_factorial_ratio_bound(2, 0)),
@@ -676,9 +679,6 @@ _BAD_INTEGERS = {
     "monomial--1": ("monomial degree", lambda: monomial_coefficients(2, -1)),
     "project--1": ("max_degree", lambda: project(_P, 2, -1)),
     "harmonic_space_dim--1": ("degree", lambda: harmonic_space_dim(-1, 3)),
-    "eigenvalue-0": ("degree", lambda: _S.eigenvalue(0)),
-    "eigenvalue-5": ("degree", lambda: _S.eigenvalue(5)),
-    "field-0": ("field degree", lambda: BoundaryField(d=2, blocks={0: [1.0]})),
 }
 
 
@@ -801,30 +801,7 @@ def test_factorial_ratio_bound_fails_inflated_ratios(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# applying and truncating
-
-
-def test_apply_scales_blocks_m_independently():
-    spec = spectrum_moment(preset("constant", [1.0]), 3, 6)
-    field = BoundaryField(d=3, blocks={1: np.array([1.0, 2.0, 3.0]), 4: np.ones(9)})
-    out = apply_operator(spec, field)
-    assert_allclose(out.blocks[1], -1.0 * np.array([1.0, 2.0, 3.0]), rtol=0, atol=0)
-    assert_allclose(out.blocks[4], -0.25 * np.ones(9), rtol=0, atol=1e-15)
-    assert sorted(out.blocks) == [1, 4]
-
-
-def test_field_validation():
-    with pytest.raises(ValueError):
-        BoundaryField(d=3, blocks={0: np.array([1.0])})  # mean-free data only
-    with pytest.raises(ValueError):
-        BoundaryField(d=3, blocks={2: np.ones(4)})  # wrong eigenspace dimension
-    spec = spectrum_moment(preset("constant", [1.0]), 3, 3)
-    field = BoundaryField(d=2, blocks={1: np.ones(2)})
-    with pytest.raises(ValueError):
-        apply_operator(spec, field)  # dimension mismatch
-    tall = BoundaryField(d=3, blocks={5: np.ones(11)})
-    with pytest.raises(ValueError):
-        apply_operator(spec, tall)  # degree beyond the spectrum
+# truncation error
 
 
 def test_truncation_error_constant_profile():
@@ -834,19 +811,6 @@ def test_truncation_error_constant_profile():
     assert rep.tail_norms[3] == 0.25
     assert rep.ok
     assert truncation_error(spec, 10).tail_norms[10] == 0.0
-    with pytest.raises(ValueError):
-        truncate(spec, 11)
-    with pytest.raises(ValueError):
-        truncate(spec, -1)
-
-
-def test_truncated_apply_zeroes_high_degrees():
-    spec = spectrum_moment(preset("constant", [1.0]), 2, 8)
-    field = BoundaryField(d=2, blocks={1: np.ones(2), 2: np.ones(2), 5: np.ones(2)})
-    out = apply_operator(truncate(spec, 2), field)
-    assert_allclose(out.blocks[1], -np.ones(2), rtol=0, atol=0)
-    assert np.all(out.blocks[5] == 0.0)
-    assert sorted(out.blocks) == [1, 2, 5]
 
 
 def test_tail_norm_is_non_increasing_in_cutoff():
@@ -878,17 +842,6 @@ def test_truncation_report_is_the_per_cutoff_formula(corpus, d, L):
         truncation_error(spec, L + 1)
     with pytest.raises(ValueError):
         truncation_error(spec, -1)
-
-
-def test_truncate_keeps_the_spectrum_but_zeroes_degrees_past_the_cutoff():
-    spec = spectrum_moment(preset("annulus", [0.3, 0.8, -1.5]), 3, 6)
-    cut = truncate(spec, 4)
-    assert isinstance(cut, Spectrum)
-    assert (cut.d, cut.source, cut.eta_norm) == (spec.d, spec.source, spec.eta_norm)
-    assert cut.eigenvalues[:4].tolist() == spec.eigenvalues[:4].tolist()
-    assert cut.eigenvalues[4:].tolist() == [0.0, 0.0]
-    assert truncate(spec, 6).eigenvalues.tolist() == spec.eigenvalues.tolist()
-    assert np.all(truncate(spec, 0).eigenvalues == 0.0)
 
 
 # ---------------------------------------------------------------------------
