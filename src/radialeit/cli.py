@@ -194,7 +194,7 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"spectrum values in {path} must be finite")
     # the generating profile (and hence its norm) is unknown for external data
-    return operator.Spectrum(d=d, eigenvalues=values, source="external", eta_norm=0.0)
+    return operator.Spectrum(d=d, eigenvalues=values, eta_norm=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _write(out: str | None, texts) -> None:
 def _cmd_eigvals(args):
     profile, d = _resolve_profile(args)
     report = operator.dual_route(profile, d, args.L, tol=args.tol_dual)
-    decay = operator.verify_decay_bound(report.moment)
+    decay = report.decay
     columns = {
         "ell": np.arange(1, args.L + 1),
         "lambda_series": report.series.eigenvalues,
@@ -453,11 +453,11 @@ def _cmd_invert(args):
             raise ConfigError("--L cannot be combined with --spectrum: the file sets L")
         if args.dim is None:
             raise ConfigError("--dim is required with --spectrum")
-        spectrum = _load_spectrum(args.spectrum, args.dim)
+        spectrum, source = _load_spectrum(args.spectrum, args.dim), "external"
     else:
         args.L = 10 if args.L is None else args.L
         profile, d = _resolve_profile(args)
-        spectrum = operator.spectrum_moment(profile, d, args.L)
+        spectrum, source = operator.spectrum_moment(profile, d, args.L), "moment"
     k_max = 2 * spectrum.max_index - 1
     k = min(5, k_max) if args.K is None else args.K
     if not 1 <= k <= k_max:
@@ -479,7 +479,7 @@ def _cmd_invert(args):
         "K": k,
         "tau": args.tau,
         "alpha": args.alpha,
-        "spectrum_source": spectrum.source,
+        "spectrum_source": source,
     }
     return meta, columns, summary, True
 

@@ -94,14 +94,12 @@ class Spectrum:
     """Eigenvalues for degrees 1..max_index of one operator.
 
     ``eigenvalues[i]`` belongs to degree i + 1.  ``eta_norm`` is the ball
-    L2 norm of the generating perturbation (kept with the eigenvalues so the
-    decay bound can be checked without re-deriving it); ``source`` records
-    which route produced the values.
+    L2 norm of the generating perturbation, kept with the eigenvalues so the
+    decay bound can be checked without re-deriving it.
     """
 
     d: int
     eigenvalues: np.ndarray
-    source: str
     eta_norm: float
 
     def __post_init__(self) -> None:
@@ -303,31 +301,26 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
 
 
-def _series_spectrum(expansion: JacobiExpansion, max_index: int) -> tuple[Spectrum, np.ndarray]:
-    # the spectrum of degrees 1..max_index and its tail bounds, read from the
-    # last block down; the first row read is the longest
+def _series_sums(expansion: JacobiExpansion, max_index: int) -> tuple[np.ndarray, np.ndarray]:
+    # the eigenvalues of degrees 1..max_index and their tail bounds, read
+    # from the last block down
     sums, tails = [], []
     for block, count in _weight_band(expansion.d, max_index):
-        if not sums:
-            truncated = _row_length(block, count) > expansion.coeffs.size
         sums.append(_row_sums(block, count, expansion.coeffs))
         tails.append(block.tails[:count])
-    spectrum = Spectrum(
-        d=expansion.d,
-        eigenvalues=np.concatenate(sums[::-1]),
-        source="series-truncated" if truncated else "series",
-        eta_norm=norm_ball(expansion),
-    )
-    return spectrum, np.concatenate(tails[::-1])
+    return np.concatenate(sums[::-1]), np.concatenate(tails[::-1])
 
 
 def spectrum_series(expansion: JacobiExpansion, max_index: int) -> Spectrum:
-    """Eigenvalues for degrees 1..max_index from the coefficient series.
+    """Eigenvalues for degrees 1..max_index from the coefficient series, with
+    the ball norm the coefficients imply (Parseval).
 
-    Degree ell reads a_k for k <= k*(ell); the source is "series-truncated"
-    when the expansion stops short of that for some degree.
+    Degree ell reads a_k for k <= k*(ell); an expansion that stops short of
+    that gives the eigenvalues of the truncated profile.
     """
-    return _series_spectrum(expansion, _check_int(max_index, "max_index", 1, _MAX_DEGREE))[0]
+    max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
+    values = _series_sums(expansion, max_index)[0]
+    return Spectrum(d=expansion.d, eigenvalues=values, eta_norm=norm_ball(expansion))
 
 
 def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray:
@@ -355,7 +348,7 @@ def spectrum_moment(profile: RadialProfile, d: int, max_index: int) -> Spectrum:
         vals = eigenvalue_moment(profile, d, np.arange(1, max_index + 1))
     if not np.all(np.isfinite(vals)):
         raise FloatRangeError(f"a moment eigenvalue of the profile in d = {d} is not finite")
-    return Spectrum(d=d, eigenvalues=vals, source="moment", eta_norm=eta_norm)
+    return Spectrum(d=d, eigenvalues=vals, eta_norm=eta_norm)
 
 
 @dataclass(frozen=True)
@@ -373,6 +366,7 @@ class DualRouteReport:
     tol: float
     tail_bounds: np.ndarray
     coeff_degree: int  # the expansion degree the series route projected to
+    decay: DecayBoundReport  # verify_decay_bound(moment), checked before the series
 
     def __post_init__(self) -> None:
         self.scaled_diffs.flags.writeable = False
@@ -395,14 +389,17 @@ def dual_route(
 ) -> DualRouteReport:
     """Compute the spectrum both ways and compare degree by degree.
 
-    The moment spectrum comes first, so a ball norm past the float range is
-    refused before any projection.  The series route projects to the largest
-    cut k*(ell) of the degrees (<= 2*max_index - 2), so each reads its row in full.
+    The moment spectrum and its decay check come first, so a ball norm or a
+    decay bound past the float range is refused before any series weight or
+    projection.  Both spectra carry the profile's ball norm.  The series route
+    projects to the largest cut k*(ell) of the degrees (<= 2*max_index - 2).
     """
     max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
     moment = spectrum_moment(profile, d, max_index)
+    decay = verify_decay_bound(moment)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
-    series, tails = _series_spectrum(project(profile, d, top), max_index)
+    values, tails = _series_sums(project(profile, d, top), max_index)
+    series = Spectrum(d=d, eigenvalues=values, eta_norm=moment.eta_norm)
     diffs = np.abs(series.eigenvalues - moment.eigenvalues) / np.maximum(
         1.0, np.abs(moment.eigenvalues)
     )
@@ -415,6 +412,7 @@ def dual_route(
         tol=tol,
         tail_bounds=tails * scale,
         coeff_degree=top,
+        decay=decay,
     )
 
 

@@ -205,7 +205,7 @@ def test_criterion_10_inversion_round_trip():
             res = invert(spec, 5)
             worst = max(worst, float(np.abs(res.expansion.coeffs - a).max()))
             assert res.effective_rank == 5
-    zero = Spectrum(d=2, eigenvalues=np.zeros(10), source="external", eta_norm=0.0)
+    zero = Spectrum(d=2, eigenvalues=np.zeros(10), eta_norm=0.0)
     zero_exact = bool(np.all(invert(zero, 5).expansion.coeffs == 0.0))
     ok = worst <= 1e-8 and zero_exact
     _report(

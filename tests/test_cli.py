@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import warnings
 from datetime import datetime
@@ -508,6 +509,51 @@ def test_only_eigvals_and_truncate_refuse_a_decay_bound_past_the_float_range(cap
     assert len(coeffs) == 5 and all(map(np.isfinite, coeffs)) and coeffs[0] != 0.0
 
 
+def test_eigvals_refuses_a_decay_bound_past_the_float_range_before_any_series_work(
+    capsys, monkeypatch
+):
+    # dual_route checks the moment spectrum's decay bound right after the
+    # moments, so at L = 30,000 no series weight is built and nothing projected
+    def forbidden(*args):
+        raise AssertionError("the series route ran before the decay bound was checked")
+
+    monkeypatch.setattr(operator, "project", forbidden)
+    monkeypatch.setattr(operator, "_weight_block", forbidden)
+    code, out, err = run_cli(
+        capsys, "eigvals", "--dim", "520", "--preset", "constant:1e200", "--L", "30000"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: the decay bound C_d ||eta|| = ")
+    assert err.endswith(" is not finite in d = 520\n")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: ||eta|| (about 2.2e-494) underflows to 0 in d = 520, "
+    "although C_d ||eta|| (about 3.8e-186) is a float",
+)
+def test_eigvals_passes_the_decay_bound_of_a_tiny_profile_in_the_largest_dimension(capsys):
+    code, out, _ = run_cli(
+        capsys, "eigvals", "--dim", "520", "--preset", "constant:1e-300", "--L", "5"
+    )
+    assert code == 0 and parse_csv(out)[1]["decay_ok"] is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 21: the ball norm of a piece whose monomial coefficients "
+    "cancel, (0.85 - r)**21, comes out 0.0",
+)
+def test_eigvals_ball_norm_of_a_cancelling_monomial_piece(tmp_path, capsys, exact):
+    coeffs = [math.comb(21, j) * 0.85 ** (21 - j) * (-1) ** j for j in range(22)]
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps({"dimension": 2, "breakpoints": [0.0, 1.0], "pieces": [coeffs]}))
+    want = exact.ball_norm(exact.ExactProfile([0.0, 1.0], [coeffs]), 2)
+    code, out, _ = run_cli(capsys, "eigvals", "--profile", str(path), "--L", "20")
+    assert code == 0
+    assert abs(parse_csv(out)[1]["eta_norm"] - want) <= 1e-13 * want
+
+
 def test_moment_eigenvalues_past_the_float_range_are_refused(capsys, tmp_path):
     # polynomial:1e308,1e308 has a float norm (3e307) in d = 20, but
     # lambda_1 = -20 * (1e308/20 + 1e308/21) is not a float: the moment
@@ -592,6 +638,24 @@ def test_invert_from_spectrum_file(tmp_path, capsys):
     assert code == 0
     rows, _ = parse_csv(out)
     assert abs(float(rows[0]["coefficient"]) - 2.0**-0.5) < 1e-12
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_invert_meta_names_the_spectrum_source(tmp_path, capsys, fmt):
+    path = tmp_path / "lam.csv"
+    path.write_text("".join(f"{ell},{-1.0 / ell!r}\n" for ell in range(1, 11)))
+    inputs = {
+        "external": ("--spectrum", str(path)),
+        "moment": ("--preset", "constant:1", "--L", "10"),
+    }
+    for want, flags in inputs.items():
+        code, out, _ = run_cli(capsys, "invert", "--dim", "2", *flags, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            got = _strict_json(out)["meta"]["spectrum_source"]
+        else:
+            got = parse_csv(out)[1]["meta.spectrum_source"]
+        assert got == want
 
 
 def test_spectrum_header_after_comments(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -33,6 +34,7 @@ from radialeit.oracle import cross_validate
 from radialeit.profiles import (
     JacobiExpansion,
     moment_integral,
+    norm_ball,
     norm_ball_profile,
     preset,
     project,
@@ -95,14 +97,15 @@ def test_series_is_linear_in_the_coefficients():
             assert abs(eigenvalue_series(both, ell) - mix) <= 1e-12
 
 
-def test_spectrum_sources_and_norms():
+def test_spectrum_fields_and_norms():
+    assert [f.name for f in dataclasses.fields(Spectrum)] == ["d", "eigenvalues", "eta_norm"]
     prof = preset("annulus", [0.3, 0.8, -1.5])
-    full = spectrum_series(project(prof, 3, 18), 10)
-    cut = spectrum_series(project(prof, 3, 5), 10)
-    assert full.source == "series"
-    assert cut.source == "series-truncated"
+    # a series spectrum carries the norm its coefficients imply (Parseval),
+    # whether or not the expansion reaches every row's cut
+    for degree in (18, 5):
+        expansion = project(prof, 3, degree)
+        assert spectrum_series(expansion, 10).eta_norm == norm_ball(expansion)
     mom = spectrum_moment(prof, 3, 10)
-    assert mom.source == "moment"
     assert abs(mom.eta_norm - norm_ball_profile(prof, 3)) < 1e-14
     assert mom.max_index == 10
     with pytest.raises(ValueError):
@@ -113,7 +116,10 @@ def test_dual_route_report(starved_projection):
     prof = preset("polynomial", [0.2, -1.0, 0.0, 0.5])
     rep = dual_route(prof, 3, 12)  # degree 3: nothing past a_3 to zero
     assert rep.ok and rep.max_scaled_diff <= 1e-10
-    assert rep.series.source == "series"
+    # one norm, the profile's, for both routes; the decay check is the moment's
+    assert rep.series.eta_norm == rep.moment.eta_norm == norm_ball_profile(prof, 3)
+    assert rep.decay.bounds.tobytes() == verify_decay_bound(rep.moment).bounds.tobytes()
+    assert rep.decay.values.tobytes() == np.abs(rep.moment.eigenvalues).tobytes()
     # starving the series route of coefficients must show up, not be hidden
     rough = preset("annulus", [0.5, 1.0, 1.0])
     starved = dual_route(rough, 2, 12)
@@ -281,7 +287,6 @@ def test_dual_route_projects_to_the_cut():
     rep = dual_route(prof, 3, 400)
     kstar = _band_rows(3, 400)[-1][0].size - 1
     assert rep.coeff_degree == kstar < 2 * 400 - 2
-    assert rep.series.source == "series"
     assert rep.ok and rep.max_scaled_diff <= 1e-14
     # rows short enough to be whole carry no tail bound; cut rows carry one
     whole = [w.size == 2 * ell - 1 for ell, (w, _) in enumerate(_band_rows(3, 400), 1)]
@@ -500,7 +505,6 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.source == "series"
     assert peak < 64e6
     assert 0 < _held() <= operator._BAND_CAP  # over the cap: the oldest blocks go
 
@@ -581,13 +585,11 @@ def test_route_input_validation(monkeypatch):
         lambda: forward_matrix(1, 3, 2),
         lambda: eigenvalue_series(JacobiExpansion(0, coeffs), 3),
         lambda: spectrum_series(JacobiExpansion(0, coeffs), 3),
-        lambda: invert(
-            Spectrum(d=1, eigenvalues=np.array([-1.0, -0.5]), source="external", eta_norm=0.0), 1
-        ),
+        lambda: invert(Spectrum(d=1, eigenvalues=np.array([-1.0, -0.5]), eta_norm=0.0), 1),
         lambda: dual_route(preset("constant", [1.0]), 2.5, 3),
         lambda: eigenvalue_moment(preset("constant", [1.0]), 1, 3),
         lambda: JacobiExpansion(1, [1.0]),
-        lambda: Spectrum(1, [1.0], "x", 1.0),
+        lambda: Spectrum(1, [1.0], 1.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="dimension"):
@@ -606,12 +608,12 @@ def test_route_input_validation(monkeypatch):
 )
 def test_spectrum_refuses_bad_values(values, eta_norm, message):
     with pytest.raises(ValueError, match=message):
-        Spectrum(d=2, eigenvalues=values, source="external", eta_norm=eta_norm)
+        Spectrum(d=2, eigenvalues=values, eta_norm=eta_norm)
 
 
 _E = JacobiExpansion(2, np.ones(5))
 _P = preset("annulus", [0.3, 0.8, 1.0])
-_S = Spectrum(d=2, eigenvalues=[-1.0, -0.5, -0.25, -0.2], source="external", eta_norm=0.0)
+_S = Spectrum(d=2, eigenvalues=[-1.0, -0.5, -0.25, -0.2], eta_norm=0.0)
 _BAD_INTEGERS = {
     # fractional values
     "eigenvalue_series-2.5": ("degree", lambda: eigenvalue_series(_E, 2.5)),
@@ -726,7 +728,7 @@ def test_decay_bound_constant_profile():
 
 
 def test_decay_bound_flags_fabricated_violations():
-    bogus = Spectrum(d=2, eigenvalues=np.array([10.0, 0.1]), source="external", eta_norm=1.0)
+    bogus = Spectrum(d=2, eigenvalues=np.array([10.0, 0.1]), eta_norm=1.0)
     rep = verify_decay_bound(bogus)
     assert not rep.ok and rep.violations == (1,)
 
@@ -735,17 +737,17 @@ def test_decay_bound_flags_fabricated_violations():
 def test_decay_gates_refuse_an_infinite_decay_constant(values, eta_norm):
     # C_d is inf from d = 521: its bounds, inf or (for eta = 0) nan, could not fail
     gates = (verify_decay_bound, lambda s: truncation_error(s, 5))
-    spec = Spectrum(d=521, eigenvalues=values, source="external", eta_norm=eta_norm)
+    spec = Spectrum(d=521, eigenvalues=values, eta_norm=eta_norm)
     for gate in gates:
         with pytest.raises(FloatRangeError, match=r"^the decay bound .* = inf \* .* in d = 521$"):
             gate(spec)
     # at d = 520 the bounds are finite, and the norm-0 spectrum fails both gates
-    spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=eta_norm)
+    spec = Spectrum(d=520, eigenvalues=values, eta_norm=eta_norm)
     decay, trunc = verify_decay_bound(spec), truncation_error(spec, 5)
     assert np.all(np.isfinite(decay.bounds)) and np.all(np.isfinite(trunc.apriori_bounds))
     assert decay.ok == trunc.ok == (eta_norm == 1.0)
     # a finite C_d times a norm past the float range is refused too
-    spec = Spectrum(d=520, eigenvalues=values, source="external", eta_norm=1e10)
+    spec = Spectrum(d=520, eigenvalues=values, eta_norm=1e10)
     for gate in gates:
         with pytest.raises(FloatRangeError, match=r"^the decay bound .* is not finite in d = 520$"):
             gate(spec)
@@ -768,9 +770,13 @@ def test_library_refuses_values_past_the_float_range_where_it_computes_them():
     # a float norm (3e307 in d = 20) with a moment eigenvalue past the range
     with pytest.raises(FloatRangeError, match="^a moment eigenvalue of the profile in d = 20 "):
         spectrum_moment(preset("polynomial", [1e308, 1e308]), 20, 5)
+    # a float norm (2.2e6 in d = 520) whose decay bound C_d ||eta|| is past it:
+    # dual_route's own decay check refuses it
+    with pytest.raises(FloatRangeError, match=r"^the decay bound C_d \|\|eta\|\| = "):
+        dual_route(preset("constant", [1e200]), 520, 5)
     # finite eigenvalues whose least-squares coefficients overflow
     ells = np.arange(1, 13)
-    spec = Spectrum(d=20, eigenvalues=-1.7e308 / ells, source="external", eta_norm=1.0)
+    spec = Spectrum(d=20, eigenvalues=-1.7e308 / ells, eta_norm=1.0)
     with pytest.raises(FloatRangeError, match="^the recovered coefficients or their residual "):
         invert(spec, 6)
 
@@ -879,7 +885,7 @@ def test_first_singular_value_pinned_d2():
 
 
 def test_zero_spectrum_gives_zero_coefficients():
-    zero = Spectrum(d=2, eigenvalues=np.zeros(10), source="external", eta_norm=0.0)
+    zero = Spectrum(d=2, eigenvalues=np.zeros(10), eta_norm=0.0)
     res = invert(zero, 5)
     assert np.all(res.expansion.coeffs == 0.0)
     assert res.residual_norm == 0.0
