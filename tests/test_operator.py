@@ -476,11 +476,13 @@ def test_forward_matrix_is_the_stored_rows(d):
 
 @pytest.mark.parametrize("d", [2, 3, 520])
 @pytest.mark.parametrize("first", [1, 257, 2561])
-def test_width_doubling_builds_the_same_blocks(monkeypatch, d, first):
-    # an estimate below every cut sends _row_block through its doubling loop,
+def test_short_estimate_builds_the_same_blocks(monkeypatch, d, first):
+    # an estimate below every cut sends the last row alone to its full width,
     # which alone keeps rows from being cut at k = 0; the block must come out
-    # as with the estimate, bit for bit
-    want = operator._row_block(d, first, first + 255)
+    # as with the estimate, bit for bit, its rows built 32 at a time at the
+    # exact width
+    last = first + 255
+    want = operator._row_block(d, first, last)
     ratios, widths = operator._ratios, []
 
     def logged(d, n, width):
@@ -489,10 +491,51 @@ def test_width_doubling_builds_the_same_blocks(monkeypatch, d, first):
 
     monkeypatch.setattr(operator, "cut_estimate", lambda d, ell: 1)
     monkeypatch.setattr(operator, "_ratios", logged)
-    got = operator._row_block(d, first, first + 255)
+    got = operator._row_block(d, first, last)
     for a, c in ((got.weights, want.weights), (got.cuts, want.cuts), (got.tails, want.tails)):
         assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
-    assert widths[:3] == [1, 2, 4]
+    assert widths == [1, 2 * last - 1] + [want.weights.shape[1]] * (256 // operator._ROW_CHUNK)
+
+
+def test_a_row_longer_than_the_block_is_refused(monkeypatch):
+    # the last row's cut sets the block's width, since row lengths never fall
+    # with ell; a row not cut by that width is an error, never a short row
+    cut = operator._last_cut
+    monkeypatch.setattr(operator, "_last_cut", lambda d, last: cut(d, last) - 1)
+    for d, first, last in ((3, 257, 512), (2, 1000, 1000), (520, 1, 256)):
+        with pytest.raises(RuntimeError, match=f"^a row of degrees {first}..{last} in d = {d} "):
+            operator._row_block(d, first, last)
+
+
+def _masked_row_sums(block, count, coeffs):
+    # the reference: each row's first terms copied out of the products through
+    # a mask, one after the other, and summed one segment per row
+    nonzero = np.flatnonzero(coeffs)
+    width = min(int(nonzero[-1]) + 1 if nonzero.size else 1, block.weights.shape[1])
+    lengths = np.minimum(block.cuts[:count] + 1, width)
+    terms = block.weights[:count, :width] * coeffs[:width]
+    return np.add.reduceat(terms[np.arange(width) < lengths[:, None]], lengths.cumsum() - lengths)
+
+
+@pytest.mark.parametrize("d", [2, 3, 520])
+def test_row_sums_match_the_masked_reference(d):
+    # summed straight from the products, each row is the same contiguous
+    # pairwise reduction, bit for bit: rows cut short by the coefficients,
+    # expansions with zero tails, and last rows as wide as the products (one
+    # coefficient at every count, 2L - 1 at count 256), whose end bound is
+    # the products' end and is dropped
+    rng = np.random.default_rng(d)
+    for b in (0, 1, 2, 117):
+        block = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
+        for size in (1, 5, 40, 200, 2 * 256 * (b + 1) - 1):
+            coeffs = rng.normal(size=size)
+            if size in (5, 40):
+                coeffs[-(size // 3) :] = 0.0
+            for count in (1, 7, 255, 256):
+                got = operator._row_sums(block, count, coeffs)
+                want = _masked_row_sums(block, count, coeffs)
+                assert got.dtype == want.dtype and got.shape == want.shape == (count,)
+                assert got.tobytes() == want.tobytes(), (b, size, count)
 
 
 def test_series_spectrum_at_ten_thousand_degrees_stays_small():
@@ -510,18 +553,18 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small():
 
 
 @pytest.mark.parametrize("d, b", [(2, 1), (520, 20), (2, 116)])
-def test_block_build_holds_at_most_four_block_arrays(d, b):
-    # the ratios, their cumulative products and the two sides of the tail
-    # test, each (rows, width + 1) floats, plus the boolean test: under five
-    # such arrays at the estimated width
+def test_block_build_holds_under_two_and_a_half_blocks(d, b):
+    # the weights, allocated once at their exact width, and one chunk of
+    # rows at a time: its ratios, their cumulative products and the two sides
+    # of its tail test, each (32, width + 1) floats, plus the boolean test
     first, last = 256 * b + 1, 256 * (b + 1)
     tracemalloc.start()
     try:
-        operator._row_block(d, first, last)
+        block = operator._row_block(d, first, last)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * 256 * (operator.cut_estimate(d, last) + 1)
+    assert peak <= 2.5 * block.weights.nbytes
 
 
 def test_factorial_ratio_check_takes_its_logs_in_place():
