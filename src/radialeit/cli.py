@@ -493,7 +493,7 @@ def _cmd_invert(args):
 # eigvals and truncate print is never finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 1.5 s and 73 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
+# 1.5 s and 68 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
 # --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
 # spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
 # 1,000 pieces: the oracle's cost is linear in the piece count); invert
@@ -515,13 +515,14 @@ MAX_INVERT_L = 1_500
 # verify's radial moments 1.  The projection also holds about 0.6 KB per node.
 # A profile is refused past MAX_PROFILE_STEPS (about 1.5 s, on top of at most
 # 3 s for the rest of the run: invert's SVD at the caps above, or eigvals's
-# series weights at L = 30,000, 1.5 s and 73 MB) or MAX_PROJECTION_NODES
+# series weights at L = 30,000, 1.5 s and 68 MB) or MAX_PROJECTION_NODES
 # (150 MB).  MAX_PIECES refuses a file that could not pass before its pieces
-# are built.  The largest accepted runs then measured 1.7 s and 73 MB
+# are built.  The largest accepted runs then measured 1.2 s and 68 MB
 # (eigvals --L 30000 at d = 2, 76 constant pieces), 3.0 s and 235 MB (invert
-# --L 1500 --K 2999, 150 pieces of degree 32), 1.9 s (truncate --L 30000 --N
-# 30000, 245 constant pieces), 1.1 s (verify --L 90, 5,306 constant pieces)
-# and 1.3 s (eigvals --L 1, 14,965 pieces).
+# --L 1500 --K 2999, 150 pieces of degree 32), 0.4 s (truncate --L 30000 --N
+# 30000, 245 constant pieces: the moments skip every power that underflows),
+# 1.1 s (verify --L 90, 5,306 constant pieces) and 1.3 s (eigvals --L 1,
+# 14,965 pieces).
 MAX_PROFILE_STEPS = 150_000_000
 MAX_PROJECTION_NODES = 250_000
 _PIECE_STEPS = 10_000

@@ -16,12 +16,13 @@ k at which a rigorous bound on the dropped weights' norm is at most 2**-53
 times the leading weight; what the cut drops from an eigenvalue is bounded
 by that norm times ||eta|| / sqrt(|S^(d-1)|) (Cauchy-Schwarz and Parseval),
 and ``dual_route`` reports this tail bound per degree.  The rows are kept in
-fixed read-only blocks of 256 degrees, each one dense matrix built whole and
+fixed read-only blocks of 64 degrees, each one dense matrix built whole and
 exactly 0 past each row's cut, and all blocks of all dimensions share one cap
-on the weights held, the least recently used block dropped first.  A block is
-allocated once, as wide as its last row's cut, and built 32 rows at a time, so
-a build holds under two block-sized arrays; a row sum holds one, the products
-it sums.
+on the weights held, the least recently used block dropped first.  A request
+builds at most 63 rows it does not read.  A block is allocated once, as wide
+as its last row's cut, and built 32 rows at a time, so a build holds the block
+and one chunk's transients, four arrays of half its size; a row sum holds one
+block-sized array, the products it sums.
 ``spectrum_series`` sums these rows and ``forward_matrix`` copies them, a block
 at a time from the last one down, so a request past the cap holds at most the
 cap plus one block; ``eigenvalue_series`` builds its one row the same way.
@@ -50,6 +51,7 @@ from .jacobi import FloatRangeError, JacobiExpansion, _check_dimension, _check_i
 from .profiles import (
     RadialProfile,
     _norm2,
+    _trimmed,
     log_surface_area,
     moment_integral,
     norm_ball,
@@ -151,8 +153,8 @@ _CUT = 2.0**-53
 # point refuses degrees past _MAX_DEGREE, a whole number of blocks, where it is
 # 9.93e-13 (k* = 4,418); --L stops at 30,000.
 _SLACK = 1.0 + 1e-12
-_ROW_BLOCK = 256  # rows per block
-_MAX_DEGREE = 896 * _ROW_BLOCK  # 229,376
+_ROW_BLOCK = 64  # rows per block
+_MAX_DEGREE = 3584 * _ROW_BLOCK  # 229,376
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def _last_cut(d: int, last: int) -> int:
 
 
 # Rows built at once into a block: each chunk's ratios, cumulative products and
-# tail test are an eighth of a block.
+# tail test are half a block of 64 rows.
 _ROW_CHUNK = 32
 
 
@@ -233,8 +235,9 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
     never fall with ell, so the last row's cut sets the width; the weights
     are allocated once at that width and built _ROW_CHUNK rows at a time.
     Beside the weights a build holds one chunk's ratios, cumulative products
-    and the two sides of its tail test, each an eighth of a block: under two
-    block-sized arrays in all (1.6-1.8 measured)."""
+    and the two sides of its tail test, each (_ROW_CHUNK, width + 1) floats:
+    about three block-sized arrays in all for 64 rows (3.2-4.2 measured in
+    d = 2), and under two for 256 (1.6-1.8)."""
     ell = np.arange(first, last + 1)
     width = _last_cut(d, last) + 1  # weights k = 0..k*(last)
     k = np.arange(width)
@@ -266,8 +269,8 @@ def _row_block(d: int, first: int, last: int) -> _RowBlock:
 
 
 # Rows depend on (d, ell) alone.  Block b of dimension d holds rows
-# 256 b + 1 .. 256 (b + 1) and is always built whole, so a request for L degrees
-# reads blocks 0 .. ceil(L / 256) - 1 whatever came before it.  All blocks share
+# 64 b + 1 .. 64 (b + 1) and is always built whole, so a request for L degrees
+# reads blocks 0 .. ceil(L / 64) - 1 whatever came before it.  All blocks share
 # one store of at most _BAND_CAP weights, zeros included (32 MB), the least
 # recently used block dropped first.  A request reads its blocks one at a time,
 # so one that needs more than the cap holds at most the cap plus one block.
@@ -310,14 +313,14 @@ def _row_length(block: _RowBlock, count: int) -> int:
 
 def _row_sums(block: _RowBlock, count: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_k w(ell, k) a_k over the block's first ``count`` rows, a_k = 0 past
-    the coefficients.  Each row stops at the last non-zero coefficient (a
-    one-piece profile of degree m has none past m) and at its cut (zeros
-    would regroup its pairwise sum), and one reduction runs over the block's
-    (count, width) products, one segment per row and one, dropped, between
-    rows: a row reads nothing from its neighbours, so a degree's value is the
-    same in every spectrum.  A call holds the products alone."""
-    nonzero = np.flatnonzero(coeffs)
-    width = min(int(nonzero[-1]) + 1 if nonzero.size else 1, block.weights.shape[1])
+    the coefficients, which end at the expansion's last non-zero one
+    (``_trimmed``, once per request: a one-piece profile of degree m has none
+    past m).  Each row stops there and at its cut (zeros would regroup its
+    pairwise sum), and one reduction runs over the block's (count, width)
+    products, one segment per row and one, dropped, between rows: a row reads
+    nothing from its neighbours, so a degree's value is the same in every
+    spectrum.  A call holds the products alone."""
+    width = min(coeffs.size, block.weights.shape[1])
     terms = block.weights[:count, :width] * coeffs[:width]
     bounds = np.empty(2 * count, dtype=np.intp)
     bounds[0::2] = np.arange(0, count * width, width)
@@ -335,15 +338,15 @@ def eigenvalue_series(expansion: JacobiExpansion, ell: int) -> float:
     the truncated profile).
     """
     ell = _check_int(ell, "degree", 1, _MAX_DEGREE)
-    return float(_row_sums(_row_block(expansion.d, ell, ell), 1, expansion.coeffs)[0])
+    return float(_row_sums(_row_block(expansion.d, ell, ell), 1, _trimmed(expansion.coeffs))[0])
 
 
 def _series_sums(expansion: JacobiExpansion, max_index: int) -> tuple[np.ndarray, np.ndarray]:
     # the eigenvalues of degrees 1..max_index and their tail bounds, read
     # from the last block down
-    sums, tails = [], []
+    coeffs, sums, tails = _trimmed(expansion.coeffs), [], []
     for block, count in _weight_band(expansion.d, max_index):
-        sums.append(_row_sums(block, count, expansion.coeffs))
+        sums.append(_row_sums(block, count, coeffs))
         tails.append(block.tails[:count])
     return np.concatenate(sums[::-1]), np.concatenate(tails[::-1])
 

@@ -33,6 +33,7 @@ from radialeit.operator import (
 from radialeit.oracle import cross_validate
 from radialeit.profiles import (
     JacobiExpansion,
+    _trimmed,
     moment_integral,
     norm_ball,
     norm_ball_profile,
@@ -159,7 +160,7 @@ def _exact_row(d, ell, count):
 
 def test_series_spectrum_matches_per_degree_sums(corpus):
     # Degree ell sums w(ell, k) a_k over k <= k*(ell) by itself: the first 40
-    # rows of a 256-row block and eigenvalue_series's one-row block give the
+    # rows of a stored block and eigenvalue_series's one-row block give the
     # same bits, and both are the forward-matrix row sum to a few ulps, whether
     # the expansion covers the cut (K = 78) or stops short of it.
     for _, prof in corpus:
@@ -249,6 +250,7 @@ def test_cut_estimate_lies_above_the_cut():
 
 
 _CAP = operator._MAX_DEGREE
+_B = operator._ROW_BLOCK
 
 
 def test_degree_cap_lies_where_the_slack_covers_the_rounding():
@@ -312,8 +314,13 @@ def _counted_row_blocks(monkeypatch):
     return built
 
 
+def _blocks(d, indices):
+    # the (d, first, last) of blocks ``indices``, as _row_block is called for them
+    return [(d, _B * b + 1, _B * (b + 1)) for b in indices]
+
+
 def test_series_weights_built_once_per_dimension(monkeypatch):
-    # block b holds rows 256 b + 1 .. 256 (b + 1); a smaller L or any K builds
+    # block b holds rows B b + 1 .. B (b + 1); a smaller L or any K builds
     # nothing, and a larger L builds only the blocks it newly reaches
     built = _counted_row_blocks(monkeypatch)
     coeffs = np.random.default_rng(3).normal(size=1200)
@@ -322,31 +329,32 @@ def test_series_weights_built_once_per_dimension(monkeypatch):
         return spectrum_series(JacobiExpansion(7, coeffs[: K + 1]), L).eigenvalues
 
     first = series(40, 78)
-    assert built == [(7, 1, 256)]
+    assert built == _blocks(7, [0])
     block = operator._weight_blocks[7, 0]
-    for L, K in ((20, 10), (40, 78), (40, 5), (1, 0), (256, 510)):  # inside the block, any K
+    for L, K in ((20, 10), (40, 78), (40, 5), (1, 0), (_B, 2 * _B - 2)):  # inside the block, any K
         series(L, K)
     assert series(40, 78).tobytes() == first.tobytes()
     assert len(built) == 1
     grown = series(600, 1198)  # only the new blocks are built, the last first, and the old one stays
-    assert built[1:] == [(7, 513, 768), (7, 257, 512)]
+    reached = -(-600 // _B)
+    assert built[1:] == _blocks(7, reversed(range(1, reached)))
     assert operator._weight_blocks[7, 0] is block
     assert grown[:40].tobytes() == first.tobytes()  # a row does not depend on L
     assert series(300, 598).tobytes() == grown[:300].tobytes()
-    assert len(built) == 3
+    assert len(built) == reached
 
 
 def test_series_sweep_builds_each_block_once(monkeypatch):
-    # L = 1..600 in turn reaches rows up to 768: three blocks, each built once
+    # L = 1..600 in turn reaches blocks 0 .. ceil(600 / B) - 1, each built once
     built = _counted_row_blocks(monkeypatch)
     exp = JacobiExpansion(3, np.ones(400))
     for L in range(1, 601):
         spectrum_series(exp, L)
-    assert built == [(3, 1, 256), (3, 257, 512), (3, 513, 768)]
+    assert built == _blocks(3, range(-(-600 // _B)))
 
 
 def test_weight_bands_are_read_only_and_capped(monkeypatch):
-    size = {(d, b): operator._row_block(d, 256 * b + 1, 256 * (b + 1)).weights.size
+    size = {(d, b): operator._row_block(*_blocks(d, [b])[0]).weights.size
             for d, b in ((2, 0), (2, 1), (3, 0))}
     built = _counted_row_blocks(monkeypatch)
     cap = size[2, 0] + size[2, 1]
@@ -360,16 +368,16 @@ def test_weight_bands_are_read_only_and_capped(monkeypatch):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     spectrum_series(JacobiExpansion(2, coeffs), 10)  # reading (2, 0) makes (3, 0) the oldest
-    spectrum_series(JacobiExpansion(2, coeffs), 300)  # so (2, 1), read first, pushes out (3, 0)
+    spectrum_series(JacobiExpansion(2, coeffs), _B + 44)  # so (2, 1), read first, pushes out (3, 0)
     assert list(operator._weight_blocks) == [(2, 1), (2, 0)]
     assert operator._weight_blocks[2, 0] is block
     assert _held() <= cap
-    assert built == [(2, 1, 256), (3, 1, 256), (2, 257, 512)]  # held blocks are read, not rebuilt
+    assert built == _blocks(2, [0]) + _blocks(3, [0]) + _blocks(2, [1])  # held blocks are read, not rebuilt
     # three blocks used, each larger than the last, read from the last one down:
     # each block built drops the oldest until it fits, so the request rebuilds
     # the two it dropped and ends holding the lowest blocks that fit
-    spectrum_series(JacobiExpansion(2, coeffs), 700)
-    assert built[3:] == [(2, 513, 768), (2, 257, 512), (2, 1, 256)]
+    spectrum_series(JacobiExpansion(2, coeffs), 2 * _B + 44)
+    assert built[3:] == _blocks(2, [2, 1, 0])
     assert list(operator._weight_blocks) == [(2, 1), (2, 0)]
     assert _held() <= cap
 
@@ -380,15 +388,18 @@ def test_dual_route_past_the_cap_builds_each_block_once(monkeypatch):
     # cap below one block each block is built once, and never a row alone
     prof = preset("annulus", [0.3, 0.8, 1.0])
     built = _counted_row_blocks(monkeypatch)
-    blocks = [(2, 256 * b + 1, 256 * (b + 1)) for b in reversed(range(12))]
+    blocks = _blocks(2, reversed(range(-(-3000 // _B))))
     want = dual_route(prof, 2, 3000)  # an empty store: each block, the last first
     assert built == blocks
     assert dual_route(prof, 2, 3000).coeff_degree == want.coeff_degree  # from the held blocks
-    assert len(built) == 12
-    monkeypatch.setattr(operator, "_BAND_CAP", 1 << 16)  # less than one block near L = 3000
+    assert len(built) == len(blocks)
+    # B rows of 256 weights: less than one block near L = 3000, whose rows
+    # hold about 490 weights each
+    monkeypatch.setattr(operator, "_BAND_CAP", 256 * _B)
+    assert operator._weight_blocks[2, 3000 // _B].weights.size > operator._BAND_CAP
     operator._weight_blocks.clear()
     del built[:]
-    for _ in range(2):  # from an empty store, then with only the lowest block held
+    for _ in range(2):  # from an empty store, then with the lowest blocks held
         got = dual_route(prof, 2, 3000)
         assert got.coeff_degree == want.coeff_degree
         for a, b in ((got.series.eigenvalues, want.series.eigenvalues),
@@ -403,7 +414,7 @@ def test_past_the_cap_one_block_at_a_time(monkeypatch):
     # is built or summed, the weights still alive (in the store or held by the
     # caller) are at most the cap plus one block
     built = _counted_row_blocks(monkeypatch)
-    cap = sum(operator._row_block(3, 256 * b + 1, 256 * (b + 1)).weights.size for b in (0, 1))
+    cap = sum(operator._row_block(*block).weights.size for block in _blocks(3, (0, 1)))
     monkeypatch.setattr(operator, "_BAND_CAP", cap)
     alive = []  # weakrefs to the weights of every block built
     seen = []  # (weights alive, largest block alive) at each build and sum
@@ -425,7 +436,7 @@ def test_past_the_cap_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(operator, "_row_block", counted_build)
     monkeypatch.setattr(operator, "_row_sums", counted_sums)
-    L = 6 * 256
+    L = 6 * _B
     exp = JacobiExpansion(3, np.ones(2 * L))
     want = spectrum_series(exp, L).eigenvalues
     dual_route(preset("annulus", [0.3, 0.8, 1.0]), 3, L)
@@ -435,15 +446,51 @@ def test_past_the_cap_one_block_at_a_time(monkeypatch):
     assert spectrum_series(exp, L).eigenvalues.tobytes() == want.tobytes()
 
 
+# the index of the block that holds degree 30,000, the largest --L
+_TOP = (30_000 - 1) // _B
+
+
+@pytest.mark.parametrize("d, first", [(2, 1), (3, 1), (5, 1), (50, 1), (520, 1), (3, _CAP - 511)])
+def test_stored_blocks_hold_the_rows_of_256_row_blocks(d, first):
+    # a row depends on (d, ell) alone: rows 1..2048, and the last 512 below the
+    # cap, read from the store's blocks are bit for bit those of 256-row
+    # blocks in weights (each as wide as its own block, +0.0 past it), cut
+    # and tail
+    last = first + (2047 if first == 1 else 511)
+    for wide in (operator._row_block(d, lo, lo + 255) for lo in range(first, last, 256)):
+        for lo in range(wide.first, wide.first + 256, _B):
+            block = operator._weight_block(d, (lo - 1) // _B)
+            assert block.first == lo
+            rows, width = slice(lo - wide.first, lo - wide.first + _B), block.weights.shape[1]
+            assert wide.weights[rows, :width].tobytes() == block.weights.tobytes()
+            past = wide.weights[rows, width:]
+            assert past.tobytes() == bytes(past.nbytes)
+            assert wide.cuts[rows].tobytes() == block.cuts.tobytes()
+            assert wide.tails[rows].tobytes() == block.tails.tobytes()
+
+
+def test_a_small_request_holds_one_short_block_per_dimension():
+    # dual_route at L = 30 reads rows 1..30 alone: from an empty store it
+    # builds and holds block 0 of each dimension, 64 rows as wide as the cut
+    # of its last row
+    prof = preset("annulus", [0.3, 0.8, 1.0])
+    operator._weight_blocks.clear()
+    for d in (2, 3, 4, 5):
+        assert dual_route(prof, d, 30).ok
+    assert list(operator._weight_blocks) == [(d, 0) for d in (2, 3, 4, 5)]
+    for (d, _), block in operator._weight_blocks.items():
+        assert block.weights.shape == (64, operator._last_cut(d, 64) + 1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 520])
 def test_row_lengths_never_fall(d):
     # the series reads the last row of a request as its longest: across block
     # boundaries near the first degrees and near the largest --L
-    for blocks in ((0, 1, 2, 3), (115, 116, 117)):
+    for blocks in ((0, 1, 2, 3), (_TOP - 2, _TOP - 1, _TOP)):
         lengths = [
             operator._row_length(block, i)
-            for block in (operator._row_block(d, 256 * b + 1, 256 * (b + 1)) for b in blocks)
-            for i in range(1, 257)
+            for block in (operator._row_block(*b) for b in _blocks(d, blocks))
+            for i in range(1, _B + 1)
         ]
         assert lengths == sorted(lengths), d
 
@@ -452,9 +499,8 @@ def test_row_lengths_never_fall(d):
 def test_stored_rows_are_zero_past_their_cut(d):
     # a block is as wide as its longest row; each row is non-zero up to its
     # cut and exactly +0.0 after it
-    for b in (0, 1, 2, 117):
-        block = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
-        assert block.weights.shape == (256, block.cuts.max() + 1)
+    for block in (operator._row_block(*b) for b in _blocks(d, (0, 1, 2, _TOP))):
+        assert block.weights.shape == (_B, block.cuts.max() + 1)
         past = np.arange(block.weights.shape[1]) > block.cuts[:, None]
         assert np.all(block.weights[past] == 0.0) and not np.signbit(block.weights[past]).any()
         assert np.all(block.weights[~past] != 0.0)
@@ -475,13 +521,13 @@ def test_forward_matrix_is_the_stored_rows(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 520])
-@pytest.mark.parametrize("first", [1, 257, 2561])
+@pytest.mark.parametrize("first", [1, _B + 1, 10 * _B + 1])
 def test_short_estimate_builds_the_same_blocks(monkeypatch, d, first):
     # an estimate below every cut sends the last row alone to its full width,
     # which alone keeps rows from being cut at k = 0; the block must come out
-    # as with the estimate, bit for bit, its rows built 32 at a time at the
-    # exact width
-    last = first + 255
+    # as with the estimate, bit for bit, its rows built _ROW_CHUNK at a time
+    # at the exact width
+    last = first + _B - 1
     want = operator._row_block(d, first, last)
     ratios, widths = operator._ratios, []
 
@@ -494,7 +540,7 @@ def test_short_estimate_builds_the_same_blocks(monkeypatch, d, first):
     got = operator._row_block(d, first, last)
     for a, c in ((got.weights, want.weights), (got.cuts, want.cuts), (got.tails, want.tails)):
         assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
-    assert widths == [1, 2 * last - 1] + [want.weights.shape[1]] * (256 // operator._ROW_CHUNK)
+    assert widths == [1, 2 * last - 1] + [want.weights.shape[1]] * (_B // operator._ROW_CHUNK)
 
 
 def test_a_row_longer_than_the_block_is_refused(monkeypatch):
@@ -502,7 +548,7 @@ def test_a_row_longer_than_the_block_is_refused(monkeypatch):
     # with ell; a row not cut by that width is an error, never a short row
     cut = operator._last_cut
     monkeypatch.setattr(operator, "_last_cut", lambda d, last: cut(d, last) - 1)
-    for d, first, last in ((3, 257, 512), (2, 1000, 1000), (520, 1, 256)):
+    for d, first, last in (*_blocks(3, [1]), (2, 1000, 1000), *_blocks(520, [0])):
         with pytest.raises(RuntimeError, match=f"^a row of degrees {first}..{last} in d = {d} "):
             operator._row_block(d, first, last)
 
@@ -521,21 +567,21 @@ def _masked_row_sums(block, count, coeffs):
 def test_row_sums_match_the_masked_reference(d):
     # summed straight from the products, each row is the same contiguous
     # pairwise reduction, bit for bit: rows cut short by the coefficients,
-    # expansions with zero tails, and last rows as wide as the products (one
-    # coefficient at every count, 2L - 1 at count 256), whose end bound is
-    # the products' end and is dropped
+    # expansions with zero tails (trimmed once per request, by the caller),
+    # and last rows as wide as the products (one coefficient at every count,
+    # 2L - 1 at count B), whose end bound is the products' end and is dropped
     rng = np.random.default_rng(d)
-    for b in (0, 1, 2, 117):
-        block = operator._row_block(d, 256 * b + 1, 256 * (b + 1))
-        for size in (1, 5, 40, 200, 2 * 256 * (b + 1) - 1):
+    for block in (operator._row_block(*b) for b in _blocks(d, (0, 1, 2, _TOP))):
+        last = block.first + _B - 1
+        for size in (1, 5, 40, 200, 2 * last - 1):
             coeffs = rng.normal(size=size)
             if size in (5, 40):
                 coeffs[-(size // 3) :] = 0.0
-            for count in (1, 7, 255, 256):
-                got = operator._row_sums(block, count, coeffs)
+            for count in (1, 7, _B - 1, _B):
+                got = operator._row_sums(block, count, _trimmed(coeffs))
                 want = _masked_row_sums(block, count, coeffs)
                 assert got.dtype == want.dtype and got.shape == want.shape == (count,)
-                assert got.tobytes() == want.tobytes(), (b, size, count)
+                assert got.tobytes() == want.tobytes(), (block.first, size, count)
 
 
 def test_series_spectrum_at_ten_thousand_degrees_stays_small():
@@ -556,7 +602,9 @@ def test_series_spectrum_at_ten_thousand_degrees_stays_small():
 def test_block_build_holds_under_two_and_a_half_blocks(d, b):
     # the weights, allocated once at their exact width, and one chunk of
     # rows at a time: its ratios, their cumulative products and the two sides
-    # of its tail test, each (32, width + 1) floats, plus the boolean test
+    # of its tail test, each (32, width + 1) floats, plus the boolean test;
+    # rows 256 b + 1 .. 256 (b + 1), eight chunks, so the chunk is an eighth
+    # of what is built (a stored block's 64 rows are two chunks)
     first, last = 256 * b + 1, 256 * (b + 1)
     tracemalloc.start()
     try:
@@ -568,16 +616,16 @@ def test_block_build_holds_under_two_and_a_half_blocks(d, b):
 
 
 def test_factorial_ratio_check_takes_its_logs_in_place():
-    # a block of 256 rows at ell <= 2000 is 7-8 MB of floats; the logs are
+    # a block of 64 rows at ell <= 2000 is about 2 MB of floats; the logs are
     # taken in place in the ratios, the bound term is added in place, and a
-    # block's rows are dropped before the next is built
+    # block's rows are dropped before the next is built (4.4 MB measured)
     tracemalloc.start()
     try:
         assert verify_factorial_ratio_bound(2, 2000).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18e6
+    assert peak < 6e6
 
 
 def test_single_eigenvalue_builds_one_weight_row():

@@ -163,6 +163,70 @@ def test_moment_arrays_match_scalar_calls(corpus):
         assert moment_integral(prof, powers.reshape(6, 10)).tolist() == got.reshape(6, 10).tolist()
 
 
+# Every power taken, as the moments and ball norms were before the powers that
+# underflow were skipped: the reference for _piece_integral, bit for bit.
+def _every_power_integral(coeffs, lo, hi, power, top_power=None):
+    p = np.arange(coeffs.size, dtype=float) + np.expand_dims(power, -1) + 1.0
+    return np.sum(coeffs * (hi**p - lo**p) / p, axis=-1)
+
+
+_ENDPOINTS = (0.0, 2.0**-1074, 1e-300, 0.2, 0.5, 0.95, 1.0 - 2.0**-53, 1.0)
+
+
+def _powers_across_cuts(L, size):
+    # 2 ell + 1 for ell = 1..L, as eigvals takes them in d = 4, and every power
+    # whose exponents p = power + j + 1 (j < size) reach past the cut of an
+    # endpoint, p log2(x) = -1100, from one side to the other
+    powers = [np.arange(3, 2 * L + 2, 2)]
+    for x in _ENDPOINTS[1:-1]:
+        cut = int(profiles._LOG2_UNDERFLOW / math.log2(x))
+        powers.append(np.arange(max(cut - size - 2, 0), cut + 3))
+    return np.concatenate(powers)
+
+
+@pytest.mark.parametrize("L", [1, 7, 400, 2_000, 30_000])
+def test_moments_skip_only_the_powers_that_underflow(monkeypatch, L):
+    # every entry skipped is the 0.0 that pow returns there: each piece
+    # integral, moment and ball norm is that of every power taken, byte for
+    # byte, at endpoints from the smallest subnormal to the last float below 1
+    rng = np.random.default_rng(L)
+    pieces = [rng.uniform(-2.0, 2.0, size) for size in (1, 4, 33)]
+    # each endpoint as hi above 0 and as lo below 1 (each side's powers are
+    # taken on their own)
+    pairs = [(0.0, x) for x in _ENDPOINTS[1:]] + [(x, 1.0) for x in _ENDPOINTS[:-1]]
+    for c in pieces:
+        powers = _powers_across_cuts(L, c.size)
+        # the whole array, and one at a time the first powers and those at the cuts
+        for lo, hi in pairs:
+            for power in (powers, *powers[:20].tolist(), *powers[-20:].tolist()):
+                want = _every_power_integral(c, lo, hi, power)
+                got = profiles._piece_integral(c, lo, hi, power, int(np.max(power)))
+                assert got.tobytes() == want.tobytes(), (c.size, lo, hi, power)
+    prof = RadialProfile(np.array(_ENDPOINTS), tuple(pieces[i % 3] for i in range(7)))
+    powers = _powers_across_cuts(L, 33)
+    dims = (2, 3, 520, 2 * L + 2)
+    got = [moment_integral(prof, powers), moment_integral(prof, 2 * L)]
+    got += [norm_ball_profile(prof, d) for d in dims]
+    monkeypatch.setattr(profiles, "_piece_integral", _every_power_integral)
+    want = [moment_integral(prof, powers), moment_integral(prof, 2 * L)]
+    want += [norm_ball_profile(prof, d) for d in dims]
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
+
+def test_powers_next_to_one_return_at_once():
+    # the cut is one division, not a search: at x = 1 - 2**-53 it lies near
+    # p = 6.9e18, past every exponent, and the moments at L = 30,000 return
+    x = 1.0 - 2.0**-53
+    p = np.arange(1.0, 60_001.0)
+    assert profiles._powers(x, p, 60_000).tobytes() == (x**p).tobytes()
+    prof = RadialProfile(np.array([0.0, x, 1.0]), (np.array([1.0, -0.5]), np.array([2.0])))
+    powers = np.arange(1, 30_001) * 2 + 1
+    assert np.all(moment_integral(prof, powers) > 0.0)
+    # at 2**-1074 (log2 = -1074) only p = 1 is taken: 2**-1074 itself
+    tiny = np.array([1.0, 2.0, 3.0])
+    assert profiles._powers(2.0**-1074, tiny, 3).tolist() == [2.0**-1074, 0.0, 0.0]
+
+
 def test_norms():
     # ||1||_{L2(ball)} = sqrt(|S^{d-1}|/d)
     assert abs(norm_ball_profile(preset("constant", [1.0]), 2) - math.sqrt(math.pi)) < 1e-15
