@@ -8,10 +8,12 @@ Subcommands:
 * ``truncate``  - finite-rank truncation error against its a-priori bound
 * ``invert``    - recover basis coefficients from a spectrum
 
-Exit codes: 0 success, 1 a numerical check failed, 2 bad configuration or
-input (sizes and profiles past the caps below ``MAX_DIM``, an unwritable
-``--out``, a value past the float range: ``jacobi.FloatRangeError``), 3 no
-explicit harmonics for ``verify`` in that dimension (``oracle.UnsupportedDimensionError``).
+Exit codes: 0 success, 1 a numerical check failed, 2 a refused input (bad
+flags, sizes and profiles past the caps below ``MAX_DIM``, an unwritable
+``--out``, a value past the float range), 3 no explicit harmonics for
+``verify`` in that dimension.  Every refusal, the CLI's own and the library's,
+is a ``jacobi.InputError`` raised where it is checked; ``main`` maps that one
+class (``oracle.UnsupportedDimensionError`` to 3) and lets the rest propagate.
 
 Output goes to stdout or ``--out`` as CSV (records table, then ``# key = value``
 summary lines) or JSON (metadata + records + summary).  Floats are printed
@@ -49,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jacobi, operator, profiles
+from .jacobi import InputError
 from .numerics import gauss_legendre
 from .oracle import UnsupportedDimensionError, cross_validate
 
@@ -61,10 +64,6 @@ EXIT_UNSUPPORTED = 3
 TOL_BASIS = 1e-12
 
 
-class ConfigError(Exception):
-    """Bad flags or malformed input files; maps to exit code 2."""
-
-
 # --------------------------------------------------------------------------
 # input handling
 
@@ -75,21 +74,18 @@ def _parse_preset(text: str) -> profiles.RadialProfile:
     try:
         values = [float(p) for p in params]
     except ValueError:
-        raise ConfigError(f"preset parameters must be numbers, got {tail!r}") from None
-    try:
-        return profiles.preset(name, values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(f"preset parameters must be numbers, got {tail!r}") from None
+    return profiles.preset(name, values)
 
 
 def _resolve_profile(args) -> tuple[profiles.RadialProfile, int]:
     """Profile plus dimension from --preset/--profile/--dim."""
     sources = (args.preset is not None) + (args.profile is not None)
     if sources != 1:
-        raise ConfigError("exactly one of --preset or --profile is required")
+        raise InputError("exactly one of --preset or --profile is required")
     if args.preset is not None:
         if args.dim is None:
-            raise ConfigError("--dim is required with --preset")
+            raise InputError("--dim is required with --preset")
         profile, d = _parse_preset(args.preset), args.dim
     else:
         profile, d = _read_profile_file(args)
@@ -101,27 +97,22 @@ def _read_profile_file(args) -> tuple[profiles.RadialProfile, int]:
     try:
         doc = json.loads(Path(args.profile).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read profile file: {exc}") from None
+        raise InputError(f"cannot read profile file: {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"profile file is not valid JSON: {exc}") from None
+        raise InputError(f"profile file is not valid JSON: {exc}") from None
     pieces = doc.get("pieces") if isinstance(doc, dict) else None
     if isinstance(pieces, list) and len(pieces) > MAX_PIECES:  # before they are built
-        raise ConfigError(
+        raise InputError(
             f"the profile file holds {len(pieces)} pieces; at most {MAX_PIECES} are accepted"
         )
-    try:
-        profile, d_doc = profiles.profile_from_dict(doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    profile, d_doc = profiles.profile_from_dict(doc)
     if d_doc is not None and d_doc > MAX_DIM:
-        raise ConfigError(f"the profile file's dimension must be in 2..{MAX_DIM}, got {d_doc}")
+        raise InputError(f"the profile file's dimension must be in 2..{MAX_DIM}, got {d_doc}")
     if args.dim is not None and d_doc is not None and args.dim != d_doc:
-        raise ConfigError(
-            f"--dim {args.dim} contradicts the profile file's dimension {d_doc}"
-        )
+        raise InputError(f"--dim {args.dim} contradicts the profile file's dimension {d_doc}")
     d = args.dim if args.dim is not None else d_doc
     if d is None:
-        raise ConfigError("no dimension given: pass --dim or put one in the profile file")
+        raise InputError("no dimension given: pass --dim or put one in the profile file")
     return profile, d
 
 
@@ -144,7 +135,7 @@ def _check_profile_size(args, profile: profiles.RadialProfile, d: int) -> None:
         # one Gauss rule per piece, exact for power 2L - 2, times 2L - 1 powers
         steps += (2 * L - 1) * sum(profiles.piece_rule_size(2 * L - 2, m - 1, d) for m in sizes)
     if steps > MAX_PROFILE_STEPS or nodes > MAX_PROJECTION_NODES:
-        raise ConfigError(
+        raise InputError(
             f"a profile of {len(sizes)} pieces and {sum(sizes)} coefficients is too large "
             f"for {args.command} at L = {L} in d = {d}: about {steps:.2g} steps "
             f"(at most {MAX_PROFILE_STEPS:.2g})"
@@ -178,21 +169,21 @@ def _load_spectrum(path: str, d: int) -> operator.Spectrum:
                         header_seen = True
                         continue
                 if entry is None or len(row) != 2:
-                    raise ConfigError(f"line {i + 1} of {path}: expected 'ell,lambda', got {row!r}")
+                    raise InputError(f"line {i + 1} of {path}: expected 'ell,lambda', got {row!r}")
                 rows.append(entry)
                 if len(rows) > MAX_INVERT_L:
-                    raise ConfigError(f"{path} holds more than {MAX_INVERT_L} spectrum rows")
+                    raise InputError(f"{path} holds more than {MAX_INVERT_L} spectrum rows")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read spectrum file: {exc}") from None
+        raise InputError(f"cannot read spectrum file: {exc}") from None
     if not rows:
-        raise ConfigError(f"no spectrum rows found in {path}")
+        raise InputError(f"no spectrum rows found in {path}")
     rows.sort()
     ells = [e for e, _ in rows]
     if ells != list(range(1, len(rows) + 1)):
-        raise ConfigError(f"spectrum degrees must be exactly 1..L, got {ells}")
+        raise InputError(f"spectrum degrees must be exactly 1..L, got {ells}")
     values = np.array([v for _, v in rows])
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"spectrum values in {path} must be finite")
+        raise InputError(f"spectrum values in {path} must be finite")
     # the generating profile (and hence its norm) is unknown for external data
     return operator.Spectrum(d=d, eigenvalues=values, eta_norm=0.0)
 
@@ -315,7 +306,7 @@ def _write(out: str | None, texts) -> None:
             if stat.S_ISREG(before.st_mode) and before.st_size > fh.tell():
                 fh.truncate()
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from None
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +423,7 @@ def _cmd_truncate(args):
     profile, d = _resolve_profile(args)
     n = min(10, args.L) if args.N is None else args.N
     if n > args.L:
-        raise ConfigError(f"--N must lie in 0..L={args.L}, got {n}")
+        raise InputError(f"--N must lie in 0..L={args.L}, got {n}")
     report = operator.truncation_error(operator.spectrum_moment(profile, d, args.L), n)
     columns = {
         "cutoff": np.arange(n + 1),
@@ -448,11 +439,11 @@ def _cmd_truncate(args):
 def _cmd_invert(args):
     if args.spectrum is not None:
         if args.preset is not None or args.profile is not None:
-            raise ConfigError("--spectrum cannot be combined with --preset/--profile")
+            raise InputError("--spectrum cannot be combined with --preset/--profile")
         if args.L is not None:
-            raise ConfigError("--L cannot be combined with --spectrum: the file sets L")
+            raise InputError("--L cannot be combined with --spectrum: the file sets L")
         if args.dim is None:
-            raise ConfigError("--dim is required with --spectrum")
+            raise InputError("--dim is required with --spectrum")
         spectrum, source = _load_spectrum(args.spectrum, args.dim), "external"
     else:
         args.L = 10 if args.L is None else args.L
@@ -461,11 +452,8 @@ def _cmd_invert(args):
     k_max = 2 * spectrum.max_index - 1
     k = min(5, k_max) if args.K is None else args.K
     if not 1 <= k <= k_max:
-        raise ConfigError(f"--K must lie in 1..{k_max} (2L - 1), got {k}")
-    try:
-        result = operator.invert(spectrum, k, rel_cutoff=args.tau, ridge=args.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(f"--K must lie in 1..{k_max} (2L - 1), got {k}")
+    result = operator.invert(spectrum, k, rel_cutoff=args.tau, ridge=args.alpha)
     coeffs = result.expansion.coeffs
     columns = {"k": np.arange(coeffs.size), "coefficient": coeffs}
     summary = {
@@ -639,7 +627,7 @@ def main(argv=None) -> int:
     try:
         meta, columns, summary, ok = args.handler(args)
         _emit(args, {"command": args.command, **meta}, columns, summary)
-    except (ConfigError, jacobi.FloatRangeError, UnsupportedDimensionError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedDimensionError) else EXIT_CONFIG
     return EXIT_OK if ok else EXIT_CHECK_FAILED

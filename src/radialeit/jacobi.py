@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "BasisOverflowError",
     "FloatRangeError",
+    "InputError",
     "JacobiExpansion",
     "evaluate_blocks",
     "evaluate_table",
@@ -42,7 +43,11 @@ __all__ = [
 _MONOMIAL_ROWS = 2_048
 
 
-class FloatRangeError(ValueError):
+class InputError(ValueError):
+    """An input the package refuses, raised where it is checked."""
+
+
+class FloatRangeError(InputError):
     """A value a result needs lies past the float range, raised where it is computed."""
 
 
@@ -57,7 +62,7 @@ def _check_int(value, name: str, low: int, high: int | None = None) -> int:
         if low <= value and (high is None or value <= high):
             return int(value)
     limits = f"be an integer >= {low}" if high is None else f"lie in {low}..{high}"
-    raise ValueError(f"{name} must {limits}, got {value!r}")
+    raise InputError(f"{name} must {limits}, got {value!r}")
 
 
 def _check_dimension(d: int) -> int:
@@ -84,9 +89,9 @@ def _arguments(d: int, max_degree: int, r) -> tuple[int, int, np.ndarray]:
     max_degree = _check_int(max_degree, "max_degree", 0)
     pts = np.ascontiguousarray(np.atleast_1d(r), dtype=float)
     if pts.ndim != 1:
-        raise ValueError("evaluation points must be a scalar or 1-d array")
+        raise InputError("evaluation points must be a scalar or 1-d array")
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+        raise InputError("evaluation points must lie in [0, 1]")
     return d, max_degree, pts
 
 
@@ -159,9 +164,9 @@ class JacobiExpansion:
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d array")
+            raise InputError("coefficients must be a non-empty 1-d array")
         if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
+            raise InputError("coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "d", _check_dimension(self.d))
         object.__setattr__(self, "coeffs", coeffs)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import _check_int
+from .jacobi import InputError, _check_int
 
 __all__ = [
     "QuadratureRule",
@@ -47,11 +47,11 @@ class QuadratureRule:
         nodes = np.array(self.nodes, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
+            raise InputError("nodes and weights must be matching 1-d arrays")
         if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
-            raise ValueError("nodes must be strictly increasing and lie inside (0, 1)")
+            raise InputError("nodes must be strictly increasing and lie inside (0, 1)")
         if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
+            raise InputError("weights must be positive")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

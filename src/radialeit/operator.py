@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import FloatRangeError, JacobiExpansion, _check_dimension, _check_int
+from .jacobi import FloatRangeError, InputError, JacobiExpansion, _check_dimension, _check_int
 from .profiles import (
     RadialProfile,
     _norm2,
@@ -110,11 +110,11 @@ class Spectrum:
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("eigenvalues must be a non-empty 1-d array")
+            raise InputError("eigenvalues must be a non-empty 1-d array")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("eigenvalues must be finite")
+            raise InputError("eigenvalues must be finite")
         if not (math.isfinite(self.eta_norm) and self.eta_norm >= 0.0):
-            raise ValueError(f"eta_norm must be finite and >= 0, got {self.eta_norm!r}")
+            raise InputError(f"eta_norm must be finite and >= 0, got {self.eta_norm!r}")
         vals.flags.writeable = False
         object.__setattr__(self, "d", _check_dimension(self.d))
         object.__setattr__(self, "eigenvalues", vals)
@@ -374,7 +374,7 @@ def eigenvalue_moment(profile: RadialProfile, d: int, ell) -> float | np.ndarray
     else:
         ell = np.asarray(ell)
         if ell.dtype.kind not in "iu" or np.any(ell < 1):
-            raise ValueError(f"degree must be integers >= 1, got {ell}")
+            raise InputError(f"degree must be integers >= 1, got {ell}")
     return -(2.0 * ell + d - 2.0) / ell * moment_integral(profile, 2 * ell + d - 3)
 
 
@@ -433,8 +433,11 @@ def dual_route(
     decay bound past the float range is refused before any series weight or
     projection.  Both spectra carry the profile's ball norm.  The series route
     projects to the largest cut k*(ell) of the degrees (<= 2*max_index - 2).
+    A ``tol`` that is not finite and >= 0 is refused before any of it.
     """
     max_index = _check_int(max_index, "max_index", 1, _MAX_DEGREE)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
     moment = spectrum_moment(profile, d, max_index)
     decay = verify_decay_bound(moment)
     top = _row_length(*next(_weight_band(d, max_index))) - 1  # the longest row
@@ -654,9 +657,9 @@ def invert(
     range raise FloatRangeError.
     """
     if not 0.0 <= rel_cutoff < 1.0:
-        raise ValueError(f"rel_cutoff must lie in [0, 1), got {rel_cutoff!r}")
+        raise InputError(f"rel_cutoff must lie in [0, 1), got {rel_cutoff!r}")
     if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
+        raise InputError(f"ridge must be finite and >= 0, got {ridge!r}")
     m = forward_matrix(spectrum.d, spectrum.max_index, num_coeffs)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     keep = s > rel_cutoff * s[0]

@@ -39,6 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .jacobi import InputError, _check_int
 from .numerics import gauss_legendre
 from .profiles import RadialProfile, piece_rule_size
 
@@ -47,7 +48,7 @@ __all__ = ["CrossValidationReport", "UnsupportedDimensionError", "cross_validate
 _KINDS = {2: ("cos", "sin"), 3: ("zonal",)}
 
 
-class UnsupportedDimensionError(ValueError):
+class UnsupportedDimensionError(InputError):
     """A dimension without explicit harmonics: anything but the integers 2 and 3."""
 
 
@@ -305,9 +306,7 @@ def cross_validate(profile: RadialProfile, d: int, max_degree: int) -> CrossVali
 
     if not isinstance(d, (int, np.integer)) or d not in _KINDS:
         raise UnsupportedDimensionError(f"explicit harmonics exist only for d in (2, 3), got {d}")
-    integer = isinstance(max_degree, (int, np.integer)) and not isinstance(max_degree, bool)
-    if not integer or max_degree < 1:
-        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
+    max_degree = _check_int(max_degree, "max_degree", 1)
     plan = _sphere_plan(d, max_degree)
     spectrum = spectrum_moment(profile, d, max_degree)
     return CrossValidationReport(

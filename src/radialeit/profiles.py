@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import jacobi
-from .jacobi import JacobiExpansion
+from .jacobi import InputError, JacobiExpansion
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -58,23 +58,23 @@ class RadialProfile:
     def __post_init__(self) -> None:
         bp = np.array(self.breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("breakpoints must be a 1-d array with at least two entries")
+            raise InputError("breakpoints must be a 1-d array with at least two entries")
         if bp[0] != 0.0 or bp[-1] != 1.0 or not np.all(np.diff(bp) > 0.0):
-            raise ValueError("breakpoints must increase strictly from 0.0 to 1.0")
+            raise InputError("breakpoints must increase strictly from 0.0 to 1.0")
         pieces = tuple(np.array(p, dtype=float) for p in self.pieces)
         if len(pieces) != bp.size - 1:
-            raise ValueError(
+            raise InputError(
                 f"{bp.size - 1} pieces needed for {bp.size} breakpoints, got {len(pieces)}"
             )
         for p in pieces:
             if p.ndim != 1 or p.size == 0:
-                raise ValueError("each piece must be a non-empty 1-d coefficient array")
+                raise InputError("each piece must be a non-empty 1-d coefficient array")
             if p.size - 1 > MAX_PIECE_DEGREE:
-                raise ValueError(
+                raise InputError(
                     f"piece degree {p.size - 1} exceeds the cap {MAX_PIECE_DEGREE}"
                 )
             if not np.all(np.isfinite(p)):
-                raise ValueError("piece coefficients must be finite")
+                raise InputError("piece coefficients must be finite")
             p.flags.writeable = False
         bp.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
@@ -97,22 +97,22 @@ def preset(name: str, params: Sequence[float]) -> RadialProfile:
     params = [float(p) for p in params]
     if name == "constant":
         if len(params) != 1:
-            raise ValueError("constant takes one parameter")
+            raise InputError("constant takes one parameter")
         return RadialProfile(np.array([0.0, 1.0]), (np.array([params[0]]),))
     if name == "ramp":
         if len(params) != 1:
-            raise ValueError("ramp takes one parameter")
+            raise InputError("ramp takes one parameter")
         return RadialProfile(np.array([0.0, 1.0]), (np.array([0.0, params[0]]),))
     if name == "polynomial":
         if not params:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise InputError("polynomial needs at least one coefficient")
         return RadialProfile(np.array([0.0, 1.0]), (np.array(params),))
     if name == "annulus":
         if len(params) != 3:
-            raise ValueError("annulus takes r1, r2, value")
+            raise InputError("annulus takes r1, r2, value")
         r1, r2, value = params
         if not 0.0 <= r1 < r2 <= 1.0:
-            raise ValueError(f"annulus needs 0 <= r1 < r2 <= 1, got {r1}, {r2}")
+            raise InputError(f"annulus needs 0 <= r1 < r2 <= 1, got {r1}, {r2}")
         cuts = [0.0, r1, r2, 1.0]
         vals = [0.0, value, 0.0]
         keep = [i for i in range(3) if cuts[i] < cuts[i + 1]]
@@ -120,24 +120,24 @@ def preset(name: str, params: Sequence[float]) -> RadialProfile:
             np.array([cuts[i] for i in keep] + [1.0]),
             tuple(np.array([vals[i]]) for i in keep),
         )
-    raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    raise InputError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
 def profile_from_dict(doc: dict) -> tuple[RadialProfile, int | None]:
     """Parse the on-disk profile document; returns the profile and its
     declared dimension (None when the document leaves it out)."""
     if not isinstance(doc, dict):
-        raise ValueError("profile document must be a mapping")
+        raise InputError("profile document must be a mapping")
     unknown = set(doc) - {"dimension", "breakpoints", "pieces"}
     if unknown:
-        raise ValueError(f"unknown profile fields: {sorted(unknown)}")
+        raise InputError(f"unknown profile fields: {sorted(unknown)}")
     try:
         breakpoints = np.array(doc["breakpoints"], dtype=float)
         pieces = tuple(np.array(p, dtype=float) for p in doc["pieces"])
     except KeyError as exc:
-        raise ValueError(f"profile document missing field {exc.args[0]!r}") from None
+        raise InputError(f"profile document missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed profile document: {exc}") from None
+        raise InputError(f"malformed profile document: {exc}") from None
     d = doc.get("dimension")
     if d is not None:
         d = jacobi._check_int(d, "profile dimension", 2)
@@ -194,7 +194,7 @@ def moment_integral(profile: RadialProfile, power) -> float | np.ndarray:
     ``power`` may be an integer array, and the result then has its shape."""
     powers = np.asarray(power)
     if powers.dtype.kind not in "iu" or np.any(powers < 0):
-        raise ValueError(f"power must be an integer >= 0, got {power!r}")
+        raise InputError(f"power must be an integer >= 0, got {power!r}")
     top = int(powers.max(initial=0))
     total = sum(_piece_integral(c, lo, hi, powers, top) for lo, hi, c in profile.intervals())
     return float(total) if total.ndim == 0 else total

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 from datetime import datetime
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialeit import cli, operator, oracle, profiles
+from radialeit.jacobi import InputError
 from radialeit.cli import main
 from radialeit.operator import eigenvalue_moment
 from radialeit.profiles import preset
@@ -764,6 +766,18 @@ def test_invert_refuses_bad_regularization(capsys, flag, value, message):
     assert not operator._weight_blocks
 
 
+def test_invert_lets_a_linear_algebra_failure_propagate(capsys, monkeypatch):
+    # only a refused input maps to an exit code: a failure inside invert is a
+    # bug, and propagates as one anywhere else in the CLI does
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(operator, "invert", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        main(["invert", "--dim", "2", "--preset", "constant:1"])
+    assert capsys.readouterr() == ("", "")
+
+
 # ---------------------------------------------------------------------------
 # profile files and general config errors
 
@@ -900,6 +914,8 @@ def test_bad_profile_files_are_refused(tmp_path, capsys, doc, message):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "eigvals", "--profile", str(path), "--L", "3")
     assert code == 2 and out == "" and message in err
+    with pytest.raises(InputError, match=re.escape(message)):
+        cli._read_profile_file(argparse.Namespace(profile=str(path), dim=None))
 
 
 def test_unreadable_inputs_are_refused(tmp_path, capsys):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from radialeit.jacobi import (
     BasisOverflowError,
+    InputError,
     JacobiExpansion,
     _recurrence,
     evaluate_blocks,
@@ -49,7 +50,7 @@ def test_recurrence_coefficient_signs():
 )
 def test_evaluation_refuses_a_bad_dimension_or_degree(evaluate, d, max_degree, name):
     # refused when called, before any block is asked for
-    with pytest.raises(ValueError, match=f"^{name} must "):
+    with pytest.raises(InputError, match=f"^{name} must "):
         evaluate(d, max_degree, np.linspace(0.0, 1.0, 5))
 
 

@@ -10,6 +10,7 @@ import pytest
 from radialeit import numerics, operator, oracle
 from radialeit.jacobi import (
     FloatRangeError,
+    InputError,
     evaluate_blocks,
     evaluate_table,
     monomial_coefficients,
@@ -34,6 +35,7 @@ from radialeit.oracle import cross_validate
 from radialeit.profiles import (
     JacobiExpansion,
     _trimmed,
+    log_surface_area,
     moment_integral,
     norm_ball,
     norm_ball_profile,
@@ -125,6 +127,18 @@ def test_dual_route_report(starved_projection):
     rough = preset("annulus", [0.5, 1.0, 1.0])
     starved = dual_route(rough, 2, 12)
     assert starved.max_scaled_diff > 1e-8 and not starved.ok
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_dual_route_refuses_a_tolerance_that_is_not_finite_and_nonnegative(monkeypatch, tol):
+    # with nan or -1 no spectrum could pass, with inf every one would: refused
+    # before the moment route, the projection or any series weight
+    built = _counted_row_blocks(monkeypatch)
+    moments = []
+    monkeypatch.setattr(operator, "spectrum_moment", lambda *args: moments.append(args))
+    with pytest.raises(InputError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+        dual_route(preset("constant", [1.0]), 2, 5, tol=tol)
+    assert built == [] and moments == [] and not operator._weight_blocks
 
 
 def _band_rows(d, L):
@@ -275,7 +289,7 @@ def test_entry_points_refuse_degrees_past_the_cap(monkeypatch):
         ("max_index", lambda: forward_matrix(2, _CAP + 1, 1)),
     ]
     for name, call in calls:
-        with pytest.raises(ValueError, match=f"^{name} must lie in 1..{_CAP}, got {_CAP + 1}$"):
+        with pytest.raises(InputError, match=f"^{name} must lie in 1..{_CAP}, got {_CAP + 1}$"):
             call()
     assert built == [] and not operator._weight_blocks
     # the cap itself is accepted; lambda_ell of a_0 alone is -sqrt(d)/ell
@@ -780,7 +794,7 @@ def test_bad_integer_arguments_are_refused_before_anything_is_built(name, call):
     spectrum_series(_E, 300)  # two weight blocks in the store, to see it left as it is
     blocks = list(operator._weight_blocks.items())
     rules = numerics._gauss_legendre.cache_info()
-    with pytest.raises(ValueError, match=f"^{name} must "):
+    with pytest.raises(InputError, match=f"^{name} must "):
         call()
     assert list(operator._weight_blocks.items()) == blocks
     assert numerics._gauss_legendre.cache_info() == rules
@@ -797,6 +811,10 @@ def test_decay_constant_values():
     assert abs(decay_constant(4) - 13.304975533734881) < 1e-12
     with pytest.raises(ValueError):
         decay_constant(1)
+    # C_d sqrt(|S^(d-1)|) = 2d e**(d/2): the Gamma(d/2) factors cancel
+    for d in range(2, 521):
+        got = math.log(decay_constant(d)) + 0.5 * log_surface_area(d)
+        assert math.isclose(got, math.log(2 * d) + d / 2, rel_tol=1e-14), d
 
 
 def test_decay_constant_in_high_dimensions():
@@ -992,12 +1010,12 @@ def test_regularization_controls():
     ridged = invert(spec, 5, ridge=1e-2)
     assert np.linalg.norm(ridged.expansion.coeffs) < np.linalg.norm(plain.expansion.coeffs)
     assert ridged.residual_norm > plain.residual_norm
-    with pytest.raises(ValueError, match=r"^rel_cutoff must lie in \[0, 1\), got -0.1$"):
+    with pytest.raises(InputError, match=r"^rel_cutoff must lie in \[0, 1\), got -0.1$"):
         invert(spec, 5, rel_cutoff=-0.1)
-    with pytest.raises(ValueError, match=r"^rel_cutoff must lie in \[0, 1\), got 1.5$"):
+    with pytest.raises(InputError, match=r"^rel_cutoff must lie in \[0, 1\), got 1.5$"):
         invert(spec, 5, rel_cutoff=1.5)
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^ridge must be finite and >= 0, got {bad!r}$"):
+        with pytest.raises(InputError, match=f"^ridge must be finite and >= 0, got {bad!r}$"):
             invert(spec, 5, ridge=bad)
 
 

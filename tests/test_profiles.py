@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from radialeit import jacobi, profiles
 from radialeit.jacobi import (
     BasisOverflowError,
+    InputError,
     evaluate_table,
     monomial_coefficients,
 )
@@ -71,15 +72,15 @@ def test_presets():
     # degenerate cuts collapse
     _assert_pieces(preset("annulus", [0.0, 0.5, 2.0]), [0.0, 0.5, 1.0], [[2.0], [0.0]])
     _assert_pieces(preset("annulus", [0.0, 1.0, 2.0]), [0.0, 1.0], [[2.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         preset("annulus", [0.8, 0.3, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         preset("annulus", [0.5, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         preset("constant", [1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         preset("polynomial", [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         preset("gaussian", [1.0])
 
 
