@@ -352,27 +352,39 @@ def _cmd_basis(args):
     # one recurrence over the nodes and the check points: it runs point by
     # point, so its columns are the bits of a table per point set
     both = jacobi.evaluate_table(d, kmax, np.concatenate([rule.nodes, pts]))
-    table, pts_table = both[:, : rule.nodes.size], both[:, rule.nodes.size :]
+    pts_table = both[:, rule.nodes.size :].copy()
     # Gram matrix A A^T with A = table * sqrt(w r**(d-1)), the root formed in
     # log space: w r**(d-1) itself goes subnormal at the smallest nodes from
-    # about d = 200 on, and the rounded weights then fail a correct basis
+    # about d = 200 on, and the rounded weights then fail a correct basis.
+    # The table is scaled in place and dropped after its one product, so at
+    # most the table and one (K+1)^2 array are held at once
     root = np.exp(0.5 * (np.log(rule.weights) + (d - 1) * np.log(rule.nodes)))
-    scaled = table * root
-    gram = scaled @ scaled.T
-    gram_diag = float(np.abs(np.diag(gram) - 1.0).max())
-    gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
+    scaled = both[:, : rule.nodes.size]
+    scaled *= root
+    gram = scaled @ scaled.T  # one product, so NumPy runs it as syrk
+    del both, scaled
+    diag = np.diagonal(gram)
+    gram_diag = float(np.abs(diag - 1.0).max())
+    # off the diagonal the entries as they are, on it d - d: an inf diagonal
+    # reads NaN, as it would in gram - diag(diag(gram))
+    np.fill_diagonal(gram, diag - diag)
+    gram_off = float(np.abs(gram, out=gram).max())
+    del gram, diag
     # the rounding error of sum_j c_j P_j(x) grows with sum_j |c_j P_j(x)|, which
     # grows with d and k, so the reconstruction error is divided by max(1, that
     # sum) before it is gated, as the surface-gradient identity is in verify.
     # Row k of the lower-triangular ``coeffs`` expands r**k, so one product
-    # checks every degree at once.
+    # checks every degree at once; the abs values are taken in place.
     coeffs = np.zeros((kmax + 1, kmax + 1))
     for k in range(kmax + 1):
         coeffs[k, : k + 1] = jacobi.monomial_coefficients(d, k).coeffs
-    err = np.abs(coeffs @ pts_table - pts ** np.arange(kmax + 1)[:, None])
-    np.abs(coeffs, out=coeffs)  # in place: one (K+1)^2 array, not two
-    scale = np.maximum(1.0, coeffs @ np.abs(pts_table))
-    recon = float((err / scale).max())
+    err = coeffs @ pts_table
+    err -= pts ** np.arange(kmax + 1)[:, None]
+    np.abs(err, out=err)
+    scale = np.abs(coeffs, out=coeffs) @ np.abs(pts_table, out=pts_table)
+    np.maximum(1.0, scale, out=scale)
+    err /= scale
+    recon = float(err.max())
     tol = TOL_BASIS
     errors = {"gram_offdiag": gram_off, "gram_diag": gram_diag, "monomial_reconstruction": recon}
     passed = [err <= tol for err in errors.values()]
@@ -481,7 +493,7 @@ def _cmd_invert(args):
 # eigvals and truncate print is never finite.  The others keep the largest accepted
 # run of each subcommand under 5 s and 500 MB, measured with
 # annulus:0.3,0.8,1 on a shared 2-vCPU host: eigvals --L 30000 at d = 2
-# 1.5 s and 68 MB; basis --K 1500 3.3 s and 123 MB; truncate --L 30000
+# 1.5 s and 68 MB; basis --K 1500 2-3 s and 72 MB; truncate --L 30000
 # --N 30000 0.3 s and 46 MB (every cutoff comes from one pass over the
 # spectrum); verify --L 90 at d = 2 0.5 s and 47 MB (0.7 s for a profile of
 # 1,000 pieces: the oracle's cost is linear in the piece count); invert

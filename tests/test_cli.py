@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from datetime import datetime
 
@@ -350,6 +351,77 @@ def test_basis_reconstruction_matches_the_per_degree_check(capsys, dim):
         rows, _ = parse_csv(out)
         assert code == 0
         assert abs(float(rows[2]["max_error"]) - _reconstruction_by_degree(dim, K)) <= 1e-15
+
+
+def _basis_errors_whole(d, K):
+    # basis's three checks with every intermediate a new whole matrix: the
+    # scaled table, the Gram matrix, its diagonal as a matrix, their
+    # difference and each abs
+    rule = cli.gauss_legendre(K + d)
+    pts = np.linspace(0.0, 1.0, 50)
+    both = cli.jacobi.evaluate_table(d, K, np.concatenate([rule.nodes, pts]))
+    table, pts_table = both[:, : rule.nodes.size], both[:, rule.nodes.size :]
+    root = np.exp(0.5 * (np.log(rule.weights) + (d - 1) * np.log(rule.nodes)))
+    scaled = table * root
+    gram = scaled @ scaled.T
+    gram_diag = float(np.abs(np.diag(gram) - 1.0).max())
+    gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
+    coeffs = np.zeros((K + 1, K + 1))
+    for k in range(K + 1):
+        coeffs[k, : k + 1] = cli.jacobi.monomial_coefficients(d, k).coeffs
+    err = np.abs(coeffs @ pts_table - pts ** np.arange(K + 1)[:, None])
+    scale = np.maximum(1.0, np.abs(coeffs) @ np.abs(pts_table))
+    return [gram_off, gram_diag, float((err / scale).max())]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 200])
+def test_basis_errors_equal_the_whole_matrix_checks(capsys, dim):
+    # the in-place reductions run the same operations in the same order
+    for K in (0, 1, 2, 63, 64, 65, 150, 600):
+        code, out, _ = run_cli(capsys, "basis", "--dim", str(dim), "--K", str(K))
+        rows, _ = parse_csv(out)
+        assert code == 0
+        assert [r["max_error"] for r in rows] == [repr(x) for x in _basis_errors_whole(dim, K)]
+
+
+def test_basis_gram_overflow_reads_nan_off_the_diagonal(capsys, monkeypatch):
+    # the top degree scaled by 1e200: its own Gram entry overflows, the
+    # entries beside it stay finite, and inf - inf on the diagonal is NaN
+    recurrence = cli.jacobi._recurrence
+
+    def wrong(d, kmax):
+        rec_a, rec_b, rec_c = recurrence(d, kmax)
+        rec_c[kmax - 1] *= 1e-200
+        return rec_a, rec_b, rec_c
+
+    monkeypatch.setattr(cli.jacobi, "_recurrence", wrong)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the point
+        code, out, _ = run_cli(capsys, "basis", "--dim", "3", "--K", "40")
+        want = _basis_errors_whole(3, 40)
+    rows, extras = parse_csv(out)
+    assert code == 1 and extras["all_ok"] is False
+    assert [r["max_error"] for r in rows[:2]] == ["nan", "inf"]
+    assert [r["max_error"] for r in rows] == [repr(x) for x in want]
+
+
+def test_basis_holds_the_table_and_one_gram_sized_array(capsys):
+    # the table is scaled in place and dropped after the Gram product, the
+    # Gram matrix is reduced in place and dropped before the reconstruction
+    # check, whose abs values are taken in place too.  Bound: the table plus
+    # two (K+1)^2 arrays, one of them slack for the 50-column arrays and the
+    # rule (a warm run, so the cached monomial rows are not counted)
+    d, K = 3, 300
+    argv = ("basis", "--dim", str(d), "--K", str(K))
+    assert run_cli(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, *argv)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (K + 1) * (K + d + 50) * 8
+    assert peak <= table + 2 * (K + 1) ** 2 * 8
 
 
 def test_basis_requires_dim(capsys):
